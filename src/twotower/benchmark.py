@@ -10,9 +10,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import retrieval, training
+from . import retrieval
 from .corpus import CorpusStore, TokenSeq, Vocabulary, build_vocab, tokenize, tokenize_corpus
-from .encoders import ARCH_BOW_MLP, ARCH_TRANSFORMER, EncoderConfig, Params, encode
+from .encoders import ARCH_TRANSFORMER, EncoderConfig, TwoTower
 from .pairs import (
     PRETRAIN_TASKS,
     TASK_FINETUNE,
@@ -326,33 +326,6 @@ def parse_task_spec(spec: str) -> Optional[TaskMixture]:
     return TaskMixture.uniform(tasks)
 
 
-def _rank_dense(
-    params_q: Params,
-    params_d: Params,
-    enc_cfg: EncoderConfig,
-    queries: Sequence[TokenSeq],
-    candidates: Sequence[Candidate],
-    k: int,
-    batch_size: int = 512,
-) -> List[retrieval.RankedList]:
-    role_q = "shared" if enc_cfg.share_towers else "query"
-    role_d = "shared" if enc_cfg.share_towers else "doc"
-    index = retrieval.build_dense_index(
-        params_d,
-        enc_cfg,
-        [c.tower_tokens for c in candidates],
-        candidate_ids=[c.id for c in candidates],
-        batch_size=batch_size,
-        tower=role_d,
-    )
-    ranked = []
-    for start in range(0, len(queries), batch_size):
-        embs = encode(params_q, enc_cfg, queries[start : start + batch_size], role_q)
-        for row in embs:
-            ranked.append(retrieval.dense_topk(index, row, k))
-    return ranked
-
-
 def _rank_bm25(
     index: retrieval.InvertedIndex,
     queries: Sequence[TokenSeq],
@@ -360,6 +333,11 @@ def _rank_bm25(
     params: retrieval.BM25Params,
 ) -> List[retrieval.RankedList]:
     return [retrieval.bm25_topk(index, q, k, params) for q in queries]
+
+
+def dense_candidates(candidates: Sequence[Candidate]) -> List[Tuple[int, TokenSeq]]:
+    """The (id, tower tokens) pairs that dense ranking scores."""
+    return [(c.id, c.tower_tokens) for c in candidates]
 
 
 def finetune_pairs(split_part: Sequence[ReqaExample], candidates: Sequence[Candidate]) -> List[PretrainPair]:
@@ -391,6 +369,7 @@ def run_experiment(
         entries, store, vocab, cfg.query_max_len, cfg.doc_max_len
     )
     log(f"benchmark: {len(examples)} examples, {len(candidates)} candidates, {dropped} dropped")
+    dense_pool = dense_candidates(candidates)
     max_k = max(cfg.ks)
     bm25_params = retrieval.BM25Params(k1=cfg.bm25_k1, b=cfg.bm25_b)
 
@@ -426,13 +405,11 @@ def run_experiment(
 
     for seed in cfg.seeds:
         splits = {tuple(r): make_split(examples, tuple(r), seed) for r in cfg.ratios}
-        pretrained: Dict[Tuple[str, str], Tuple[Params, Params]] = {}
         for arch in cfg.encoders:
             enc_cfg = cfg.encoder_config(arch, len(vocab))
             for task in cfg.tasks:
                 if task == TASK_MLM and arch != ARCH_TRANSFORMER:
                     continue  # token-masking baseline is defined for the transformer only
-                key = (arch, task)
                 train_cfg = TrainRunConfig(
                     batch_size=cfg.batch_size,
                     total_steps=cfg.pretrain_steps,
@@ -441,11 +418,10 @@ def run_experiment(
                     warmup_fraction=cfg.warmup_fraction,
                 )
                 if task == TASK_NONE:
-                    pretrained[key] = training._init_towers(enc_cfg, seed)
+                    pretrained = TwoTower.init(enc_cfg, seed)
                 elif task == TASK_MLM:
                     log(f"pretrain[{seed}] {arch}/{task}: {cfg.pretrain_steps} steps")
-                    pq, pd, _ = mlm_pretrain(train_cfg, enc_cfg, store)
-                    pretrained[key] = (pq, pd)
+                    pretrained, _ = mlm_pretrain(train_cfg, enc_cfg, store)
                 else:
                     mixture = parse_task_spec(task)
                     log(f"pretrain[{seed}] {arch}/{task}: {cfg.pretrain_steps} steps")
@@ -457,8 +433,7 @@ def run_experiment(
                         cfg.query_max_len,
                         cfg.doc_max_len,
                     )
-                    pq, pd, _ = pretrain(train_cfg, enc_cfg, stream)
-                    pretrained[key] = (pq, pd)
+                    pretrained, _ = pretrain(train_cfg, enc_cfg, stream)
 
                 for ratio in cfg.ratios:
                     split = splits[tuple(ratio)]
@@ -472,20 +447,17 @@ def run_experiment(
                         eval_every=cfg.eval_every,
                         patience=cfg.patience,
                     )
-                    pq, pd = pretrained[key]
-                    best_q, best_d, _ = finetune(
-                        pq,
-                        pd,
-                        enc_cfg,
+                    best, _ = finetune(
+                        pretrained,
                         ft_cfg,
                         finetune_pairs(split.train, candidates),
                         [ex.question_tokens for ex in split.validation],
                         [ex.gold_id for ex in split.validation],
-                        [(c.id, c.tower_tokens) for c in candidates],
+                        dense_pool,
                     )
                     test_queries = [ex.question_tokens for ex in split.test]
                     test_gold = [ex.gold_id for ex in split.test]
-                    ranked = _rank_dense(best_q, best_d, enc_cfg, test_queries, candidates, max_k)
+                    ranked = retrieval.rank_dense(best, test_queries, dense_pool, max_k)
                     report = evaluate(
                         ranked,
                         test_gold,
@@ -495,8 +467,8 @@ def run_experiment(
                     )
                     add_cell(split.ratio_label, arch, task, seed, report, False)
                     if augmented_candidates is not None:
-                        ranked = _rank_dense(
-                            best_q, best_d, enc_cfg, test_queries, augmented_candidates, max_k
+                        ranked = retrieval.rank_dense(
+                            best, test_queries, dense_candidates(augmented_candidates), max_k
                         )
                         report = evaluate(
                             ranked,

@@ -1,24 +1,26 @@
 """Command-line surface: synth, ingest, vocab, gen-pairs, pretrain, finetune,
 index, eval, bm25-eval, experiment, report.
 
-Option values resolve as CLI flag > TWOTOWER_<NAME> env var > --config JSON >
-built-in default. Every run appends one manifest record (resolved config,
-input/output hashes, timing) to manifests.jsonl beside its primary output.
-Progress goes to stderr; machine-readable results go to files or stdout.
+Each command declares its options once, in `_COMMANDS`, as name -> default; a
+default of None marks a required path. Option values resolve as CLI flag >
+TWOTOWER_<NAME> env var > --config JSON > default. `pretrain` writes the model,
+one `TwoTower` value, as a checkpoint; `finetune`, `index` and `eval` read one
+and take every encoder setting from it, the max lengths included. Every run
+appends one manifest record (resolved config, input/output hashes, timing) to
+manifests.jsonl beside its primary output. Progress goes to stderr;
+machine-readable results go to files or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import benchmark, pairs, retrieval, synth, training, util
 from .corpus import Vocabulary, build_vocab, parse_corpus, serialize_corpus, tokenize_corpus
@@ -80,12 +82,6 @@ def resolve_options(args: argparse.Namespace, defaults: Dict[str, object]) -> Di
     return resolved
 
 
-def _require(resolved: Dict[str, object], *names: str) -> None:
-    for name in names:
-        if resolved.get(name) in (None, ""):
-            raise UsageError(f"missing required --{name}")
-
-
 def _check_outputs(paths: Sequence[str], force: bool) -> None:
     for path in paths:
         if os.path.exists(path) and not force:
@@ -95,7 +91,6 @@ def _check_outputs(paths: Sequence[str], force: bool) -> None:
 def _write_manifest(
     command: str,
     resolved: Dict[str, object],
-    seed: int,
     inputs: Sequence[str],
     outputs: Sequence[str],
     elapsed: float,
@@ -105,7 +100,7 @@ def _write_manifest(
     record = {
         "command": command,
         "config": resolved,
-        "seed": seed,
+        "seed": resolved.get("seed"),
         "inputs": {p: util.sha256_file(p) for p in inputs if os.path.exists(p)},
         "outputs": {p: util.sha256_file(p) for p in outputs if os.path.exists(p)},
         "elapsed_seconds": elapsed,
@@ -123,48 +118,26 @@ def _load_corpus(path: str, link_policy: str = "drop"):
     return parse_corpus(_read_lines(path), link_policy)
 
 
-def _load_vocab(path: str) -> Vocabulary:
-    return Vocabulary.load(_read_lines(path))
+def _load_tokenized(o: Dict[str, object]):
+    """The --corpus store tokenized with the --vocab vocabulary."""
+    store = _load_corpus(str(o["corpus"]))
+    vocab = Vocabulary.load(_read_lines(str(o["vocab"])))
+    tokenize_corpus(store, vocab)
+    return store, vocab
 
 
-def _enc_config_from(resolved: Dict[str, object], vocab_size: int) -> EncoderConfig:
-    return EncoderConfig(
-        arch=str(resolved["arch"]),
-        num_layers=int(resolved["layers"]),
-        hidden_dim=int(resolved["hidden-dim"]),
-        num_heads=int(resolved["heads"]),
-        ff_dim=int(resolved["ff-dim"]),
-        emb_dim=int(resolved["emb-dim"]),
-        vocab_size=vocab_size,
-        query_max_len=int(resolved["query-max-len"]),
-        doc_max_len=int(resolved["doc-max-len"]),
-        share_towers=bool(resolved["share-towers"]),
-        dtype=str(resolved["dtype"]),
+def _build_benchmark(o: Dict[str, object], store, vocab, query_max_len: int, doc_max_len: int):
+    """(QA entries, examples, candidates, dropped count) of the --qa file."""
+    entries = benchmark.read_qa_entries(_read_lines(str(o["qa"])))
+    examples, candidates, dropped = benchmark.build_reqa(
+        entries, store, vocab, query_max_len, doc_max_len
     )
+    return entries, examples, candidates, dropped
 
 
-_ENC_DEFAULTS = {
-    "arch": "transformer",
-    "layers": 2,
-    "hidden-dim": 64,
-    "heads": 4,
-    "ff-dim": 256,
-    "emb-dim": 32,
-    "query-max-len": 16,
-    "doc-max-len": 48,
-    "share-towers": False,
-    "dtype": "float32",
-}
-
-_TRAIN_DEFAULTS = {
-    "steps": 800,
-    "batch": 32,
-    "lr": 1e-3,
-    "warmup": 0.1,
-    "correction": "none",
-    "eval-every": 50,
-    "patience": 5,
-}
+def _metrics_file(o: Dict[str, object]):
+    path = str(o["metrics"])
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
 
 
 def _add_options(sub: argparse.ArgumentParser, defaults: Dict[str, object]) -> None:
@@ -195,26 +168,15 @@ def _parse_ks(text: str) -> List[int]:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_synth(args) -> int:
-    defaults = {
-        "out": None,
-        "qa": None,
-        "articles": 500,
-        "topics": 100,
-        "qa-count": 1000,
-        "seed": 13,
-        "force": False,
-    }
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "out", "qa")
-    outputs = [str(resolved["out"]), str(resolved["qa"])]
-    _check_outputs(outputs, bool(resolved["force"]))
+def _cmd_synth(args, o) -> int:
+    outputs = [str(o["out"]), str(o["qa"])]
+    _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     cfg = synth.SynthConfig(
-        n_articles=int(resolved["articles"]),
-        n_topics=int(resolved["topics"]),
-        n_qa=int(resolved["qa-count"]),
-        seed=int(resolved["seed"]),
+        n_articles=int(o["articles"]),
+        n_topics=int(o["topics"]),
+        n_qa=int(o["qa-count"]),
+        seed=int(o["seed"]),
     )
     records, entries = synth.generate(cfg)
     util.atomic_write_text(outputs[0], synth.corpus_jsonl(records))
@@ -222,145 +184,112 @@ def _cmd_synth(args) -> int:
     benchmark.write_qa_entries(buffer, entries)
     util.atomic_write_text(outputs[1], buffer.getvalue())
     _log(f"wrote {len(records)} articles and {len(entries)} QA entries")
-    _write_manifest("synth", resolved, cfg.seed, [], outputs, time.time() - start)
+    _write_manifest("synth", o, [], outputs, time.time() - start)
     return EXIT_OK
 
 
-def _cmd_ingest(args) -> int:
-    defaults = {"corpus": None, "out": None, "link-policy": "drop", "seed": 7, "force": False}
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "corpus", "out")
-    outputs = [str(resolved["out"])]
-    _check_outputs(outputs, bool(resolved["force"]))
+def _cmd_ingest(args, o) -> int:
+    outputs = [str(o["out"])]
+    _check_outputs(outputs, bool(o["force"]))
     start = time.time()
-    store = _load_corpus(str(resolved["corpus"]), str(resolved["link-policy"]))
+    store = _load_corpus(str(o["corpus"]), str(o["link-policy"]))
     buffer = io.StringIO()
     serialize_corpus(store, buffer)
     util.atomic_write_text(outputs[0], buffer.getvalue())
     _log(f"ingested {len(store.articles)} articles, {len(store.passages)} passages")
-    _write_manifest(
-        "ingest", resolved, int(resolved["seed"]), [str(resolved["corpus"])], outputs,
-        time.time() - start,
-    )
+    _write_manifest("ingest", o, [str(o["corpus"])], outputs, time.time() - start)
     return EXIT_OK
 
 
-def _cmd_vocab(args) -> int:
-    defaults = {
-        "corpus": None,
-        "out": None,
-        "max-size": 8192,
-        "min-freq": 1,
-        "seed": 7,
-        "force": False,
-    }
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "corpus", "out")
-    outputs = [str(resolved["out"])]
-    _check_outputs(outputs, bool(resolved["force"]))
+def _cmd_vocab(args, o) -> int:
+    outputs = [str(o["out"])]
+    _check_outputs(outputs, bool(o["force"]))
     start = time.time()
-    store = _load_corpus(str(resolved["corpus"]))
-    vocab = build_vocab(store, int(resolved["max-size"]), int(resolved["min-freq"]))
+    store = _load_corpus(str(o["corpus"]))
+    vocab = build_vocab(store, int(o["max-size"]), int(o["min-freq"]))
     buffer = io.StringIO()
     vocab.save(buffer)
     util.atomic_write_text(outputs[0], buffer.getvalue())
     _log(f"vocabulary of {len(vocab)} tokens")
-    _write_manifest(
-        "vocab", resolved, int(resolved["seed"]), [str(resolved["corpus"])], outputs,
-        time.time() - start,
-    )
+    _write_manifest("vocab", o, [str(o["corpus"])], outputs, time.time() - start)
     return EXIT_OK
 
 
-def _cmd_gen_pairs(args) -> int:
-    defaults = {
-        "corpus": None,
-        "vocab": None,
-        "out": None,
-        "stats": "",
-        "tasks": "ict+bfs+wlp",
-        "n": 1000,
-        "query-max-len": 16,
-        "doc-max-len": 48,
-        "seed": 7,
-        "force": False,
-    }
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "corpus", "vocab", "out")
-    outputs = [str(resolved["out"])] + ([str(resolved["stats"])] if resolved["stats"] else [])
-    _check_outputs(outputs, bool(resolved["force"]))
+def _cmd_gen_pairs(args, o) -> int:
+    outputs = [str(o["out"])] + ([str(o["stats"])] if o["stats"] else [])
+    _check_outputs(outputs, bool(o["force"]))
     start = time.time()
-    store = _load_corpus(str(resolved["corpus"]))
-    vocab = _load_vocab(str(resolved["vocab"]))
-    tokenize_corpus(store, vocab)
-    mixture = benchmark.parse_task_spec(str(resolved["tasks"]))
+    store, _ = _load_tokenized(o)
+    mixture = benchmark.parse_task_spec(str(o["tasks"]))
     if mixture is None:
-        raise RuntimeError(f"gen-pairs needs a pair-generating task spec, got {resolved['tasks']!r}")
-    seed = int(resolved["seed"])
+        raise RuntimeError(f"gen-pairs needs a pair-generating task spec, got {o['tasks']!r}")
+    seed = int(o["seed"])
     generated = list(
         pairs.sample_mixture(
             store,
             mixture,
-            int(resolved["n"]),
+            int(o["n"]),
             util.subrng(seed, "pairs"),
-            int(resolved["query-max-len"]),
-            int(resolved["doc-max-len"]),
+            int(o["query-max-len"]),
+            int(o["doc-max-len"]),
         )
     )
     buffer = io.StringIO()
     pairs.write_pairs(buffer, generated)
     util.atomic_write_text(outputs[0], buffer.getvalue())
-    if resolved["stats"]:
-        util.dump_json(str(resolved["stats"]), pairs.pair_stats(generated))
+    if o["stats"]:
+        util.dump_json(str(o["stats"]), pairs.pair_stats(generated))
     _log(f"generated {len(generated)} pairs")
     _write_manifest(
-        "gen-pairs", resolved, seed, [str(resolved["corpus"]), str(resolved["vocab"])],
-        outputs, time.time() - start,
+        "gen-pairs", o, [str(o["corpus"]), str(o["vocab"])], outputs, time.time() - start
     )
     return EXIT_OK
 
 
-def _pretrain_common(args, mlm: bool) -> int:
-    defaults = {
-        "corpus": None,
-        "vocab": None,
-        "out": None,
-        "metrics": "",
-        "tasks": "mlm" if mlm else "ict+bfs+wlp",
-        "seed": 7,
-        "force": False,
-        **_ENC_DEFAULTS,
-        **_TRAIN_DEFAULTS,
-    }
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "corpus", "vocab", "out")
-    prefix = str(resolved["out"])
-    outputs = [prefix + ".json", prefix + ".bin"]
-    metrics_path = str(resolved["metrics"]) if resolved["metrics"] else ""
-    if metrics_path:
-        outputs.append(metrics_path)
-    _check_outputs(outputs, bool(resolved["force"]))
-    start = time.time()
-    store = _load_corpus(str(resolved["corpus"]))
-    vocab = _load_vocab(str(resolved["vocab"]))
-    tokenize_corpus(store, vocab)
-    enc_cfg = _enc_config_from(resolved, len(vocab))
-    seed = int(resolved["seed"])
-    train_cfg = TrainRunConfig(
-        batch_size=int(resolved["batch"]),
-        total_steps=int(resolved["steps"]),
-        seed=seed,
-        correction=str(resolved["correction"]),
-        lr_peak=float(resolved["lr"]),
-        warmup_fraction=float(resolved["warmup"]),
-    )
-    metrics_out = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
-    try:
-        task_spec = str(resolved["tasks"])
-        if task_spec == "mlm":
-            params_q, params_d, _ = training.mlm_pretrain(train_cfg, enc_cfg, store, metrics_out)
-        else:
+def _cmd_pretrain(args, o) -> int:
+    task_spec = str(o["tasks"])
+    mixture = None
+    if task_spec != benchmark.TASK_MLM:
+        try:
             mixture = benchmark.parse_task_spec(task_spec)
+        except ValueError as exc:
+            raise UsageError(f"--tasks: {exc}") from exc
+        if mixture is None:
+            raise UsageError(
+                f"--tasks {task_spec!r} pre-trains nothing; give mlm or a '+'-joined subset"
+                f" of {', '.join(pairs.PRETRAIN_TASKS)}"
+            )
+    prefix = str(o["out"])
+    outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
+    _check_outputs(outputs, bool(o["force"]))
+    start = time.time()
+    store, vocab = _load_tokenized(o)
+    enc_cfg = EncoderConfig(
+        arch=str(o["arch"]),
+        num_layers=int(o["layers"]),
+        hidden_dim=int(o["hidden-dim"]),
+        num_heads=int(o["heads"]),
+        ff_dim=int(o["ff-dim"]),
+        emb_dim=int(o["emb-dim"]),
+        vocab_size=len(vocab),
+        query_max_len=int(o["query-max-len"]),
+        doc_max_len=int(o["doc-max-len"]),
+        share_towers=bool(o["share-towers"]),
+        dtype=str(o["dtype"]),
+    )
+    seed = int(o["seed"])
+    train_cfg = TrainRunConfig(
+        batch_size=int(o["batch"]),
+        total_steps=int(o["steps"]),
+        seed=seed,
+        correction=str(o["correction"]),
+        lr_peak=float(o["lr"]),
+        warmup_fraction=float(o["warmup"]),
+    )
+    with _metrics_file(o) as metrics_out:
+        if mixture is None:
+            model, _ = training.mlm_pretrain(train_cfg, enc_cfg, store, metrics_out)
+        else:
             stream = pairs.sample_mixture(
                 store,
                 mixture,
@@ -369,212 +298,130 @@ def _pretrain_common(args, mlm: bool) -> int:
                 enc_cfg.query_max_len,
                 enc_cfg.doc_max_len,
             )
-            params_q, params_d, _ = training.pretrain(train_cfg, enc_cfg, stream, metrics_out)
-    finally:
-        if metrics_out:
-            metrics_out.close()
-    fingerprint = save_checkpoint(
-        prefix, params_q, params_d, enc_cfg, {"stage": "pretrain", "tasks": str(resolved["tasks"])}
-    )
+            model, _ = training.pretrain(train_cfg, enc_cfg, stream, metrics_out)
+    fingerprint = save_checkpoint(prefix, model, {"stage": "pretrain", "tasks": task_spec})
     _log(f"checkpoint {prefix} ({fingerprint[:12]})")
     _write_manifest(
-        "pretrain", resolved, seed, [str(resolved["corpus"]), str(resolved["vocab"])],
-        outputs, time.time() - start,
+        "pretrain", o, [str(o["corpus"]), str(o["vocab"])], outputs, time.time() - start
     )
     return EXIT_OK
 
 
-def _cmd_pretrain(args) -> int:
-    return _pretrain_common(args, mlm=False)
-
-
-def _build_benchmark(resolved, store, vocab):
-    entries = benchmark.read_qa_entries(_read_lines(str(resolved["qa"])))
-    return benchmark.build_reqa(
-        entries, store, vocab, int(resolved["query-max-len"]), int(resolved["doc-max-len"])
-    ), entries
-
-
-def _cmd_finetune(args) -> int:
-    defaults = {
-        "corpus": None,
-        "vocab": None,
-        "qa": None,
-        "ckpt": None,
-        "out": None,
-        "metrics": "",
-        "ratio": "80/20",
-        "seed": 7,
-        "force": False,
-        **_TRAIN_DEFAULTS,
-    }
-    defaults["steps"] = 300
-    defaults["lr"] = 5e-4
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "corpus", "vocab", "qa", "ckpt", "out")
-    prefix = str(resolved["out"])
-    outputs = [prefix + ".json", prefix + ".bin"]
-    metrics_path = str(resolved["metrics"]) if resolved["metrics"] else ""
-    if metrics_path:
-        outputs.append(metrics_path)
-    _check_outputs(outputs, bool(resolved["force"]))
+def _cmd_finetune(args, o) -> int:
+    prefix = str(o["out"])
+    outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
+    _check_outputs(outputs, bool(o["force"]))
     start = time.time()
-    store = _load_corpus(str(resolved["corpus"]))
-    vocab = _load_vocab(str(resolved["vocab"]))
-    tokenize_corpus(store, vocab)
-    params_q, params_d, enc_cfg, _ = load_checkpoint(str(resolved["ckpt"]))
-    resolved["query-max-len"] = enc_cfg.query_max_len
-    resolved["doc-max-len"] = enc_cfg.doc_max_len
-    (examples, candidates, dropped), _ = _build_benchmark(resolved, store, vocab)
-    seed = int(resolved["seed"])
-    split = benchmark.make_split(examples, _parse_ratio(str(resolved["ratio"])), seed)
-    train_cfg = TrainRunConfig(
-        batch_size=int(resolved["batch"]),
-        total_steps=int(resolved["steps"]),
-        seed=seed,
-        lr_peak=float(resolved["lr"]),
-        warmup_fraction=float(resolved["warmup"]),
-        eval_every=int(resolved["eval-every"]),
-        patience=int(resolved["patience"]),
+    store, vocab = _load_tokenized(o)
+    model, _ = load_checkpoint(str(o["ckpt"]))
+    cfg = model.config
+    _, examples, candidates, _ = _build_benchmark(
+        o, store, vocab, cfg.query_max_len, cfg.doc_max_len
     )
-    metrics_out = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
-    try:
-        best_q, best_d, history = training.finetune(
-            params_q,
-            params_d,
-            enc_cfg,
+    seed = int(o["seed"])
+    split = benchmark.make_split(examples, _parse_ratio(str(o["ratio"])), seed)
+    train_cfg = TrainRunConfig(
+        batch_size=int(o["batch"]),
+        total_steps=int(o["steps"]),
+        seed=seed,
+        lr_peak=float(o["lr"]),
+        warmup_fraction=float(o["warmup"]),
+        eval_every=int(o["eval-every"]),
+        patience=int(o["patience"]),
+    )
+    with _metrics_file(o) as metrics_out:
+        best, history = training.finetune(
+            model,
             train_cfg,
             benchmark.finetune_pairs(split.train, candidates),
             [ex.question_tokens for ex in split.validation],
             [ex.gold_id for ex in split.validation],
-            [(c.id, c.tower_tokens) for c in candidates],
+            benchmark.dense_candidates(candidates),
             metrics_out,
         )
-    finally:
-        if metrics_out:
-            metrics_out.close()
-    best = max((h.get("val_recall") or 0.0) for h in history if "val_recall" in h)
+    best_recall = max(h["val_recall"] for h in history if "val_recall" in h)
     fingerprint = save_checkpoint(
-        prefix, best_q, best_d, enc_cfg,
-        {"stage": "finetune", "ratio": str(resolved["ratio"]), "val_recall_at_10": best},
+        prefix, best,
+        {"stage": "finetune", "ratio": str(o["ratio"]), "val_recall_at_10": best_recall},
     )
-    _log(f"checkpoint {prefix} ({fingerprint[:12]}), best val recall@10 {best:.4f}")
+    _log(f"checkpoint {prefix} ({fingerprint[:12]}), best val recall@10 {best_recall:.4f}")
     _write_manifest(
-        "finetune", resolved, seed,
-        [str(resolved["corpus"]), str(resolved["vocab"]), str(resolved["qa"])],
+        "finetune", o, [str(o["corpus"]), str(o["vocab"]), str(o["qa"])],
         outputs, time.time() - start,
     )
     return EXIT_OK
 
 
-def _cmd_index(args) -> int:
-    defaults = {
-        "corpus": None,
-        "vocab": None,
-        "qa": None,
-        "ckpt": None,
-        "out": None,
-        "seed": 7,
-        "force": False,
-    }
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "corpus", "vocab", "qa", "ckpt", "out")
-    prefix = str(resolved["out"])
+def _cmd_index(args, o) -> int:
+    prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"]
-    _check_outputs(outputs, bool(resolved["force"]))
+    _check_outputs(outputs, bool(o["force"]))
     start = time.time()
-    store = _load_corpus(str(resolved["corpus"]))
-    vocab = _load_vocab(str(resolved["vocab"]))
-    tokenize_corpus(store, vocab)
-    params_q, params_d, enc_cfg, _ = load_checkpoint(str(resolved["ckpt"]))
-    resolved["query-max-len"] = enc_cfg.query_max_len
-    resolved["doc-max-len"] = enc_cfg.doc_max_len
-    (examples, candidates, _), _ = _build_benchmark(resolved, store, vocab)
+    store, vocab = _load_tokenized(o)
+    model, _ = load_checkpoint(str(o["ckpt"]))
+    cfg = model.config
+    _, _, candidates, _ = _build_benchmark(o, store, vocab, cfg.query_max_len, cfg.doc_max_len)
     index = retrieval.build_dense_index(
-        params_d,
-        enc_cfg,
+        model,
+        [c.id for c in candidates],
         [c.tower_tokens for c in candidates],
-        candidate_ids=[c.id for c in candidates],
-        fingerprint=util.tensor_fingerprint(str(resolved["ckpt"])),
-        tower="shared" if enc_cfg.share_towers else "doc",
+        fingerprint=util.tensor_fingerprint(str(o["ckpt"])),
     )
     retrieval.save_dense_index(prefix, index)
     _log(f"indexed {len(candidates)} candidates")
     _write_manifest(
-        "index", resolved, int(resolved["seed"]),
-        [str(resolved["corpus"]), str(resolved["vocab"]), str(resolved["qa"])],
+        "index", o, [str(o["corpus"]), str(o["vocab"]), str(o["qa"])],
         outputs, time.time() - start,
     )
     return EXIT_OK
 
 
-def _eval_common(args, dense: bool) -> int:
-    defaults = {
-        "corpus": None,
-        "vocab": None,
-        "qa": None,
-        "out": None,
-        "ratio": "80/20",
-        "k": "1,5,10,50,100",
-        "split-part": "test",
-        "augment": 0,
-        "query-max-len": 16,
-        "doc-max-len": 48,
-        "seed": 7,
-        "force": False,
-    }
-    if dense:
-        defaults["ckpt"] = None
-    else:
-        defaults["bm25-k1"] = 1.2
-        defaults["bm25-b"] = 0.75
-    resolved = resolve_options(args, defaults)
-    required = ["corpus", "vocab", "qa", "out"] + (["ckpt"] if dense else [])
-    _require(resolved, *required)
-    outputs = [str(resolved["out"])]
-    _check_outputs(outputs, bool(resolved["force"]))
+def _eval_common(o: Dict[str, object], dense: bool) -> int:
+    outputs = [str(o["out"])]
+    _check_outputs(outputs, bool(o["force"]))
     start = time.time()
-    store = _load_corpus(str(resolved["corpus"]))
-    vocab = _load_vocab(str(resolved["vocab"]))
-    tokenize_corpus(store, vocab)
+    store, vocab = _load_tokenized(o)
     if dense:
-        params_q, params_d, enc_cfg, _ = load_checkpoint(str(resolved["ckpt"]))
-        resolved["query-max-len"] = enc_cfg.query_max_len
-        resolved["doc-max-len"] = enc_cfg.doc_max_len
-    (examples, candidates, dropped), entries = _build_benchmark(resolved, store, vocab)
-    seed = int(resolved["seed"])
-    split = benchmark.make_split(examples, _parse_ratio(str(resolved["ratio"])), seed)
+        model, _ = load_checkpoint(str(o["ckpt"]))
+        query_max_len, doc_max_len = model.config.query_max_len, model.config.doc_max_len
+    else:
+        query_max_len, doc_max_len = int(o["query-max-len"]), int(o["doc-max-len"])
+    entries, examples, candidates, dropped = _build_benchmark(
+        o, store, vocab, query_max_len, doc_max_len
+    )
+    seed = int(o["seed"])
+    split = benchmark.make_split(examples, _parse_ratio(str(o["ratio"])), seed)
     part = {
         "train": split.train,
         "validation": split.validation,
         "test": split.test,
-    }.get(str(resolved["split-part"]))
+    }.get(str(o["split-part"]))
     if part is None:
         raise UsageError(f"--split-part must be train/validation/test")
-    if int(resolved["augment"]) > 0:
+    if int(o["augment"]) > 0:
         referenced = {e.passage_id for e in entries}
-        distractors = benchmark.sample_distractors(
-            store, referenced, int(resolved["augment"]), seed
-        )
+        distractors = benchmark.sample_distractors(store, referenced, int(o["augment"]), seed)
         candidates = benchmark.augment_open_domain(
-            candidates, distractors, int(resolved["augment"]), vocab, int(resolved["doc-max-len"])
+            candidates, distractors, int(o["augment"]), vocab, doc_max_len
         )
-    ks = _parse_ks(str(resolved["k"]))
+    ks = _parse_ks(str(o["k"]))
     queries = [ex.question_tokens for ex in part]
     gold = [ex.gold_id for ex in part]
     if dense:
-        ranked = benchmark._rank_dense(params_q, params_d, enc_cfg, queries, candidates, max(ks))
-        label = f"dense:{enc_cfg.arch}"
+        ranked = retrieval.rank_dense(
+            model, queries, benchmark.dense_candidates(candidates), max(ks)
+        )
+        label = f"dense:{model.config.arch}"
     else:
         index = retrieval.InvertedIndex([(c.id, c.match_tokens) for c in candidates])
-        bm25 = retrieval.BM25Params(float(resolved["bm25-k1"]), float(resolved["bm25-b"]))
+        bm25 = retrieval.BM25Params(float(o["bm25-k1"]), float(o["bm25-b"]))
         ranked = benchmark._rank_bm25(index, queries, max(ks), bm25)
         label = "bm25"
     report = benchmark.evaluate(ranked, gold, ks, n_candidates=len(candidates))
     payload = {
         "system": label,
-        "ratio": str(resolved["ratio"]),
-        "part": str(resolved["split-part"]),
+        "ratio": str(o["ratio"]),
+        "part": str(o["split-part"]),
         "n_candidates": report.n_candidates,
         "n_queries": report.n_queries,
         "n_dropped_entries": dropped,
@@ -582,19 +429,19 @@ def _eval_common(args, dense: bool) -> int:
     }
     util.dump_json(outputs[0], payload)
     _log(f"{label} recalls: " + ", ".join(f"R@{k}={report.recalls[k]:.4f}" for k in ks))
-    inp = [str(resolved["corpus"]), str(resolved["vocab"]), str(resolved["qa"])]
+    inp = [str(o["corpus"]), str(o["vocab"]), str(o["qa"])]
     if dense:
-        inp += [str(resolved["ckpt"]) + ".json", str(resolved["ckpt"]) + ".bin"]
-    _write_manifest("eval" if dense else "bm25-eval", resolved, seed, inp, outputs, time.time() - start)
+        inp += [str(o["ckpt"]) + ".json", str(o["ckpt"]) + ".bin"]
+    _write_manifest("eval" if dense else "bm25-eval", o, inp, outputs, time.time() - start)
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    return _eval_common(args, dense=True)
+def _cmd_eval(args, o) -> int:
+    return _eval_common(o, dense=True)
 
 
-def _cmd_bm25_eval(args) -> int:
-    return _eval_common(args, dense=False)
+def _cmd_bm25_eval(args, o) -> int:
+    return _eval_common(o, dense=False)
 
 
 def render_report(report: dict) -> str:
@@ -621,153 +468,149 @@ def render_report(report: dict) -> str:
     return "\n".join(blocks) + "\n"
 
 
-def _cmd_experiment(args) -> int:
-    defaults = {
-        "corpus": None,
-        "qa": None,
-        "out": None,
-        "seed": 7,
-        "force": False,
-    }
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "corpus", "qa", "out")
-    out_dir = str(resolved["out"])
+def _cmd_experiment(args, o) -> int:
+    out_dir = str(o["out"])
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")
-    _check_outputs([report_json, report_txt], bool(resolved["force"]))
+    _check_outputs([report_json, report_txt], bool(o["force"]))
     start = time.time()
-    file_cfg = util.load_json(args.config) if getattr(args, "config", None) else {}
+    file_cfg = util.load_json(args.config) if args.config else {}
     grid_cfg = {k: v for k, v in file_cfg.items() if k in benchmark.ExperimentConfig.__dataclass_fields__}
     exp_cfg = benchmark.ExperimentConfig.from_dict(grid_cfg)
     if "seeds" not in grid_cfg:
-        exp_cfg.seeds = [int(resolved["seed"])]
-    store = _load_corpus(str(resolved["corpus"]))
-    entries = benchmark.read_qa_entries(_read_lines(str(resolved["qa"])))
+        exp_cfg.seeds = [int(o["seed"])]
+    store = _load_corpus(str(o["corpus"]))
+    entries = benchmark.read_qa_entries(_read_lines(str(o["qa"])))
     report = benchmark.run_experiment(store, entries, exp_cfg, log=_log)
     os.makedirs(out_dir, exist_ok=True)
     util.dump_json(report_json, report)
     util.atomic_write_text(report_txt, render_report(report))
     print(render_report(report), end="")
     _write_manifest(
-        "experiment", resolved, int(resolved["seed"]),
-        [str(resolved["corpus"]), str(resolved["qa"])] + ([args.config] if args.config else []),
+        "experiment", o,
+        [str(o["corpus"]), str(o["qa"])] + ([args.config] if args.config else []),
         [report_json, report_txt], time.time() - start,
     )
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    defaults = {"in": None, "out": "", "seed": 7, "force": False}
-    resolved = resolve_options(args, defaults)
-    _require(resolved, "in")
-    report = util.load_json(str(resolved["in"]))
+def _cmd_report(args, o) -> int:
+    report = util.load_json(str(o["in"]))
     text = render_report(report)
-    if resolved["out"]:
-        _check_outputs([str(resolved["out"])], bool(resolved["force"]))
-        util.atomic_write_text(str(resolved["out"]), text)
+    if o["out"]:
+        _check_outputs([str(o["out"])], bool(o["force"]))
+        util.atomic_write_text(str(o["out"]), text)
     print(text, end="")
     return EXIT_OK
 
 
+_ENCODER_OPTIONS = {
+    "arch": "transformer",
+    "layers": 2,
+    "hidden-dim": 64,
+    "heads": 4,
+    "ff-dim": 256,
+    "emb-dim": 32,
+    "query-max-len": 16,
+    "doc-max-len": 48,
+    "share-towers": False,
+    "dtype": "float32",
+}
+
+_TRAIN_OPTIONS = {"steps": 800, "batch": 32, "lr": 1e-3, "warmup": 0.1}
+
+_SPLIT_EVAL_OPTIONS = {
+    "ratio": "80/20",
+    "k": "1,5,10,50,100",
+    "split-part": "test",
+    "augment": 0,
+    "seed": 7,
+}
+
+_INPUTS = {"corpus": None, "vocab": None}
+_BENCHMARK_INPUTS = {**_INPUTS, "qa": None}
+
+# Every command's options as name -> default; None marks a required path.
+# --force and --config are common to all.
 _COMMANDS = {
     "synth": (
         _cmd_synth,
-        {"out": "", "qa": "", "articles": 0, "topics": 0, "qa-count": 0, "seed": 0},
+        {"out": None, "qa": None, "articles": 500, "topics": 100, "qa-count": 1000, "seed": 13},
     ),
-    "ingest": (_cmd_ingest, {"corpus": "", "out": "", "link-policy": "", "seed": 0}),
-    "vocab": (_cmd_vocab, {"corpus": "", "out": "", "max-size": 0, "min-freq": 0, "seed": 0}),
+    "ingest": (_cmd_ingest, {"corpus": None, "out": None, "link-policy": "drop"}),
+    "vocab": (_cmd_vocab, {"corpus": None, "out": None, "max-size": 8192, "min-freq": 1}),
     "gen-pairs": (
         _cmd_gen_pairs,
         {
-            "corpus": "",
-            "vocab": "",
-            "out": "",
+            **_INPUTS,
+            "out": None,
             "stats": "",
-            "tasks": "",
-            "n": 0,
-            "query-max-len": 0,
-            "doc-max-len": 0,
-            "seed": 0,
+            "tasks": "ict+bfs+wlp",
+            "n": 1000,
+            "query-max-len": 16,
+            "doc-max-len": 48,
+            "seed": 7,
         },
     ),
     "pretrain": (
         _cmd_pretrain,
         {
-            "corpus": "",
-            "vocab": "",
-            "out": "",
+            **_INPUTS,
+            "out": None,
             "metrics": "",
-            "tasks": "",
-            "seed": 0,
-            **{k: v for k, v in _ENC_DEFAULTS.items()},
-            **{k: v for k, v in _TRAIN_DEFAULTS.items()},
+            "tasks": "ict+bfs+wlp",
+            "seed": 7,
+            **_ENCODER_OPTIONS,
+            **_TRAIN_OPTIONS,
+            "correction": "none",
         },
     ),
     "finetune": (
         _cmd_finetune,
         {
-            "corpus": "",
-            "vocab": "",
-            "qa": "",
-            "ckpt": "",
-            "out": "",
+            **_BENCHMARK_INPUTS,
+            "ckpt": None,
+            "out": None,
             "metrics": "",
-            "ratio": "",
-            "seed": 0,
-            **{k: v for k, v in _TRAIN_DEFAULTS.items()},
+            "ratio": "80/20",
+            "seed": 7,
+            **_TRAIN_OPTIONS,
+            "steps": 300,
+            "lr": 5e-4,
+            "eval-every": 50,
+            "patience": 5,
         },
     ),
-    "index": (_cmd_index, {"corpus": "", "vocab": "", "qa": "", "ckpt": "", "out": "", "seed": 0}),
-    "eval": (
-        _cmd_eval,
-        {
-            "corpus": "",
-            "vocab": "",
-            "qa": "",
-            "ckpt": "",
-            "out": "",
-            "ratio": "",
-            "k": "",
-            "split-part": "",
-            "augment": 0,
-            "query-max-len": 0,
-            "doc-max-len": 0,
-            "seed": 0,
-        },
-    ),
+    "index": (_cmd_index, {**_BENCHMARK_INPUTS, "ckpt": None, "out": None}),
+    "eval": (_cmd_eval, {**_BENCHMARK_INPUTS, "out": None, "ckpt": None, **_SPLIT_EVAL_OPTIONS}),
     "bm25-eval": (
         _cmd_bm25_eval,
         {
-            "corpus": "",
-            "vocab": "",
-            "qa": "",
-            "out": "",
-            "ratio": "",
-            "k": "",
-            "split-part": "",
-            "augment": 0,
-            "bm25-k1": 0.0,
-            "bm25-b": 0.0,
-            "query-max-len": 0,
-            "doc-max-len": 0,
-            "seed": 0,
+            **_BENCHMARK_INPUTS,
+            "out": None,
+            **_SPLIT_EVAL_OPTIONS,
+            "bm25-k1": 1.2,
+            "bm25-b": 0.75,
+            "query-max-len": 16,
+            "doc-max-len": 48,
         },
     ),
-    "experiment": (_cmd_experiment, {"corpus": "", "qa": "", "out": "", "seed": 0}),
-    "report": (_cmd_report, {"in": "", "out": "", "seed": 0}),
+    "experiment": (_cmd_experiment, {"corpus": None, "qa": None, "out": None, "seed": 7}),
+    "report": (_cmd_report, {"in": None, "out": ""}),
 }
+
+
+def _options(command: str) -> Dict[str, object]:
+    return {**_COMMANDS[command][1], "force": False}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="twotower", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, (_, flags) in _COMMANDS.items():
+    for name in _COMMANDS:
         sub = subparsers.add_parser(name)
-        _add_options(sub, flags)
+        _add_options(sub, _options(name))
         sub.add_argument("--config", type=str, default=None)
-        sub.add_argument("--force", action="store_const", const=True, default=None)
-        sub.add_argument("--threads", type=int, default=None)
-        sub.add_argument("--deterministic", action="store_const", const=True, default=None)
     return parser
 
 
@@ -778,8 +621,13 @@ def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        options = _options(args.command)
+        resolved = resolve_options(args, options)
+        for name, default in options.items():
+            if default is None and resolved[name] in (None, ""):
+                raise UsageError(f"missing required --{name}")
         handler, _ = _COMMANDS[args.command]
-        return handler(args)
+        return handler(args, resolved)
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
     except UsageError as exc:

@@ -186,11 +186,7 @@ def parse_corpus(lines: Iterable[str], link_policy: str = LINK_DROP) -> CorpusSt
             raise CorpusError(f"line {lineno}: article {record['id']} has no usable sections")
         articles.append(Article(id=record["id"], title=record["title"], sections=sections))
 
-    known_ids = set()
-    for article in articles:
-        if article.id in known_ids:
-            raise CorpusError(f"duplicate article id {article.id}")
-        known_ids.add(article.id)
+    known_ids = {article.id for article in articles}
     if link_policy == LINK_DROP:
         for article in articles:
             for passage in article.passages():

@@ -1,8 +1,12 @@
 """Two-tower encoders: a bag-of-words MLP and a small pre-LN Transformer.
 
 Forward and backward passes are written directly in numpy so gradients are
-exact and checkable against finite differences. Parameters are plain dicts
-of named arrays; a tower is one such dict.
+exact and checkable against finite differences. A tower's parameters are a
+plain dict of named arrays; the module functions take one such dict plus the
+config. The retriever itself is a `TwoTower` value: one config, a query tower
+and a doc tower, which are the same dict when the towers are shared. Which
+tower role ("query", "doc" or "shared") an input is encoded with is decided
+inside `TwoTower` only.
 """
 
 from __future__ import annotations
@@ -363,6 +367,75 @@ def hidden_backward(params: Params, config: EncoderConfig, cache, d_hidden: np.n
     return _backward_body(params, config, cache, d_hidden)
 
 
+@dataclass(eq=False)
+class TwoTower:
+    """A query tower and a doc tower over one config; with shared towers
+    `doc is query`."""
+
+    config: EncoderConfig
+    query: Params
+    doc: Params
+
+    def __post_init__(self):
+        if self.config.share_towers != (self.doc is self.query):
+            raise EncoderError("share_towers must hold exactly when doc is query")
+
+    @classmethod
+    def init(cls, config: EncoderConfig, seed: int) -> "TwoTower":
+        if config.share_towers:
+            shared = init_params(config, util.subrng(seed, "init", "shared"), "shared")
+            return cls(config, shared, shared)
+        return cls(
+            config,
+            init_params(config, util.subrng(seed, "init", "query"), "query"),
+            init_params(config, util.subrng(seed, "init", "doc"), "doc"),
+        )
+
+    @property
+    def roles(self) -> Tuple[str, str]:
+        """The tower roles of the query and the doc side, which set each
+        side's max length."""
+        return ("shared", "shared") if self.config.share_towers else ("query", "doc")
+
+    def encode_queries(self, batch: Batch) -> np.ndarray:
+        return encode(self.query, self.config, batch, self.roles[0])
+
+    def encode_docs(self, batch: Batch) -> np.ndarray:
+        return encode(self.doc, self.config, batch, self.roles[1])
+
+    def encode_queries_with_cache(self, batch: Batch):
+        return encode_with_cache(self.query, self.config, batch, self.roles[0])
+
+    def encode_docs_with_cache(self, batch: Batch):
+        return encode_with_cache(self.doc, self.config, batch, self.roles[1])
+
+    def params(self) -> Params:
+        """Every array under one flat name, as the optimizer and the checkpoint
+        see them: "tower/..." when shared, else "query/..." and "doc/..."."""
+        if self.config.share_towers:
+            return _prefixed("tower/", self.query)
+        return {**_prefixed("query/", self.query), **_prefixed("doc/", self.doc)}
+
+    def merge_grads(self, grads_q: Params, grads_d: Params) -> Params:
+        """Per-tower gradients keyed like `params()`; a shared tower gets their sum."""
+        if self.config.share_towers:
+            return {f"tower/{k}": g + grads_d[k] for k, g in grads_q.items()}
+        return {**_prefixed("query/", grads_q), **_prefixed("doc/", grads_d)}
+
+    def copy(self) -> "TwoTower":
+        query = {k: a.copy() for k, a in self.query.items()}
+        doc = query if self.config.share_towers else {k: a.copy() for k, a in self.doc.items()}
+        return TwoTower(self.config, query, doc)
+
+
+def _prefixed(prefix: str, params: Params) -> Params:
+    return {prefix + k: a for k, a in params.items()}
+
+
+def _unprefixed(prefix: str, params: Params) -> Params:
+    return {k[len(prefix) :]: a for k, a in params.items() if k.startswith(prefix)}
+
+
 def score(q_emb: np.ndarray, d_emb: np.ndarray) -> float:
     """Inner product of one query and one doc embedding."""
     q = np.asarray(q_emb)
@@ -372,40 +445,20 @@ def score(q_emb: np.ndarray, d_emb: np.ndarray) -> float:
     return float(q @ d)
 
 
-def save_checkpoint(
-    prefix: str,
-    query_params: Params,
-    doc_params: Params,
-    config: EncoderConfig,
-    extra_meta: Optional[dict] = None,
-) -> str:
-    """Write both towers (one tensor set when shared) and return the fingerprint."""
-    tensors: Params = {}
-    if config.share_towers:
-        if query_params is not doc_params:
-            raise EncoderError("share_towers checkpoints require a single shared tower")
-        for name, arr in query_params.items():
-            tensors[f"tower/{name}"] = arr
-    else:
-        for name, arr in query_params.items():
-            tensors[f"query/{name}"] = arr
-        for name, arr in doc_params.items():
-            tensors[f"doc/{name}"] = arr
-    meta = {"format": CHECKPOINT_FORMAT, "config": config.to_dict()}
-    if extra_meta:
-        meta.update(extra_meta)
-    util.save_tensors(prefix, tensors, meta)
+def save_checkpoint(prefix: str, model: TwoTower, meta: Optional[dict] = None) -> str:
+    """Write the model's tensors under their `params()` names and return the
+    fingerprint."""
+    full_meta = {"format": CHECKPOINT_FORMAT, "config": model.config.to_dict(), **(meta or {})}
+    util.save_tensors(prefix, model.params(), full_meta)
     return util.tensor_fingerprint(prefix)
 
 
-def load_checkpoint(prefix: str) -> Tuple[Params, Params, EncoderConfig, dict]:
+def load_checkpoint(prefix: str) -> Tuple[TwoTower, dict]:
     tensors, meta = util.load_tensors(prefix)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise EncoderError(f"not a checkpoint: {prefix}")
     config = EncoderConfig.from_dict(meta["config"])
     if config.share_towers:
-        tower = {n[len("tower/") :]: a for n, a in tensors.items() if n.startswith("tower/")}
-        return tower, tower, config, meta
-    query = {n[len("query/") :]: a for n, a in tensors.items() if n.startswith("query/")}
-    doc = {n[len("doc/") :]: a for n, a in tensors.items() if n.startswith("doc/")}
-    return query, doc, config, meta
+        tower = _unprefixed("tower/", tensors)
+        return TwoTower(config, tower, tower), meta
+    return TwoTower(config, _unprefixed("query/", tensors), _unprefixed("doc/", tensors)), meta

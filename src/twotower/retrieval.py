@@ -7,14 +7,14 @@ candidate id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import util
 from .corpus import TokenSeq
-from .encoders import EncoderConfig, Params, encode
+from .encoders import TwoTower
 
 DENSE_INDEX_FORMAT = "twotower-dense-index-v1"
 
@@ -52,30 +52,30 @@ class BM25Params:
 
 
 def build_dense_index(
-    params_d: Params,
-    enc_cfg: EncoderConfig,
+    model: TwoTower,
+    candidate_ids: Sequence[int],
     candidates: Sequence[TokenSeq],
-    candidate_ids: Optional[Sequence[int]] = None,
     fingerprint: str = "",
     batch_size: int = 256,
-    tower: str = "doc",
 ) -> DenseIndex:
     """Embed every candidate with the doc tower; over-length candidates are
     truncated rather than rejected."""
     if not candidates:
         raise ValueError("cannot index an empty candidate set")
-    max_len = enc_cfg.max_len(tower)
-    rows: List[np.ndarray] = []
+    if len(candidate_ids) != len(candidates):
+        raise ValueError("candidate_ids must align with candidates")
+    max_len = model.config.max_len(model.roles[1])
     clipped = []
     for seq in candidates:
         ids = seq.ids if isinstance(seq, TokenSeq) else list(seq)
         clipped.append(TokenSeq(ids[:max_len], truncated=len(ids) > max_len))
-    for start in range(0, len(clipped), batch_size):
-        rows.append(encode(params_d, enc_cfg, clipped[start : start + batch_size], tower))
-    ids = list(candidate_ids) if candidate_ids is not None else list(range(len(candidates)))
-    if len(ids) != len(candidates):
-        raise ValueError("candidate_ids must align with candidates")
-    return DenseIndex(candidate_ids=ids, embeddings=np.vstack(rows), fingerprint=fingerprint)
+    rows = [
+        model.encode_docs(clipped[start : start + batch_size])
+        for start in range(0, len(clipped), batch_size)
+    ]
+    return DenseIndex(
+        candidate_ids=list(candidate_ids), embeddings=np.vstack(rows), fingerprint=fingerprint
+    )
 
 
 def _rank_with_ties(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,6 +106,28 @@ def dense_topk(index: DenseIndex, q_emb: np.ndarray, k: int) -> RankedList:
         scores=[float(s) for s in top_scores],
         exhausted=k > len(index.candidate_ids),
     )
+
+
+def rank_dense(
+    model: TwoTower,
+    queries: Sequence[TokenSeq],
+    candidates: Sequence[Tuple[int, TokenSeq]],
+    k: int,
+    batch_size: int = 512,
+) -> List[RankedList]:
+    """The dense top-k of every query over the (id, tokens) candidates.
+
+    Queries and candidates are encoded `batch_size` at a time; each query row
+    is scored against the whole index with `dense_topk`.
+    """
+    index = build_dense_index(
+        model, [cid for cid, _ in candidates], [seq for _, seq in candidates], batch_size=batch_size
+    )
+    ranked = []
+    for start in range(0, len(queries), batch_size):
+        for row in model.encode_queries(queries[start : start + batch_size]):
+            ranked.append(dense_topk(index, row, k))
+    return ranked
 
 
 class InvertedIndex:

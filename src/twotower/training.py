@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,12 +17,10 @@ from .encoders import (
     ARCH_TRANSFORMER,
     EncoderConfig,
     Params,
+    TwoTower,
     backward_from_cache,
-    encode,
-    encode_with_cache,
     hidden_backward,
     hidden_states,
-    init_params,
 )
 from .pairs import PretrainPair, gen_mlm, make_doc_input
 from .util import subrng
@@ -169,35 +167,6 @@ def adam_step(params: Params, grads: Params, state: OptimizerState) -> Tuple[Par
     return params, state
 
 
-def _tower_role(config: EncoderConfig, role: str) -> str:
-    return "shared" if config.share_towers else role
-
-
-def _init_towers(config: EncoderConfig, seed: int) -> Tuple[Params, Params]:
-    if config.share_towers:
-        shared = init_params(config, subrng(seed, "init", "shared"), "shared")
-        return shared, shared
-    params_q = init_params(config, subrng(seed, "init", "query"), "query")
-    params_d = init_params(config, subrng(seed, "init", "doc"), "doc")
-    return params_q, params_d
-
-
-def _combine(params_q: Params, params_d: Params, shared: bool) -> Params:
-    if shared:
-        return {f"s:{k}": a for k, a in params_q.items()}
-    combined = {f"q:{k}": a for k, a in params_q.items()}
-    combined.update({f"d:{k}": a for k, a in params_d.items()})
-    return combined
-
-
-def _combine_grads(grads_q: Params, grads_d: Params, shared: bool) -> Params:
-    if shared:
-        return {f"s:{k}": grads_q[k] + grads_d[k] for k in grads_q}
-    combined = {f"q:{k}": a for k, a in grads_q.items()}
-    combined.update({f"d:{k}": a for k, a in grads_d.items()})
-    return combined
-
-
 class _FrequencyCorrection:
     """logQ correction from a streaming count of sampled doc identities."""
 
@@ -217,49 +186,66 @@ def _emit(metrics_out, record: dict) -> None:
         metrics_out.write(json.dumps(record) + "\n")
 
 
+def _contrastive_steps(
+    model: TwoTower,
+    state: OptimizerState,
+    batches: Iterable[Sequence[PretrainPair]],
+    correction: Optional[_FrequencyCorrection] = None,
+) -> Iterator[dict]:
+    """For each batch of positive pairs, encode both sides, take the in-batch
+    softmax loss, apply one Adam update to both towers and yield the step record.
+
+    A generator, so that one step's activations stay referenced until the next
+    step has allocated its own, as in a plain loop. Releasing them all at the
+    end of each step let glibc's malloc return the memory to the OS and fault
+    it in again, which made pretrain steps 10-20% slower (2-core x86 host).
+    """
+    for batch in batches:
+        q_embs, q_cache = model.encode_queries_with_cache([p.query for p in batch])
+        d_embs, d_cache = model.encode_docs_with_cache([p.doc for p in batch])
+        c = correction.update_and_get([p.source for p in batch]) if correction else None
+        out = in_batch_softmax_loss(q_embs, d_embs, c)
+        if not np.isfinite(out.loss):
+            raise RuntimeError(f"non-finite loss at step {state.step + 1}")
+        grads_q = backward_from_cache(model.query, model.config, q_cache, out.grad_q)
+        grads_d = backward_from_cache(model.doc, model.config, d_cache, out.grad_d)
+        adam_step(model.params(), model.merge_grads(grads_q, grads_d), state)
+        yield {
+            "step": state.step,
+            "loss": out.loss,
+            "acc": out.in_batch_accuracy,
+            "lr": state.learning_rate(),
+        }
+
+
 def pretrain(
     train_cfg: TrainRunConfig,
     enc_cfg: EncoderConfig,
     pair_stream: Iterable[PretrainPair],
     metrics_out=None,
-) -> Tuple[Params, Params, List[dict]]:
+) -> Tuple[TwoTower, List[dict]]:
     """Contrastive pre-training over a positive-pair stream.
 
     Both towers are updated each step from the in-batch softmax loss.
-    Returns (query tower, doc tower, per-step history).
+    Returns (model, per-step history).
     """
-    params_q, params_d = _init_towers(enc_cfg, train_cfg.seed)
-    combined = _combine(params_q, params_d, enc_cfg.share_towers)
-    state = OptimizerState.for_params(combined, train_cfg)
+    model = TwoTower.init(enc_cfg, train_cfg.seed)
+    state = OptimizerState.for_params(model.params(), train_cfg)
     stream = iter(pair_stream)
+
+    def batches() -> Iterator[List[PretrainPair]]:
+        for step in range(1, train_cfg.total_steps + 1):
+            batch = list(itertools.islice(stream, train_cfg.batch_size))
+            if len(batch) < train_cfg.batch_size:
+                raise ValueError(f"pair stream exhausted at step {step}")
+            yield batch
+
     correction = _FrequencyCorrection() if train_cfg.correction == CORRECTION_LOG_FREQUENCY else None
     history: List[dict] = []
-    for step in range(1, train_cfg.total_steps + 1):
-        batch = list(itertools.islice(stream, train_cfg.batch_size))
-        if len(batch) < train_cfg.batch_size:
-            raise ValueError(f"pair stream exhausted at step {step}")
-        q_embs, q_cache = encode_with_cache(
-            params_q, enc_cfg, [p.query for p in batch], _tower_role(enc_cfg, "query")
-        )
-        d_embs, d_cache = encode_with_cache(
-            params_d, enc_cfg, [p.doc for p in batch], _tower_role(enc_cfg, "doc")
-        )
-        c = correction.update_and_get([p.source for p in batch]) if correction else None
-        out = in_batch_softmax_loss(q_embs, d_embs, c)
-        if not np.isfinite(out.loss):
-            raise RuntimeError(f"non-finite loss at step {step}")
-        grads_q = backward_from_cache(params_q, enc_cfg, q_cache, out.grad_q)
-        grads_d = backward_from_cache(params_d, enc_cfg, d_cache, out.grad_d)
-        adam_step(combined, _combine_grads(grads_q, grads_d, enc_cfg.share_towers), state)
-        record = {
-            "step": step,
-            "loss": out.loss,
-            "acc": out.in_batch_accuracy,
-            "lr": state.learning_rate(),
-        }
+    for record in _contrastive_steps(model, state, batches(), correction):
         history.append(record)
         _emit(metrics_out, record)
-    return params_q, params_d, history
+    return model, history
 
 
 def _mlm_step(
@@ -313,7 +299,7 @@ def mlm_pretrain(
     enc_cfg: EncoderConfig,
     store: CorpusStore,
     metrics_out=None,
-) -> Tuple[Params, Params, List[dict]]:
+) -> Tuple[TwoTower, List[dict]]:
     """Masked-token baseline pre-training (transformer towers only).
 
     Each tower is trained on its own input distribution: the query tower on
@@ -322,13 +308,11 @@ def mlm_pretrain(
     """
     if enc_cfg.arch != ARCH_TRANSFORMER:
         raise ValueError("masked-token pre-training requires the transformer arch")
-    params_q, params_d = _init_towers(enc_cfg, train_cfg.seed)
-    dt = enc_cfg.np_dtype()
-    params_q["mlm/bias"] = np.zeros(enc_cfg.vocab_size, dtype=dt)
-    if not enc_cfg.share_towers:
-        params_d["mlm/bias"] = np.zeros(enc_cfg.vocab_size, dtype=dt)
-    combined = _combine(params_q, params_d, enc_cfg.share_towers)
-    state = OptimizerState.for_params(combined, train_cfg)
+    model = TwoTower.init(enc_cfg, train_cfg.seed)
+    for tower in (model.query, model.doc):
+        tower["mlm/bias"] = np.zeros(enc_cfg.vocab_size, dtype=enc_cfg.np_dtype())
+    state = OptimizerState.for_params(model.params(), train_cfg)
+    q_role, d_role = model.roles
 
     passages = [store.passage(pid) for pid in sorted(store.passages)]
     sentences = [s for p in passages for s in p.sentences if s.token_ids]
@@ -349,15 +333,15 @@ def mlm_pretrain(
             title = store.title_token_ids.get(passage.article_id, [])
             d_batch.append(make_doc_input(title, body, enc_cfg.doc_max_len))
         loss_q, acc_q, grads_q = _mlm_step(
-            params_q, enc_cfg, q_batch, rng, train_cfg.mask_rate, _tower_role(enc_cfg, "query")
+            model.query, enc_cfg, q_batch, rng, train_cfg.mask_rate, q_role
         )
         loss_d, acc_d, grads_d = _mlm_step(
-            params_d, enc_cfg, d_batch, rng, train_cfg.mask_rate, _tower_role(enc_cfg, "doc")
+            model.doc, enc_cfg, d_batch, rng, train_cfg.mask_rate, d_role
         )
         loss = 0.5 * (loss_q + loss_d)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite loss at step {step}")
-        adam_step(combined, _combine_grads(grads_q, grads_d, enc_cfg.share_towers), state)
+        adam_step(model.params(), model.merge_grads(grads_q, grads_d), state)
         record = {
             "step": step,
             "loss": loss,
@@ -366,19 +350,13 @@ def mlm_pretrain(
         }
         history.append(record)
         _emit(metrics_out, record)
-    params_q.pop("mlm/bias", None)
-    params_d.pop("mlm/bias", None)
-    return params_q, params_d, history
-
-
-def _copy_params(params: Params) -> Params:
-    return {k: a.copy() for k, a in params.items()}
+    for tower in (model.query, model.doc):
+        tower.pop("mlm/bias", None)
+    return model, history
 
 
 def recall_at_k(
-    params_q: Params,
-    params_d: Params,
-    enc_cfg: EncoderConfig,
+    model: TwoTower,
     queries: Sequence[TokenSeq],
     gold_ids: Sequence[int],
     candidates: Sequence[Tuple[int, TokenSeq]],
@@ -386,99 +364,63 @@ def recall_at_k(
     batch_size: int = 256,
 ) -> float:
     """Fraction of queries whose gold candidate lands in the dense top-k."""
-    index = retrieval.build_dense_index(
-        params_d,
-        enc_cfg,
-        [seq for _, seq in candidates],
-        candidate_ids=[cid for cid, _ in candidates],
-        batch_size=batch_size,
-        tower=_tower_role(enc_cfg, "doc"),
-    )
-    hits = 0
-    for start in range(0, len(queries), batch_size):
-        chunk = queries[start : start + batch_size]
-        embs = encode(params_q, enc_cfg, chunk, _tower_role(enc_cfg, "query"))
-        for row, gold in zip(embs, gold_ids[start : start + len(chunk)]):
-            ranked = retrieval.dense_topk(index, row, k)
-            if gold in ranked.ids:
-                hits += 1
-    return hits / len(queries)
+    ranked = retrieval.rank_dense(model, queries, candidates, k, batch_size)
+    return sum(gold in r.ids for r, gold in zip(ranked, gold_ids)) / len(queries)
 
 
 def finetune(
-    params_q: Params,
-    params_d: Params,
-    enc_cfg: EncoderConfig,
+    model: TwoTower,
     train_cfg: TrainRunConfig,
     train_pairs: Sequence[PretrainPair],
     val_queries: Sequence[TokenSeq],
     val_gold_ids: Sequence[int],
     candidates: Sequence[Tuple[int, TokenSeq]],
     metrics_out=None,
-) -> Tuple[Params, Params, List[dict]]:
-    """Fine-tune on downstream pairs, returning the checkpoint with the best
-    validation recall@10 (the starting parameters count as a candidate)."""
+) -> Tuple[TwoTower, List[dict]]:
+    """Fine-tune a copy of the model on downstream pairs, returning the
+    checkpoint with the best validation recall@10 (the starting parameters
+    count as a candidate)."""
     if not train_pairs:
         raise ValueError("empty fine-tuning set")
-    params_q = _copy_params(params_q)
-    params_d = params_q if enc_cfg.share_towers else _copy_params(params_d)
-    combined = _combine(params_q, params_d, enc_cfg.share_towers)
-    state = OptimizerState.for_params(combined, train_cfg)
+    if not val_queries:
+        raise ValueError("empty validation set: no checkpoint can be selected")
+    model = model.copy()
+    state = OptimizerState.for_params(model.params(), train_cfg)
     rng = subrng(train_cfg.seed, "finetune")
 
     def evaluate() -> float:
-        if not val_queries:
-            return 0.0
-        return recall_at_k(params_q, params_d, enc_cfg, val_queries, val_gold_ids, candidates)
+        return recall_at_k(model, val_queries, val_gold_ids, candidates)
+
+    def batches() -> Iterator[List[PretrainPair]]:
+        order = rng.permutation(len(train_pairs))
+        cursor = 0
+        for _ in range(train_cfg.total_steps):
+            take: List[PretrainPair] = []
+            while len(take) < train_cfg.batch_size:
+                if cursor >= len(order):
+                    order = rng.permutation(len(train_pairs))
+                    cursor = 0
+                take.append(train_pairs[order[cursor]])
+                cursor += 1
+            yield take
 
     best_recall = evaluate()
-    best_q, best_d = _copy_params(params_q), _copy_params(params_d)
+    best = model.copy()
     stale = 0
     history: List[dict] = [{"step": 0, "loss": None, "acc": None, "val_recall": best_recall}]
-    order = rng.permutation(len(train_pairs))
-    cursor = 0
-    for step in range(1, train_cfg.total_steps + 1):
-        take: List[PretrainPair] = []
-        while len(take) < train_cfg.batch_size:
-            if cursor >= len(order):
-                order = rng.permutation(len(train_pairs))
-                cursor = 0
-            take.append(train_pairs[order[cursor]])
-            cursor += 1
-        q_embs, q_cache = encode_with_cache(
-            params_q, enc_cfg, [p.query for p in take], _tower_role(enc_cfg, "query")
-        )
-        d_embs, d_cache = encode_with_cache(
-            params_d, enc_cfg, [p.doc for p in take], _tower_role(enc_cfg, "doc")
-        )
-        out = in_batch_softmax_loss(q_embs, d_embs)
-        if not np.isfinite(out.loss):
-            raise RuntimeError(f"non-finite loss at step {step}")
-        grads_q = backward_from_cache(params_q, enc_cfg, q_cache, out.grad_q)
-        grads_d = backward_from_cache(params_d, enc_cfg, d_cache, out.grad_d)
-        adam_step(combined, _combine_grads(grads_q, grads_d, enc_cfg.share_towers), state)
-        record = {
-            "step": step,
-            "loss": out.loss,
-            "acc": out.in_batch_accuracy,
-            "lr": state.learning_rate(),
-        }
+    for record in _contrastive_steps(model, state, batches()):
+        step = record["step"]
         if step % train_cfg.eval_every == 0 or step == train_cfg.total_steps:
             recall = evaluate()
             record["val_recall"] = recall
             if recall > best_recall:
                 best_recall = recall
-                best_q, best_d = _copy_params(params_q), _copy_params(params_d)
+                best = model.copy()
                 stale = 0
             else:
                 stale += 1
-            history.append(record)
-            _emit(metrics_out, record)
-            if stale > train_cfg.patience:
-                break
-        else:
-            history.append(record)
-            _emit(metrics_out, record)
-    if enc_cfg.share_towers:
-        best_d = best_q
-    return best_q, best_d, history
+        history.append(record)
+        _emit(metrics_out, record)
+        if stale > train_cfg.patience:
+            break
+    return best, history

@@ -296,23 +296,23 @@ class TestExperiment:
         distractors = sample_distractors(store, referenced, 40, seed=2)
         augmented = augment_open_domain(candidates, distractors, 40, vocab, D_LEN)
 
-        from twotower.encoders import EncoderConfig, init_params
+        from twotower.encoders import EncoderConfig, TwoTower, init_params
         from twotower.retrieval import build_dense_index, dense_topk
-        from twotower.encoders import encode
 
         enc_cfg = EncoderConfig(
             arch="bow_mlp", num_layers=1, hidden_dim=16, num_heads=2, ff_dim=16,
             emb_dim=8, vocab_size=len(vocab), query_max_len=Q_LEN, doc_max_len=D_LEN,
             dtype="float64",
         )
-        params = init_params(enc_cfg, subrng(44), "doc")
-        base_index = build_dense_index(params, enc_cfg, [c.tower_tokens for c in candidates],
-                                       candidate_ids=[c.id for c in candidates])
-        aug_index = build_dense_index(params, enc_cfg, [c.tower_tokens for c in augmented],
-                                      candidate_ids=[c.id for c in augmented])
-        q_params = init_params(enc_cfg, subrng(45), "query")
+        model = TwoTower(
+            enc_cfg, init_params(enc_cfg, subrng(45), "query"), init_params(enc_cfg, subrng(44), "doc")
+        )
+        base_index = build_dense_index(model, [c.id for c in candidates],
+                                       [c.tower_tokens for c in candidates])
+        aug_index = build_dense_index(model, [c.id for c in augmented],
+                                      [c.tower_tokens for c in augmented])
         for ex in examples[:25]:
-            q_emb = encode(q_params, enc_cfg, [ex.question_tokens], "query")[0]
+            q_emb = model.encode_queries([ex.question_tokens])[0]
             base_rank = dense_topk(base_index, q_emb, len(candidates)).ids.index(ex.gold_id)
             aug_rank = dense_topk(aug_index, q_emb, len(augmented)).ids.index(ex.gold_id)
             assert aug_rank >= base_rank

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from twotower import util
+from twotower.encoders import load_checkpoint
 from twotower.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cmd_dispatch, render_report
 
 
@@ -42,6 +43,24 @@ class TestDispatch:
 
     def test_no_command_prints_usage(self, capsys):
         assert run() == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("pretrain", "--eval-every", "2"),  # pretrain never validates
+        ("pretrain", "--patience", "2"),
+        ("finetune", "--correction", "log_frequency"),  # finetune has no correction
+        ("eval", "--query-max-len", "12"),  # the checkpoint fixes the max lengths
+        ("eval", "--doc-max-len", "40"),
+        ("ingest", "--seed", "3"),  # commands that draw no random numbers
+        ("vocab", "--seed", "3"),
+        ("index", "--seed", "3"),
+        ("report", "--seed", "3"),
+        ("vocab", "--threads", "2"),  # read by nothing
+        ("vocab", "--deterministic", None),
+    ])
+    def test_flag_the_command_does_not_use_is_usage_error(self, command, flag, value, capsys):
+        argv = [command, flag] + ([value] if value is not None else [])
+        assert run(*argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
 
 
 class TestPipelineCommands:
@@ -162,6 +181,44 @@ class TestTrainEvalCommands:
         loaded = load_dense_index(index)
         assert loaded.embeddings.shape[0] == len(loaded.candidate_ids)
         assert loaded.fingerprint
+
+    def test_pretrain_tasks_none_rejected_before_work(self, workdir, tmp_path, capsys):
+        _, corpus, _, vocab = workdir
+        ckpt = str(tmp_path / "none")
+        assert run(
+            "pretrain", "--corpus", corpus, "--vocab", vocab, "--out", ckpt, "--tasks", "none",
+        ) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'none'" in err and "mlm" in err and "ict, bfs, wlp" in err
+        assert not os.path.exists(ckpt + ".json")
+        assert not os.path.exists(tmp_path / "manifests.jsonl")
+
+    @pytest.mark.parametrize("tasks", ["ict+bfs+wlp", "mlm"])
+    def test_shared_towers_end_to_end(self, workdir, tmp_path, tasks):
+        _, corpus, qa, vocab = workdir
+        ckpt, tuned = str(tmp_path / "shared"), str(tmp_path / "tuned")
+        data = ["--corpus", corpus, "--vocab", vocab]
+        assert run(
+            "pretrain", *data, "--out", ckpt, "--tasks", tasks, "--share-towers",
+            "--steps", "3", "--batch", "4", "--layers", "1", "--hidden-dim", "16",
+            "--heads", "2", "--ff-dim", "32", "--emb-dim", "8", "--seed", "5",
+        ) == EXIT_OK
+        assert run(
+            "finetune", *data, "--qa", qa, "--ckpt", ckpt, "--out", tuned, "--ratio", "60/40",
+            "--steps", "2", "--batch", "4", "--eval-every", "1", "--seed", "5",
+        ) == EXIT_OK
+        for prefix in (ckpt, tuned):
+            names = [t["name"] for t in util.load_json(prefix + ".json")["tensors"]]
+            assert names and all(n.startswith("tower/") for n in names)
+            model, _ = load_checkpoint(prefix)
+            assert model.config.share_towers and model.doc is model.query
+        report = str(tmp_path / "eval.json")
+        assert run(
+            "eval", *data, "--qa", qa, "--ckpt", tuned, "--out", report, "--ratio", "60/40",
+            "--seed", "5",
+        ) == EXIT_OK
+        assert util.load_json(report)["n_queries"] > 0
+        assert run("index", *data, "--qa", qa, "--ckpt", tuned, "--out", str(tmp_path / "idx")) == EXIT_OK
 
     def test_bm25_eval(self, workdir, tmp_path):
         root, corpus, qa, vocab = workdir

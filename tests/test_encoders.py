@@ -9,6 +9,7 @@ from twotower.encoders import (
     ARCH_TRANSFORMER,
     EncoderConfig,
     EncoderError,
+    TwoTower,
     backward,
     encode,
     init_params,
@@ -302,31 +303,32 @@ class TestScore:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config()
-        params_q = init_params(cfg, subrng(14, "q"), "query")
-        params_d = init_params(cfg, subrng(14, "d"), "doc")
+        model = TwoTower(
+            cfg, init_params(cfg, subrng(14, "q"), "query"), init_params(cfg, subrng(14, "d"), "doc")
+        )
         prefix = str(tmp_path / "ckpt")
-        fp1 = save_checkpoint(prefix, params_q, params_d, cfg, {"stage": "test"})
-        loaded_q, loaded_d, loaded_cfg, meta = load_checkpoint(prefix)
-        assert loaded_cfg == cfg
+        fp1 = save_checkpoint(prefix, model, {"stage": "test"})
+        loaded, meta = load_checkpoint(prefix)
+        assert loaded.config == cfg
         assert meta["stage"] == "test"
-        for name in params_q:
-            np.testing.assert_array_equal(loaded_q[name], params_q[name])
-            np.testing.assert_array_equal(loaded_d[name], params_d[name])
-        assert fp1 == save_checkpoint(str(tmp_path / "ckpt2"), params_q, params_d, cfg, {"stage": "test"})
+        for name in model.query:
+            np.testing.assert_array_equal(loaded.query[name], model.query[name])
+            np.testing.assert_array_equal(loaded.doc[name], model.doc[name])
+        assert fp1 == save_checkpoint(str(tmp_path / "ckpt2"), model, {"stage": "test"})
 
     def test_shared_towers_roundtrip(self, tmp_path):
         cfg = tiny_config(share_towers=True)
         shared = init_params(cfg, subrng(15), "shared")
         prefix = str(tmp_path / "shared")
-        save_checkpoint(prefix, shared, shared, cfg)
-        loaded_q, loaded_d, _, _ = load_checkpoint(prefix)
-        assert loaded_q is loaded_d
+        save_checkpoint(prefix, TwoTower(cfg, shared, shared))
+        loaded, _ = load_checkpoint(prefix)
+        assert loaded.query is loaded.doc
         for name in shared:
-            np.testing.assert_array_equal(loaded_q[name], shared[name])
+            np.testing.assert_array_equal(loaded.query[name], shared[name])
 
     def test_shared_flag_requires_single_tower(self, tmp_path):
         cfg = tiny_config(share_towers=True)
         a = init_params(cfg, subrng(16), "shared")
         b = init_params(cfg, subrng(17), "shared")
         with pytest.raises(EncoderError):
-            save_checkpoint(str(tmp_path / "bad"), a, b, cfg)
+            TwoTower(cfg, a, b)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twotower.corpus import TokenSeq
-from twotower.encoders import EncoderConfig, encode, init_params
+from twotower.encoders import EncoderConfig, TwoTower, encode
 from twotower.retrieval import (
     BM25Params,
     DenseIndex,
@@ -14,6 +17,7 @@ from twotower.retrieval import (
     build_dense_index,
     dense_topk,
     load_dense_index,
+    rank_dense,
     save_dense_index,
 )
 from twotower.util import subrng
@@ -91,45 +95,82 @@ class TestDenseTopk:
             dense_topk(DenseIndex([0], np.ones((1, 2))), np.ones(2), 0)
 
 
+class _TableModel(TwoTower):
+    """Embeds the one-token sequence [i] as row i of a fixed table."""
+
+    def encode_queries(self, batch):
+        return self.query["table"][[seq.ids[0] for seq in batch]]
+
+    def encode_docs(self, batch):
+        return self.doc["table"][[seq.ids[0] for seq in batch]]
+
+
+class TestRankDense:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_exhaustive_sort_under_ties(self, data):
+        dim = data.draw(st.integers(1, 3))
+        n_docs = data.draw(st.integers(1, 30))
+        n_queries = data.draw(st.integers(1, 8))
+        small_ints = st.integers(-2, 2)
+        docs = data.draw(arrays(np.float64, (n_docs, dim), elements=small_ints))
+        queries = data.draw(arrays(np.float64, (n_queries, dim), elements=small_ints))
+        ids = data.draw(st.lists(st.integers(0, 500), min_size=n_docs, max_size=n_docs, unique=True))
+        k = data.draw(st.integers(1, n_docs + 3))
+        batch_size = data.draw(st.integers(1, 5))
+        cfg = EncoderConfig(vocab_size=30, dtype="float64")
+        model = _TableModel(cfg, {"table": queries}, {"table": docs})
+        candidates = [(cid, TokenSeq([row])) for row, cid in enumerate(ids)]
+        ranked = rank_dense(
+            model, [TokenSeq([i]) for i in range(n_queries)], candidates, k, batch_size
+        )
+        assert len(ranked) == n_queries
+        for q, got in zip(queries, ranked):
+            scores = [float(d @ q) for d in docs]
+            order = sorted(range(n_docs), key=lambda i: (-scores[i], ids[i]))[:k]
+            assert got.ids == [ids[i] for i in order]
+            assert got.scores == [scores[i] for i in order]
+            assert got.exhausted == (k > n_docs)
+
+
 class TestBuildDenseIndex:
     def _setup(self):
         cfg = EncoderConfig(
             num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16, emb_dim=4,
             vocab_size=30, doc_max_len=6, dtype="float64",
         )
-        params = init_params(cfg, subrng(34), "doc")
-        return cfg, params
+        return cfg, TwoTower.init(cfg, 34)
 
     def test_single_candidate_matches_encode(self):
-        cfg, params = self._setup()
+        cfg, model = self._setup()
         seq = TokenSeq([2, 7, 9])
-        index = build_dense_index(params, cfg, [seq])
-        np.testing.assert_allclose(index.embeddings, encode(params, cfg, [seq], "doc"), atol=1e-12)
+        index = build_dense_index(model, [0], [seq])
+        np.testing.assert_allclose(index.embeddings, encode(model.doc, cfg, [seq], "doc"), atol=1e-12)
 
     def test_rows_follow_candidate_order(self):
-        cfg, params = self._setup()
+        cfg, model = self._setup()
         seqs = [TokenSeq([2, 7]), TokenSeq([2, 9]), TokenSeq([2, 11])]
-        a = build_dense_index(params, cfg, seqs, candidate_ids=[10, 20, 30])
-        b = build_dense_index(params, cfg, seqs[::-1], candidate_ids=[30, 20, 10])
+        a = build_dense_index(model, [10, 20, 30], seqs)
+        b = build_dense_index(model, [30, 20, 10], seqs[::-1])
         np.testing.assert_allclose(a.embeddings, b.embeddings[::-1], atol=1e-12)
 
     def test_rebuild_is_deterministic(self):
-        cfg, params = self._setup()
+        cfg, model = self._setup()
         seqs = [TokenSeq([2, 7]), TokenSeq([2, 9])]
-        a = build_dense_index(params, cfg, seqs)
-        b = build_dense_index(params, cfg, seqs)
+        a = build_dense_index(model, [0, 1], seqs)
+        b = build_dense_index(model, [0, 1], seqs)
         assert a.embeddings.tobytes() == b.embeddings.tobytes()
 
     def test_overlong_candidate_truncated_not_rejected(self):
-        cfg, params = self._setup()
+        cfg, model = self._setup()
         long_seq = TokenSeq([2] + [7] * 20)
-        index = build_dense_index(params, cfg, [long_seq])
-        expected = encode(params, cfg, [TokenSeq(long_seq.ids[: cfg.doc_max_len])], "doc")
+        index = build_dense_index(model, [0], [long_seq])
+        expected = encode(model.doc, cfg, [TokenSeq(long_seq.ids[: cfg.doc_max_len])], "doc")
         np.testing.assert_allclose(index.embeddings, expected, atol=1e-12)
 
     def test_save_load_roundtrip(self, tmp_path):
-        cfg, params = self._setup()
-        index = build_dense_index(params, cfg, [TokenSeq([2, 7])], fingerprint="abc")
+        cfg, model = self._setup()
+        index = build_dense_index(model, [0], [TokenSeq([2, 7])], fingerprint="abc")
         save_dense_index(str(tmp_path / "idx"), index)
         loaded = load_dense_index(str(tmp_path / "idx"))
         assert loaded.candidate_ids == index.candidate_ids

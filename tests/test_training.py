@@ -5,12 +5,11 @@ import pytest
 
 from twotower.benchmark import build_reqa, finetune_pairs, make_split
 from twotower.corpus import TokenSeq
-from twotower.encoders import EncoderConfig, encode, init_params, save_checkpoint
+from twotower.encoders import EncoderConfig, TwoTower, save_checkpoint
 from twotower.pairs import TaskMixture, sample_mixture
 from twotower.training import (
     OptimizerState,
     TrainRunConfig,
-    _init_towers,
     adam_step,
     finetune,
     full_softmax_loss,
@@ -210,11 +209,11 @@ class TestPretrain:
     def test_zero_steps_returns_initialization(self, toy_setup):
         store, _, _, enc_cfg = toy_setup
         cfg = TrainRunConfig(batch_size=4, total_steps=0, seed=5)
-        params_q, params_d, history = pretrain(cfg, enc_cfg, iter([]))
-        init_q, init_d = _init_towers(enc_cfg, 5)
-        for name in init_q:
-            np.testing.assert_array_equal(params_q[name], init_q[name])
-            np.testing.assert_array_equal(params_d[name], init_d[name])
+        model, history = pretrain(cfg, enc_cfg, iter([]))
+        init = TwoTower.init(enc_cfg, 5)
+        for name in init.query:
+            np.testing.assert_array_equal(model.query[name], init.query[name])
+            np.testing.assert_array_equal(model.doc[name], init.doc[name])
         assert history == []
 
     def test_accuracy_improves_on_toy_corpus(self, toy_setup):
@@ -224,7 +223,7 @@ class TestPretrain:
             store, TaskMixture.uniform(), cfg.batch_size * cfg.total_steps,
             subrng(6, "pairs"), enc_cfg.query_max_len, enc_cfg.doc_max_len,
         )
-        _, _, history = pretrain(cfg, enc_cfg, stream)
+        _, history = pretrain(cfg, enc_cfg, stream)
         first = history[0]["acc"]
         last = np.mean([h["acc"] for h in history[-10:]])
         assert last > first
@@ -239,8 +238,8 @@ class TestPretrain:
                 store, TaskMixture.uniform(), 48, subrng(9, "pairs"),
                 enc_cfg.query_max_len, enc_cfg.doc_max_len,
             )
-            params_q, params_d, _ = pretrain(cfg, enc_cfg, stream)
-            save_checkpoint(str(tmp_path / prefix), params_q, params_d, enc_cfg)
+            model, _ = pretrain(cfg, enc_cfg, stream)
+            save_checkpoint(str(tmp_path / prefix), model)
             return (tmp_path / (prefix + ".json")).read_bytes(), (tmp_path / (prefix + ".bin")).read_bytes()
 
         assert run("a") == run("b")
@@ -258,7 +257,7 @@ class TestPretrain:
             store, TaskMixture.uniform(), 32, subrng(2, "pairs"),
             enc_cfg.query_max_len, enc_cfg.doc_max_len,
         )
-        _, _, history = pretrain(cfg, enc_cfg, stream)
+        _, history = pretrain(cfg, enc_cfg, stream)
         assert len(history) == 4
         assert all(np.isfinite(h["loss"]) for h in history)
 
@@ -270,16 +269,16 @@ class TestPretrain:
             store, TaskMixture.uniform(), 24, subrng(3, "pairs"),
             enc_cfg.query_max_len, enc_cfg.doc_max_len,
         )
-        params_q, params_d, _ = pretrain(cfg, enc_cfg, stream)
-        assert params_q is params_d
+        model, _ = pretrain(cfg, enc_cfg, stream)
+        assert model.query is model.doc
 
 
 class TestMlmPretrain:
     def test_trains_and_drops_head(self, toy_setup):
         store, _, _, enc_cfg = toy_setup
         cfg = TrainRunConfig(batch_size=8, total_steps=4, seed=4)
-        params_q, params_d, history = mlm_pretrain(cfg, enc_cfg, store)
-        assert "mlm/bias" not in params_q and "mlm/bias" not in params_d
+        model, history = mlm_pretrain(cfg, enc_cfg, store)
+        assert "mlm/bias" not in model.query and "mlm/bias" not in model.doc
         assert len(history) == 4
         assert all(np.isfinite(h["loss"]) for h in history)
 
@@ -294,8 +293,8 @@ class TestMlmPretrain:
 
         def run():
             cfg = TrainRunConfig(batch_size=8, total_steps=3, seed=11)
-            params_q, _, _ = mlm_pretrain(cfg, enc_cfg, store)
-            return params_q
+            model, _ = mlm_pretrain(cfg, enc_cfg, store)
+            return model.query
 
         a, b = run(), run()
         for name in a:
@@ -318,25 +317,21 @@ def finetune_setup(small_toy):
 class TestFinetune:
     def test_best_checkpoint_at_least_prefinetune(self, finetune_setup):
         enc_cfg, pairs, val_queries, val_gold, cand_seqs = finetune_setup
-        params_q, params_d = _init_towers(enc_cfg, 21)
+        model = TwoTower.init(enc_cfg, 21)
         cfg = TrainRunConfig(batch_size=8, total_steps=20, seed=21, eval_every=5, patience=10)
         from twotower.training import recall_at_k
 
-        before = recall_at_k(params_q, params_d, enc_cfg, val_queries, val_gold, cand_seqs)
-        best_q, best_d, history = finetune(
-            params_q, params_d, enc_cfg, cfg, pairs[:64], val_queries, val_gold, cand_seqs
-        )
-        after = recall_at_k(best_q, best_d, enc_cfg, val_queries, val_gold, cand_seqs)
+        before = recall_at_k(model, val_queries, val_gold, cand_seqs)
+        best, history = finetune(model, cfg, pairs[:64], val_queries, val_gold, cand_seqs)
+        after = recall_at_k(best, val_queries, val_gold, cand_seqs)
         assert after >= before
         assert history[0]["val_recall"] == pytest.approx(before)
 
     def test_patience_zero_stops_at_first_non_improvement(self, finetune_setup):
         enc_cfg, pairs, val_queries, val_gold, cand_seqs = finetune_setup
-        params_q, params_d = _init_towers(enc_cfg, 22)
+        model = TwoTower.init(enc_cfg, 22)
         cfg = TrainRunConfig(batch_size=4, total_steps=50, seed=22, eval_every=1, patience=0)
-        _, _, history = finetune(
-            params_q, params_d, enc_cfg, cfg, pairs[:16], val_queries, val_gold, cand_seqs
-        )
+        _, history = finetune(model, cfg, pairs[:16], val_queries, val_gold, cand_seqs)
         evals = [h["val_recall"] for h in history if "val_recall" in h]
         # the run stops the first time an eval fails to improve the running max
         running = evals[0]
@@ -349,12 +344,10 @@ class TestFinetune:
         enc_cfg, pairs, val_queries, val_gold, cand_seqs = finetune_setup
 
         def run():
-            params_q, params_d = _init_towers(enc_cfg, 23)
+            model = TwoTower.init(enc_cfg, 23)
             cfg = TrainRunConfig(batch_size=4, total_steps=6, seed=23, eval_every=3, patience=5)
-            best_q, _, _ = finetune(
-                params_q, params_d, enc_cfg, cfg, pairs[:16], val_queries, val_gold, cand_seqs
-            )
-            return best_q
+            best, _ = finetune(model, cfg, pairs[:16], val_queries, val_gold, cand_seqs)
+            return best.query
 
         a, b = run(), run()
         for name in a:
@@ -362,7 +355,13 @@ class TestFinetune:
 
     def test_empty_training_set_rejected(self, finetune_setup):
         enc_cfg, _, val_queries, val_gold, cand_seqs = finetune_setup
-        params_q, params_d = _init_towers(enc_cfg, 24)
+        model = TwoTower.init(enc_cfg, 24)
         cfg = TrainRunConfig(batch_size=4, total_steps=5, seed=24)
         with pytest.raises(ValueError, match="empty"):
-            finetune(params_q, params_d, enc_cfg, cfg, [], val_queries, val_gold, cand_seqs)
+            finetune(model, cfg, [], val_queries, val_gold, cand_seqs)
+
+    def test_empty_validation_set_rejected(self, finetune_setup):
+        enc_cfg, pairs, _, _, cand_seqs = finetune_setup
+        cfg = TrainRunConfig(batch_size=4, total_steps=5, seed=25)
+        with pytest.raises(ValueError, match="empty validation set"):
+            finetune(TwoTower.init(enc_cfg, 25), cfg, pairs[:16], [], [], cand_seqs)
