@@ -1,17 +1,24 @@
 """Retrieval QA benchmark: candidate construction, cold-start splits,
-open-domain augmentation, recall@k evaluation, and the experiment grid."""
+open-domain augmentation, recall@k evaluation, and the experiment grid.
+
+One cell of the recall table runs four stage functions, which the CLI
+commands call too, so a chain of commands and `run_experiment` compute the
+same cell the same way: `pretrain_model` (none, mlm or a pair mixture),
+`finetune_model`, `with_distractors` (the open-domain candidate pool) and
+`evaluate_system` (a `TwoTower` or BM25 over one candidate pool).
+"""
 
 from __future__ import annotations
 
 import json
 import sys
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import retrieval
-from .corpus import CorpusStore, TokenSeq, Vocabulary, build_vocab, tokenize, tokenize_corpus
+from .corpus import NUM_SPECIALS, CorpusStore, TokenSeq, Vocabulary, build_vocab, tokenize, tokenize_corpus
 from .encoders import ARCH_TRANSFORMER, EncoderConfig, TwoTower
 from .pairs import (
     PRETRAIN_TASKS,
@@ -66,7 +73,6 @@ class EvalReport:
     recalls: Dict[int, float]
     n_candidates: int
     n_queries: int
-    fingerprint: str = ""
 
 
 def read_qa_entries(lines: Iterable[str]) -> List[QaEntry]:
@@ -235,7 +241,6 @@ def evaluate(
     gold_ids: Sequence[int],
     ks: Sequence[int] = DEFAULT_KS,
     n_candidates: int = 0,
-    fingerprint: str = "",
 ) -> EvalReport:
     """recall@k = fraction of queries whose gold id is in the top k."""
     if len(ranked) != len(gold_ids):
@@ -249,12 +254,7 @@ def evaluate(
         except ValueError:
             positions.append(len(rlist.ids) + max(ks))
     recalls = {k: sum(1 for p in positions if p < k) / len(positions) for k in ks}
-    return EvalReport(
-        recalls=recalls,
-        n_candidates=n_candidates,
-        n_queries=len(gold_ids),
-        fingerprint=fingerprint,
-    )
+    return EvalReport(recalls=recalls, n_candidates=n_candidates, n_queries=len(gold_ids))
 
 
 @dataclass
@@ -291,13 +291,13 @@ class ExperimentConfig:
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
-        return cls(**data)
+    def __post_init__(self):
+        # Every task spec and encoder config is checked before any work; the
+        # vocabulary size is not known yet, so the smallest valid one stands in.
+        for task in self.tasks:
+            parse_task_spec(task)
+        for arch in self.encoders:
+            self.encoder_config(arch, NUM_SPECIALS)
 
     def encoder_config(self, arch: str, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(
@@ -314,25 +314,21 @@ class ExperimentConfig:
         )
 
 
-def parse_task_spec(spec: str) -> Optional[TaskMixture]:
-    """none -> None; mlm -> handled by caller; otherwise a uniform mixture
-    over a '+'-joined subset of the pre-training tasks."""
-    if spec in (TASK_NONE, TASK_MLM):
+def parse_task_spec(spec: str, accept: Sequence[str] = (TASK_NONE, TASK_MLM)) -> Optional[TaskMixture]:
+    """The uniform pair mixture a '+'-joined subset of the pre-training tasks
+    names, or None for a spec in `accept` (none and mlm generate no pairs).
+
+    Any other spec raises ValueError naming what is accepted.
+    """
+    if spec in accept:
         return None
     tasks = spec.split("+")
-    unknown = set(tasks) - set(PRETRAIN_TASKS)
-    if unknown:
-        raise ValueError(f"unknown pre-training tasks: {sorted(unknown)}")
+    if set(tasks) - set(PRETRAIN_TASKS):
+        raise ValueError(
+            f"task spec {spec!r}: expected {''.join(a + ' or ' for a in accept)}"
+            f"a '+'-joined subset of {', '.join(PRETRAIN_TASKS)}"
+        )
     return TaskMixture.uniform(tasks)
-
-
-def _rank_bm25(
-    index: retrieval.InvertedIndex,
-    queries: Sequence[TokenSeq],
-    k: int,
-    params: retrieval.BM25Params,
-) -> List[retrieval.RankedList]:
-    return [retrieval.bm25_topk(index, q, k, params) for q in queries]
 
 
 def dense_candidates(candidates: Sequence[Candidate]) -> List[Tuple[int, TokenSeq]]:
@@ -353,6 +349,88 @@ def finetune_pairs(split_part: Sequence[ReqaExample], candidates: Sequence[Candi
     ]
 
 
+def pretrain_model(
+    task: str,
+    enc_cfg: EncoderConfig,
+    train_cfg: TrainRunConfig,
+    store: CorpusStore,
+    metrics_out=None,
+) -> TwoTower:
+    """The model a task spec pre-trains: `none` is the seeded initialisation,
+    `mlm` the masked-token baseline, any other spec contrastive pre-training
+    on the pair mixture it names."""
+    if task == TASK_NONE:
+        return TwoTower.init(enc_cfg, train_cfg.seed)
+    if task == TASK_MLM:
+        model, _ = mlm_pretrain(train_cfg, enc_cfg, store, metrics_out)
+        return model
+    stream = sample_mixture(
+        store,
+        parse_task_spec(task),
+        train_cfg.total_steps * train_cfg.batch_size,
+        subrng(train_cfg.seed, "pairs", task),
+        enc_cfg.query_max_len,
+        enc_cfg.doc_max_len,
+    )
+    model, _ = pretrain(train_cfg, enc_cfg, stream, metrics_out)
+    return model
+
+
+def finetune_model(
+    model: TwoTower,
+    train_cfg: TrainRunConfig,
+    split: Split,
+    candidates: Sequence[Candidate],
+    metrics_out=None,
+) -> Tuple[TwoTower, List[dict]]:
+    """Fine-tune on the split's training questions, selecting the checkpoint
+    by validation recall over the candidates; returns (model, history)."""
+    return finetune(
+        model,
+        train_cfg,
+        finetune_pairs(split.train, candidates),
+        [ex.question_tokens for ex in split.validation],
+        [ex.gold_id for ex in split.validation],
+        dense_candidates(candidates),
+        metrics_out,
+    )
+
+
+def with_distractors(
+    store: CorpusStore,
+    entries: Sequence[QaEntry],
+    candidates: Sequence[Candidate],
+    limit: int,
+    seed: int,
+    vocab: Vocabulary,
+    doc_max_len: int,
+) -> List[Candidate]:
+    """The candidates plus up to `limit` distractors drawn from the passages
+    no QA entry references (none when `limit` <= 0)."""
+    if limit <= 0:
+        return list(candidates)
+    referenced = {e.passage_id for e in entries}
+    distractors = sample_distractors(store, referenced, limit, seed)
+    return augment_open_domain(candidates, distractors, limit, vocab, doc_max_len)
+
+
+def evaluate_system(
+    system: Union[TwoTower, retrieval.BM25Params],
+    pool: Sequence[Candidate],
+    part: Sequence[ReqaExample],
+    ks: Sequence[int],
+) -> EvalReport:
+    """recall@k of the part's questions over the candidate pool, ranked by the
+    dense model or by BM25 with the given parameters."""
+    queries = [ex.question_tokens for ex in part]
+    if isinstance(system, TwoTower):
+        ranked = retrieval.rank_dense(system, queries, dense_candidates(pool), max(ks))
+    else:
+        index = retrieval.InvertedIndex([(c.id, c.match_tokens) for c in pool])
+        ranked = [retrieval.bm25_topk(index, q, max(ks), system) for q in queries]
+    return evaluate(ranked, [ex.gold_id for ex in part], ks, n_candidates=len(pool))
+
+
 def run_experiment(
     store: CorpusStore,
     entries: Sequence[QaEntry],
@@ -369,47 +447,45 @@ def run_experiment(
         entries, store, vocab, cfg.query_max_len, cfg.doc_max_len
     )
     log(f"benchmark: {len(examples)} examples, {len(candidates)} candidates, {dropped} dropped")
-    dense_pool = dense_candidates(candidates)
-    max_k = max(cfg.ks)
     bm25_params = retrieval.BM25Params(k1=cfg.bm25_k1, b=cfg.bm25_b)
-
-    augmented_candidates: Optional[List[Candidate]] = None
+    pools = [(False, candidates)]
     if cfg.augment_limit > 0:
-        referenced = {e.passage_id for e in entries}
-        distractors = sample_distractors(store, referenced, cfg.augment_limit, cfg.seeds[0])
-        augmented_candidates = augment_open_domain(
-            candidates, distractors, cfg.augment_limit, vocab, cfg.doc_max_len
+        augmented = with_distractors(
+            store, entries, candidates, cfg.augment_limit, cfg.seeds[0], vocab, cfg.doc_max_len
         )
-        log(f"augmentation: +{len(augmented_candidates) - len(candidates)} distractors")
+        log(f"augmentation: +{len(augmented) - len(candidates)} distractors")
+        pools.append((True, augmented))
 
     cells: List[dict] = []
 
-    def add_cell(ratio_label, encoder, task, seed, report: EvalReport, augmented: bool):
-        cells.append(
-            {
-                "ratio": ratio_label,
-                "encoder": encoder,
-                "task": task,
-                "seed": seed,
-                "augmented": augmented,
-                "recalls": {str(k): report.recalls[k] for k in cfg.ks},
-                "n_candidates": report.n_candidates,
-                "n_queries": report.n_queries,
-                "fingerprint": report.fingerprint,
-            }
-        )
-
-    def cell_fingerprint(*labels) -> str:
-        payload = canonical_json({"config": asdict(cfg), "cell": labels})
-        return sha256_bytes(payload.encode())[:16]
+    def add_cells(split: Split, encoder: str, task: str, seed: int, system) -> None:
+        for augmented, pool in pools:
+            report = evaluate_system(system, pool, split.test, cfg.ks)
+            labels = (split.ratio_label, encoder, task, seed, augmented)
+            payload = canonical_json({"config": asdict(cfg), "cell": labels})
+            cells.append(
+                {
+                    "ratio": split.ratio_label,
+                    "encoder": encoder,
+                    "task": task,
+                    "seed": seed,
+                    "augmented": augmented,
+                    "recalls": {str(k): report.recalls[k] for k in cfg.ks},
+                    "n_candidates": report.n_candidates,
+                    "n_queries": report.n_queries,
+                    "fingerprint": sha256_bytes(payload.encode())[:16],
+                }
+            )
 
     for seed in cfg.seeds:
-        splits = {tuple(r): make_split(examples, tuple(r), seed) for r in cfg.ratios}
+        splits = [make_split(examples, tuple(r), seed) for r in cfg.ratios]
         for arch in cfg.encoders:
             enc_cfg = cfg.encoder_config(arch, len(vocab))
             for task in cfg.tasks:
                 if task == TASK_MLM and arch != ARCH_TRANSFORMER:
                     continue  # token-masking baseline is defined for the transformer only
+                if task != TASK_NONE:
+                    log(f"pretrain[{seed}] {arch}/{task}: {cfg.pretrain_steps} steps")
                 train_cfg = TrainRunConfig(
                     batch_size=cfg.batch_size,
                     total_steps=cfg.pretrain_steps,
@@ -417,26 +493,8 @@ def run_experiment(
                     lr_peak=cfg.pretrain_lr,
                     warmup_fraction=cfg.warmup_fraction,
                 )
-                if task == TASK_NONE:
-                    pretrained = TwoTower.init(enc_cfg, seed)
-                elif task == TASK_MLM:
-                    log(f"pretrain[{seed}] {arch}/{task}: {cfg.pretrain_steps} steps")
-                    pretrained, _ = mlm_pretrain(train_cfg, enc_cfg, store)
-                else:
-                    mixture = parse_task_spec(task)
-                    log(f"pretrain[{seed}] {arch}/{task}: {cfg.pretrain_steps} steps")
-                    stream = sample_mixture(
-                        store,
-                        mixture,
-                        cfg.pretrain_steps * cfg.batch_size,
-                        subrng(seed, "pairs", task),
-                        cfg.query_max_len,
-                        cfg.doc_max_len,
-                    )
-                    pretrained, _ = pretrain(train_cfg, enc_cfg, stream)
-
-                for ratio in cfg.ratios:
-                    split = splits[tuple(ratio)]
+                pretrained = pretrain_model(task, enc_cfg, train_cfg, store)
+                for split in splits:
                     log(f"finetune[{seed}] {arch}/{task} @ {split.ratio_label}")
                     ft_cfg = TrainRunConfig(
                         batch_size=min(cfg.batch_size, max(2, len(split.train))),
@@ -447,68 +505,11 @@ def run_experiment(
                         eval_every=cfg.eval_every,
                         patience=cfg.patience,
                     )
-                    best, _ = finetune(
-                        pretrained,
-                        ft_cfg,
-                        finetune_pairs(split.train, candidates),
-                        [ex.question_tokens for ex in split.validation],
-                        [ex.gold_id for ex in split.validation],
-                        dense_pool,
-                    )
-                    test_queries = [ex.question_tokens for ex in split.test]
-                    test_gold = [ex.gold_id for ex in split.test]
-                    ranked = retrieval.rank_dense(best, test_queries, dense_pool, max_k)
-                    report = evaluate(
-                        ranked,
-                        test_gold,
-                        cfg.ks,
-                        n_candidates=len(candidates),
-                        fingerprint=cell_fingerprint(split.ratio_label, arch, task, seed, False),
-                    )
-                    add_cell(split.ratio_label, arch, task, seed, report, False)
-                    if augmented_candidates is not None:
-                        ranked = retrieval.rank_dense(
-                            best, test_queries, dense_candidates(augmented_candidates), max_k
-                        )
-                        report = evaluate(
-                            ranked,
-                            test_gold,
-                            cfg.ks,
-                            n_candidates=len(augmented_candidates),
-                            fingerprint=cell_fingerprint(split.ratio_label, arch, task, seed, True),
-                        )
-                        add_cell(split.ratio_label, arch, task, seed, report, True)
-
+                    best, _ = finetune_model(pretrained, ft_cfg, split, candidates)
+                    add_cells(split, arch, task, seed, best)
         if cfg.include_bm25:
-            base_index = retrieval.InvertedIndex([(c.id, c.match_tokens) for c in candidates])
-            aug_index = (
-                retrieval.InvertedIndex([(c.id, c.match_tokens) for c in augmented_candidates])
-                if augmented_candidates is not None
-                else None
-            )
-            for ratio in cfg.ratios:
-                split = splits[tuple(ratio)]
-                test_queries = [ex.question_tokens for ex in split.test]
-                test_gold = [ex.gold_id for ex in split.test]
-                ranked = _rank_bm25(base_index, test_queries, max_k, bm25_params)
-                report = evaluate(
-                    ranked,
-                    test_gold,
-                    cfg.ks,
-                    n_candidates=len(candidates),
-                    fingerprint=cell_fingerprint(split.ratio_label, "bm25", TASK_NONE, seed, False),
-                )
-                add_cell(split.ratio_label, "bm25", TASK_NONE, seed, report, False)
-                if aug_index is not None:
-                    ranked = _rank_bm25(aug_index, test_queries, max_k, bm25_params)
-                    report = evaluate(
-                        ranked,
-                        test_gold,
-                        cfg.ks,
-                        n_candidates=len(augmented_candidates),
-                        fingerprint=cell_fingerprint(split.ratio_label, "bm25", TASK_NONE, seed, True),
-                    )
-                    add_cell(split.ratio_label, "bm25", TASK_NONE, seed, report, True)
+            for split in splits:
+                add_cells(split, "bm25", TASK_NONE, seed, bm25_params)
 
     return {
         "config": asdict(cfg),

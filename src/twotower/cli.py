@@ -3,12 +3,17 @@ index, eval, bm25-eval, experiment, report.
 
 Each command declares its options once, in `_COMMANDS`, as name -> default; a
 default of None marks a required path. Option values resolve as CLI flag >
-TWOTOWER_<NAME> env var > --config JSON > default. `pretrain` writes the model,
-one `TwoTower` value, as a checkpoint; `finetune`, `index` and `eval` read one
-and take every encoder setting from it, the max lengths included. Every run
-appends one manifest record (resolved config, input/output hashes, timing) to
-manifests.jsonl beside its primary output. Progress goes to stderr;
-machine-readable results go to files or stdout.
+TWOTOWER_<NAME> env var > --config JSON > default. The --config file is read
+once, and a key in it that the command does not declare is a usage error
+(`experiment` also takes the `ExperimentConfig` fields there). `pretrain`
+writes the model, one `TwoTower` value, as a checkpoint; `finetune`, `index`
+and `eval` read one and take every encoder setting from it, the max lengths
+included. `pretrain`, `finetune`, `eval` and `bm25-eval` run the stage
+functions of `benchmark` (`pretrain_model`, `finetune_model`,
+`with_distractors`, `evaluate_system`) that `experiment` runs for each cell
+of its grid. Every run appends one manifest record (resolved config,
+input/output hashes, timing) to manifests.jsonl beside its primary output.
+Progress goes to stderr; machine-readable results go to files or stdout.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import benchmark, pairs, retrieval, synth, training, util
+from . import benchmark, pairs, retrieval, synth, util
 from .corpus import Vocabulary, build_vocab, parse_corpus, serialize_corpus, tokenize_corpus
 from .encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from .training import TrainRunConfig
@@ -57,13 +62,23 @@ def _coerce(value: str, default):
     return value
 
 
-def resolve_options(args: argparse.Namespace, defaults: Dict[str, object]) -> Dict[str, object]:
+def _load_config(path: Optional[str], allowed: Iterable[str]) -> Dict[str, object]:
+    """The --config JSON object; a key outside `allowed` is a usage error."""
+    if not path:
+        return {}
+    file_cfg = util.load_json(path)
+    if not isinstance(file_cfg, dict):
+        raise UsageError(f"--config {path} must hold a JSON object")
+    unknown = sorted(set(file_cfg) - set(allowed))
+    if unknown:
+        raise UsageError(f"--config {path}: keys the command does not take: {unknown}")
+    return file_cfg
+
+
+def resolve_options(
+    args: argparse.Namespace, defaults: Dict[str, object], file_cfg: Dict[str, object]
+) -> Dict[str, object]:
     """Merge CLI flags over env vars over the --config file over defaults."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = util.load_json(args.config)
-        if not isinstance(file_cfg, dict):
-            raise UsageError(f"--config {args.config} must hold a JSON object")
     resolved = {}
     for name, default in defaults.items():
         attr = name.replace("-", "_")
@@ -215,14 +230,20 @@ def _cmd_vocab(args, o) -> int:
     return EXIT_OK
 
 
+def _parse_tasks(o: Dict[str, object], accept: Sequence[str]):
+    """`benchmark.parse_task_spec` of --tasks; a spec it rejects is a usage error."""
+    try:
+        return benchmark.parse_task_spec(str(o["tasks"]), accept)
+    except ValueError as exc:
+        raise UsageError(f"--tasks: {exc}") from exc
+
+
 def _cmd_gen_pairs(args, o) -> int:
+    mixture = _parse_tasks(o, accept=())
     outputs = [str(o["out"])] + ([str(o["stats"])] if o["stats"] else [])
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     store, _ = _load_tokenized(o)
-    mixture = benchmark.parse_task_spec(str(o["tasks"]))
-    if mixture is None:
-        raise RuntimeError(f"gen-pairs needs a pair-generating task spec, got {o['tasks']!r}")
     seed = int(o["seed"])
     generated = list(
         pairs.sample_mixture(
@@ -247,18 +268,7 @@ def _cmd_gen_pairs(args, o) -> int:
 
 
 def _cmd_pretrain(args, o) -> int:
-    task_spec = str(o["tasks"])
-    mixture = None
-    if task_spec != benchmark.TASK_MLM:
-        try:
-            mixture = benchmark.parse_task_spec(task_spec)
-        except ValueError as exc:
-            raise UsageError(f"--tasks: {exc}") from exc
-        if mixture is None:
-            raise UsageError(
-                f"--tasks {task_spec!r} pre-trains nothing; give mlm or a '+'-joined subset"
-                f" of {', '.join(pairs.PRETRAIN_TASKS)}"
-            )
+    _parse_tasks(o, accept=(benchmark.TASK_MLM,))
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
@@ -277,28 +287,17 @@ def _cmd_pretrain(args, o) -> int:
         share_towers=bool(o["share-towers"]),
         dtype=str(o["dtype"]),
     )
-    seed = int(o["seed"])
     train_cfg = TrainRunConfig(
         batch_size=int(o["batch"]),
         total_steps=int(o["steps"]),
-        seed=seed,
+        seed=int(o["seed"]),
         correction=str(o["correction"]),
         lr_peak=float(o["lr"]),
         warmup_fraction=float(o["warmup"]),
     )
+    task_spec = str(o["tasks"])
     with _metrics_file(o) as metrics_out:
-        if mixture is None:
-            model, _ = training.mlm_pretrain(train_cfg, enc_cfg, store, metrics_out)
-        else:
-            stream = pairs.sample_mixture(
-                store,
-                mixture,
-                train_cfg.total_steps * train_cfg.batch_size,
-                util.subrng(seed, "pairs", task_spec),
-                enc_cfg.query_max_len,
-                enc_cfg.doc_max_len,
-            )
-            model, _ = training.pretrain(train_cfg, enc_cfg, stream, metrics_out)
+        model = benchmark.pretrain_model(task_spec, enc_cfg, train_cfg, store, metrics_out)
     fingerprint = save_checkpoint(prefix, model, {"stage": "pretrain", "tasks": task_spec})
     _log(f"checkpoint {prefix} ({fingerprint[:12]})")
     _write_manifest(
@@ -330,15 +329,7 @@ def _cmd_finetune(args, o) -> int:
         patience=int(o["patience"]),
     )
     with _metrics_file(o) as metrics_out:
-        best, history = training.finetune(
-            model,
-            train_cfg,
-            benchmark.finetune_pairs(split.train, candidates),
-            [ex.question_tokens for ex in split.validation],
-            [ex.gold_id for ex in split.validation],
-            benchmark.dense_candidates(candidates),
-            metrics_out,
-        )
+        best, history = benchmark.finetune_model(model, train_cfg, split, candidates, metrics_out)
     best_recall = max(h["val_recall"] for h in history if "val_recall" in h)
     fingerprint = save_checkpoint(
         prefix, best,
@@ -377,51 +368,35 @@ def _cmd_index(args, o) -> int:
 
 
 def _eval_common(o: Dict[str, object], dense: bool) -> int:
+    part_name = str(o["split-part"])
+    if part_name not in ("train", "validation", "test"):
+        raise UsageError("--split-part must be train/validation/test")
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     store, vocab = _load_tokenized(o)
     if dense:
-        model, _ = load_checkpoint(str(o["ckpt"]))
-        query_max_len, doc_max_len = model.config.query_max_len, model.config.doc_max_len
+        system, _ = load_checkpoint(str(o["ckpt"]))
+        query_max_len, doc_max_len = system.config.query_max_len, system.config.doc_max_len
+        label = f"dense:{system.config.arch}"
     else:
+        system = retrieval.BM25Params(float(o["bm25-k1"]), float(o["bm25-b"]))
         query_max_len, doc_max_len = int(o["query-max-len"]), int(o["doc-max-len"])
+        label = "bm25"
     entries, examples, candidates, dropped = _build_benchmark(
         o, store, vocab, query_max_len, doc_max_len
     )
     seed = int(o["seed"])
     split = benchmark.make_split(examples, _parse_ratio(str(o["ratio"])), seed)
-    part = {
-        "train": split.train,
-        "validation": split.validation,
-        "test": split.test,
-    }.get(str(o["split-part"]))
-    if part is None:
-        raise UsageError(f"--split-part must be train/validation/test")
-    if int(o["augment"]) > 0:
-        referenced = {e.passage_id for e in entries}
-        distractors = benchmark.sample_distractors(store, referenced, int(o["augment"]), seed)
-        candidates = benchmark.augment_open_domain(
-            candidates, distractors, int(o["augment"]), vocab, doc_max_len
-        )
+    pool = benchmark.with_distractors(
+        store, entries, candidates, int(o["augment"]), seed, vocab, doc_max_len
+    )
     ks = _parse_ks(str(o["k"]))
-    queries = [ex.question_tokens for ex in part]
-    gold = [ex.gold_id for ex in part]
-    if dense:
-        ranked = retrieval.rank_dense(
-            model, queries, benchmark.dense_candidates(candidates), max(ks)
-        )
-        label = f"dense:{model.config.arch}"
-    else:
-        index = retrieval.InvertedIndex([(c.id, c.match_tokens) for c in candidates])
-        bm25 = retrieval.BM25Params(float(o["bm25-k1"]), float(o["bm25-b"]))
-        ranked = benchmark._rank_bm25(index, queries, max(ks), bm25)
-        label = "bm25"
-    report = benchmark.evaluate(ranked, gold, ks, n_candidates=len(candidates))
+    report = benchmark.evaluate_system(system, pool, getattr(split, part_name), ks)
     payload = {
         "system": label,
         "ratio": str(o["ratio"]),
-        "part": str(o["split-part"]),
+        "part": part_name,
         "n_candidates": report.n_candidates,
         "n_queries": report.n_queries,
         "n_dropped_entries": dropped,
@@ -472,13 +447,14 @@ def _cmd_experiment(args, o) -> int:
     out_dir = str(o["out"])
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")
+    grid = {k: v for k, v in args.config_values.items() if k in _EXPERIMENT_FIELDS}
+    grid.setdefault("seeds", [int(o["seed"])])
+    try:
+        exp_cfg = benchmark.ExperimentConfig(**grid)
+    except ValueError as exc:
+        raise UsageError(f"--config {args.config}: {exc}") from exc
     _check_outputs([report_json, report_txt], bool(o["force"]))
     start = time.time()
-    file_cfg = util.load_json(args.config) if args.config else {}
-    grid_cfg = {k: v for k, v in file_cfg.items() if k in benchmark.ExperimentConfig.__dataclass_fields__}
-    exp_cfg = benchmark.ExperimentConfig.from_dict(grid_cfg)
-    if "seeds" not in grid_cfg:
-        exp_cfg.seeds = [int(o["seed"])]
     store = _load_corpus(str(o["corpus"]))
     entries = benchmark.read_qa_entries(_read_lines(str(o["qa"])))
     report = benchmark.run_experiment(store, entries, exp_cfg, log=_log)
@@ -526,6 +502,8 @@ _SPLIT_EVAL_OPTIONS = {
     "augment": 0,
     "seed": 7,
 }
+
+_EXPERIMENT_FIELDS = set(benchmark.ExperimentConfig.__dataclass_fields__)
 
 _INPUTS = {"corpus": None, "vocab": None}
 _BENCHMARK_INPUTS = {**_INPUTS, "qa": None}
@@ -622,7 +600,9 @@ def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         options = _options(args.command)
-        resolved = resolve_options(args, options)
+        extra = _EXPERIMENT_FIELDS if args.command == "experiment" else ()
+        args.config_values = _load_config(args.config, [*options, *extra])
+        resolved = resolve_options(args, options, args.config_values)
         for name, default in options.items():
             if default is None and resolved[name] in (None, ""):
                 raise UsageError(f"missing required --{name}")

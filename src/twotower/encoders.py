@@ -436,15 +436,6 @@ def _unprefixed(prefix: str, params: Params) -> Params:
     return {k[len(prefix) :]: a for k, a in params.items() if k.startswith(prefix)}
 
 
-def score(q_emb: np.ndarray, d_emb: np.ndarray) -> float:
-    """Inner product of one query and one doc embedding."""
-    q = np.asarray(q_emb)
-    d = np.asarray(d_emb)
-    if q.shape != d.shape or q.ndim != 1:
-        raise EncoderError(f"dimension mismatch: {q.shape} vs {d.shape}")
-    return float(q @ d)
-
-
 def save_checkpoint(prefix: str, model: TwoTower, meta: Optional[dict] = None) -> str:
     """Write the model's tensors under their `params()` names and return the
     fingerprint."""

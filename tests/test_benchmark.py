@@ -240,6 +240,14 @@ class TestExperiment:
         with pytest.raises(ValueError):
             parse_task_spec("ict+nope")
 
+    @pytest.mark.parametrize("grid", [
+        {"tasks": ["ict+bfs+wlp", "ict+nope"]},
+        {"encoders": ["transformer", "nope"]},
+    ])
+    def test_config_rejects_unknown_task_or_arch(self, grid):
+        with pytest.raises(ValueError, match="nope"):
+            ExperimentConfig(**grid)
+
     def test_single_cell_grid(self):
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=60, seed=13))
         cfg = ExperimentConfig(

@@ -62,6 +62,20 @@ class TestDispatch:
         assert run(*argv) == EXIT_USAGE
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key", [
+        ("vocab", "max-sise"),
+        ("pretrain", "hiden-dim"),
+        ("experiment", "pretrain_stepz"),  # neither an option nor an ExperimentConfig field
+        ("experiment", "max-size"),  # another command's option
+    ])
+    def test_config_key_the_command_does_not_declare_is_usage_error(
+        self, command, key, tmp_path, capsys
+    ):
+        cfg_path = str(tmp_path / "cfg.json")
+        util.dump_json(cfg_path, {key: 8})
+        assert run(command, "--config", cfg_path) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
 
 class TestPipelineCommands:
     def test_ingest_roundtrip(self, workdir, tmp_path):
@@ -117,6 +131,14 @@ class TestPipelineCommands:
         assert run("vocab", "--corpus", corpus, "--out", out) == EXIT_OK
         # 200-token cap respected (5 specials + chars + merges)
         assert len(open(out).read().splitlines()) <= 200
+
+    @pytest.mark.parametrize("tasks", ["mlm", "none", "ict+nope"])
+    def test_gen_pairs_bad_tasks_rejected_before_loading(self, tmp_path, tasks, capsys):
+        # The corpus does not exist: loading it first would be a runtime error.
+        missing = str(tmp_path / "missing.jsonl")
+        assert run("gen-pairs", "--corpus", missing, "--vocab", missing,
+                   "--out", str(tmp_path / "p.jsonl"), "--tasks", tasks) == EXIT_USAGE
+        assert repr(tasks) in capsys.readouterr().err
 
     def test_config_file_supplies_flags(self, workdir, tmp_path):
         _, corpus, _, _ = workdir
@@ -269,6 +291,21 @@ class TestExperimentCommand:
             b = open(os.path.join(outs[1], filename), "rb").read()
             assert a == b
 
+    @pytest.mark.parametrize("grid", [
+        {"tasks": ["ict+bfs+wlp", "ict+nope"]},
+        {"encoders": ["transformer", "nope"]},
+    ])
+    def test_bad_grid_rejected_before_work(self, workdir, tmp_path, grid, capsys):
+        _, corpus, qa, _ = workdir
+        cfg_path = str(tmp_path / "grid.json")
+        util.dump_json(cfg_path, grid)
+        out_dir = tmp_path / "run"
+        assert run(
+            "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", str(out_dir),
+        ) == EXIT_USAGE
+        assert "nope" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_report_rendering(self, workdir, tmp_path, capsys):
         _, corpus, qa, _ = workdir
         cfg_path = self._config(tmp_path)
@@ -285,6 +322,53 @@ class TestExperimentCommand:
             "R@1", "R@5", "R@10", "R@50", "R@100"
         ]
         assert "bm25" in table and "transformer" in table
+
+
+class TestOnePipeline:
+    def test_commands_reproduce_experiment_cells(self, workdir, tmp_path):
+        # pretrain -> finetune -> eval and bm25-eval, given the experiment's
+        # settings, give the recalls of the matching experiment cells, with and
+        # without distractors. The batch stays at most the training split's size,
+        # so the experiment's finetune batch clamp does not engage; seed and
+        # learning rate are ones for which fine-tuning keeps a later step.
+        _, corpus, qa, vocab = workdir
+        grid = {
+            "ratios": [[60, 40]], "tasks": ["ict+bfs+wlp"], "seeds": [3], "augment_limit": 20,
+            "pretrain_steps": 3, "finetune_steps": 4, "finetune_lr": 3e-3, "batch_size": 4,
+            "eval_every": 2, "num_layers": 1, "hidden_dim": 16, "num_heads": 2, "ff_dim": 32,
+            "emb_dim": 8, "vocab_max_size": 4096,
+        }
+        cfg_path = str(tmp_path / "grid.json")
+        util.dump_json(cfg_path, grid)
+        exp = tmp_path / "exp"
+        assert run(
+            "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", str(exp),
+        ) == EXIT_OK
+        cells = {
+            (c["encoder"], c["augmented"]): c["recalls"]
+            for c in util.load_json(str(exp / "report.json"))["cells"]
+        }
+        assert len(cells) == 4
+
+        data = ["--corpus", corpus, "--vocab", vocab, "--seed", "3"]
+        ckpt, tuned = str(tmp_path / "ckpt"), str(tmp_path / "tuned")
+        assert run(
+            "pretrain", *data, "--out", ckpt, "--tasks", "ict+bfs+wlp", "--steps", "3",
+            "--batch", "4", "--layers", "1", "--hidden-dim", "16", "--heads", "2",
+            "--ff-dim", "32", "--emb-dim", "8",
+        ) == EXIT_OK
+        assert run(
+            "finetune", *data, "--qa", qa, "--ckpt", ckpt, "--out", tuned, "--ratio", "60/40",
+            "--steps", "4", "--lr", "0.003", "--batch", "4", "--eval-every", "2",
+        ) == EXIT_OK
+        assert open(tuned + ".bin", "rb").read() != open(ckpt + ".bin", "rb").read()
+        for augment in (0, 20):
+            common = [*data, "--qa", qa, "--ratio", "60/40", "--augment", str(augment)]
+            dense, bm25 = str(tmp_path / f"dense{augment}.json"), str(tmp_path / f"bm25{augment}.json")
+            assert run("eval", *common, "--ckpt", tuned, "--out", dense) == EXIT_OK
+            assert run("bm25-eval", *common, "--out", bm25) == EXIT_OK
+            assert util.load_json(dense)["recalls"] == cells[("transformer", augment > 0)]
+            assert util.load_json(bm25)["recalls"] == cells[("bm25", augment > 0)]
 
 
 class TestRenderReport:

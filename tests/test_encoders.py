@@ -15,7 +15,6 @@ from twotower.encoders import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    score,
 )
 from twotower.util import subrng
 
@@ -279,25 +278,6 @@ class TestBackward:
             worst = max(worst, abs(numeric - analytic) / denom)
             checked += 1
         assert worst < 1e-4
-
-
-class TestScore:
-    def test_orthogonal(self):
-        assert score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_arithmetic(self):
-        assert score(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_symmetry(self):
-        rng = subrng(13)
-        for _ in range(100):
-            q = rng.normal(size=8)
-            d = rng.normal(size=8)
-            assert score(q, d) == pytest.approx(score(d, q), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(EncoderError):
-            score(np.zeros(3), np.zeros(4))
 
 
 class TestCheckpoint:
