@@ -151,6 +151,30 @@ def build_reqa(
     return examples, candidates, dropped
 
 
+def _positive_ints(values) -> List[int]:
+    """The values of a list or tuple of integers >= 1, else []."""
+    values = list(values) if isinstance(values, (list, tuple)) else []
+    ok = all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values)
+    return values if ok else []
+
+
+def check_ratio(ratio: Sequence[int]) -> Tuple[int, int]:
+    """The (train%, test%) of a split ratio; ValueError unless it is two
+    positive integers that sum to 100."""
+    parts = _positive_ints(ratio)
+    if len(parts) != 2 or sum(parts) != 100:
+        raise ValueError(f"invalid split ratio {ratio!r}: expected two positive integers summing to 100")
+    return parts[0], parts[1]
+
+
+def check_ks(ks: Sequence[int]) -> List[int]:
+    """The recall cut-offs; ValueError unless they are a non-empty list of
+    integers >= 1."""
+    if not _positive_ints(ks):
+        raise ValueError(f"invalid ks {ks!r}: expected a non-empty list of integers >= 1")
+    return list(ks)
+
+
 def make_split(
     examples: Sequence[ReqaExample], ratio: Tuple[int, int], seed: int
 ) -> Split:
@@ -160,9 +184,7 @@ def make_split(
     Duplicate question strings are co-assigned, so no question appears in
     two parts.
     """
-    train_pct, test_pct = ratio
-    if train_pct + test_pct != 100 or train_pct <= 0 or test_pct <= 0:
-        raise ValueError(f"invalid split ratio {ratio}")
+    train_pct, test_pct = check_ratio(ratio)
     groups: Dict[str, List[ReqaExample]] = {}
     order: List[str] = []
     for example in examples:
@@ -292,12 +314,21 @@ class ExperimentConfig:
     bm25_b: float = 0.75
 
     def __post_init__(self):
-        # Every task spec and encoder config is checked before any work; the
-        # vocabulary size is not known yet, so the smallest valid one stands in.
+        # The whole grid is checked before any work; the vocabulary size is
+        # not known yet, so the smallest valid one stands in.
+        if not self.seeds or not self.ratios:
+            raise ValueError("seeds and ratios must not be empty")
+        for ratio in self.ratios:
+            check_ratio(ratio)
+        check_ks(self.ks)
         for task in self.tasks:
             parse_task_spec(task)
         for arch in self.encoders:
             self.encoder_config(arch, NUM_SPECIALS)
+        if not self.include_bm25 and not any(
+            _has_cell(arch, task) for arch in self.encoders for task in self.tasks
+        ):
+            raise ValueError("the grid has no cell: no encoder/task pair to train and include_bm25 is false")
 
     def encoder_config(self, arch: str, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(
@@ -312,6 +343,12 @@ class ExperimentConfig:
             doc_max_len=self.doc_max_len,
             dtype=self.dtype,
         )
+
+
+def _has_cell(arch: str, task: str) -> bool:
+    """Whether the grid has an (arch, task) cell: the token-masking baseline
+    is defined for the transformer only."""
+    return task != TASK_MLM or arch == ARCH_TRANSFORMER
 
 
 def parse_task_spec(spec: str, accept: Sequence[str] = (TASK_NONE, TASK_MLM)) -> Optional[TaskMixture]:
@@ -482,8 +519,8 @@ def run_experiment(
         for arch in cfg.encoders:
             enc_cfg = cfg.encoder_config(arch, len(vocab))
             for task in cfg.tasks:
-                if task == TASK_MLM and arch != ARCH_TRANSFORMER:
-                    continue  # token-masking baseline is defined for the transformer only
+                if not _has_cell(arch, task):
+                    continue
                 if task != TASK_NONE:
                     log(f"pretrain[{seed}] {arch}/{task}: {cfg.pretrain_steps} steps")
                 train_cfg = TrainRunConfig(

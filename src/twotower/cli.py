@@ -1,14 +1,15 @@
 """Command-line surface: synth, ingest, vocab, gen-pairs, pretrain, finetune,
-index, eval, bm25-eval, experiment, report.
+eval, bm25-eval, experiment, report.
 
 Each command declares its options once, in `_COMMANDS`, as name -> default; a
 default of None marks a required path. Option values resolve as CLI flag >
 TWOTOWER_<NAME> env var > --config JSON > default. The --config file is read
 once, and a key in it that the command does not declare is a usage error
 (`experiment` also takes the `ExperimentConfig` fields there). `pretrain`
-writes the model, one `TwoTower` value, as a checkpoint; `finetune`, `index`
-and `eval` read one and take every encoder setting from it, the max lengths
-included. `pretrain`, `finetune`, `eval` and `bm25-eval` run the stage
+writes the model, one `TwoTower` value, as a checkpoint; `finetune` and
+`eval` read one and take every encoder setting from it, the max lengths
+included. Every option is checked before any input is read: a bad value is a
+usage error. `pretrain`, `finetune`, `eval` and `bm25-eval` run the stage
 functions of `benchmark` (`pretrain_model`, `finetune_model`,
 `with_distractors`, `evaluate_system`) that `experiment` runs for each cell
 of its grid. Every run appends one manifest record (resolved config,
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -28,7 +30,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import benchmark, pairs, retrieval, synth, util
-from .corpus import Vocabulary, build_vocab, parse_corpus, serialize_corpus, tokenize_corpus
+from .corpus import NUM_SPECIALS, Vocabulary, build_vocab, parse_corpus, serialize_corpus, tokenize_corpus
 from .encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from .training import TrainRunConfig
 
@@ -168,16 +170,26 @@ def _add_options(sub: argparse.ArgumentParser, defaults: Dict[str, object]) -> N
             sub.add_argument(flag, type=str, default=None)
 
 
-def _parse_ratio(text: str) -> Tuple[int, int]:
+def _parse_ratio(o: Dict[str, object]) -> Tuple[int, int]:
+    """--ratio, like 80/20, through the check `ExperimentConfig` applies."""
+    text = str(o["ratio"])
     try:
-        train_pct, test_pct = (int(part) for part in text.split("/"))
+        return benchmark.check_ratio([int(part) for part in text.split("/")])
     except ValueError as exc:
-        raise UsageError(f"--ratio must look like 80/20, got {text!r}") from exc
-    return train_pct, test_pct
+        raise UsageError(f"--ratio {text!r}: {exc}") from exc
 
 
-def _parse_ks(text: str) -> List[int]:
-    return [int(part) for part in text.split(",")]
+def _parse_ks(o: Dict[str, object]) -> List[int]:
+    """--k, like 1,5,10, through the check `ExperimentConfig` applies."""
+    text = str(o["k"])
+    try:
+        return benchmark.check_ks([int(part) for part in text.split(",")])
+    except ValueError as exc:
+        raise UsageError(f"--k {text!r}: {exc}") from exc
+
+
+def _ckpt_files(o: Dict[str, object]) -> List[str]:
+    return [str(o["ckpt"]) + ".json", str(o["ckpt"]) + ".bin"]
 
 
 # ---------------------------------------------------------------- commands
@@ -269,24 +281,29 @@ def _cmd_gen_pairs(args, o) -> int:
 
 def _cmd_pretrain(args, o) -> int:
     _parse_tasks(o, accept=(benchmark.TASK_MLM,))
+    # The vocabulary size is not known yet, so the smallest valid one stands in.
+    try:
+        enc_cfg = EncoderConfig(
+            arch=str(o["arch"]),
+            num_layers=int(o["layers"]),
+            hidden_dim=int(o["hidden-dim"]),
+            num_heads=int(o["heads"]),
+            ff_dim=int(o["ff-dim"]),
+            emb_dim=int(o["emb-dim"]),
+            vocab_size=NUM_SPECIALS,
+            query_max_len=int(o["query-max-len"]),
+            doc_max_len=int(o["doc-max-len"]),
+            share_towers=bool(o["share-towers"]),
+            dtype=str(o["dtype"]),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     store, vocab = _load_tokenized(o)
-    enc_cfg = EncoderConfig(
-        arch=str(o["arch"]),
-        num_layers=int(o["layers"]),
-        hidden_dim=int(o["hidden-dim"]),
-        num_heads=int(o["heads"]),
-        ff_dim=int(o["ff-dim"]),
-        emb_dim=int(o["emb-dim"]),
-        vocab_size=len(vocab),
-        query_max_len=int(o["query-max-len"]),
-        doc_max_len=int(o["doc-max-len"]),
-        share_towers=bool(o["share-towers"]),
-        dtype=str(o["dtype"]),
-    )
+    enc_cfg = dataclasses.replace(enc_cfg, vocab_size=len(vocab))
     train_cfg = TrainRunConfig(
         batch_size=int(o["batch"]),
         total_steps=int(o["steps"]),
@@ -307,6 +324,7 @@ def _cmd_pretrain(args, o) -> int:
 
 
 def _cmd_finetune(args, o) -> int:
+    ratio = _parse_ratio(o)
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
@@ -318,7 +336,7 @@ def _cmd_finetune(args, o) -> int:
         o, store, vocab, cfg.query_max_len, cfg.doc_max_len
     )
     seed = int(o["seed"])
-    split = benchmark.make_split(examples, _parse_ratio(str(o["ratio"])), seed)
+    split = benchmark.make_split(examples, ratio, seed)
     train_cfg = TrainRunConfig(
         batch_size=int(o["batch"]),
         total_steps=int(o["steps"]),
@@ -337,31 +355,7 @@ def _cmd_finetune(args, o) -> int:
     )
     _log(f"checkpoint {prefix} ({fingerprint[:12]}), best val recall@10 {best_recall:.4f}")
     _write_manifest(
-        "finetune", o, [str(o["corpus"]), str(o["vocab"]), str(o["qa"])],
-        outputs, time.time() - start,
-    )
-    return EXIT_OK
-
-
-def _cmd_index(args, o) -> int:
-    prefix = str(o["out"])
-    outputs = [prefix + ".json", prefix + ".bin"]
-    _check_outputs(outputs, bool(o["force"]))
-    start = time.time()
-    store, vocab = _load_tokenized(o)
-    model, _ = load_checkpoint(str(o["ckpt"]))
-    cfg = model.config
-    _, _, candidates, _ = _build_benchmark(o, store, vocab, cfg.query_max_len, cfg.doc_max_len)
-    index = retrieval.build_dense_index(
-        model,
-        [c.id for c in candidates],
-        [c.tower_tokens for c in candidates],
-        fingerprint=util.tensor_fingerprint(str(o["ckpt"])),
-    )
-    retrieval.save_dense_index(prefix, index)
-    _log(f"indexed {len(candidates)} candidates")
-    _write_manifest(
-        "index", o, [str(o["corpus"]), str(o["vocab"]), str(o["qa"])],
+        "finetune", o, [str(o["corpus"]), str(o["vocab"]), str(o["qa"]), *_ckpt_files(o)],
         outputs, time.time() - start,
     )
     return EXIT_OK
@@ -371,6 +365,7 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     part_name = str(o["split-part"])
     if part_name not in ("train", "validation", "test"):
         raise UsageError("--split-part must be train/validation/test")
+    ratio, ks = _parse_ratio(o), _parse_ks(o)
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
@@ -387,11 +382,10 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
         o, store, vocab, query_max_len, doc_max_len
     )
     seed = int(o["seed"])
-    split = benchmark.make_split(examples, _parse_ratio(str(o["ratio"])), seed)
+    split = benchmark.make_split(examples, ratio, seed)
     pool = benchmark.with_distractors(
         store, entries, candidates, int(o["augment"]), seed, vocab, doc_max_len
     )
-    ks = _parse_ks(str(o["k"]))
     report = benchmark.evaluate_system(system, pool, getattr(split, part_name), ks)
     payload = {
         "system": label,
@@ -406,7 +400,7 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     _log(f"{label} recalls: " + ", ".join(f"R@{k}={report.recalls[k]:.4f}" for k in ks))
     inp = [str(o["corpus"]), str(o["vocab"]), str(o["qa"])]
     if dense:
-        inp += [str(o["ckpt"]) + ".json", str(o["ckpt"]) + ".bin"]
+        inp += _ckpt_files(o)
     _write_manifest("eval" if dense else "bm25-eval", o, inp, outputs, time.time() - start)
     return EXIT_OK
 
@@ -559,7 +553,6 @@ _COMMANDS = {
             "patience": 5,
         },
     ),
-    "index": (_cmd_index, {**_BENCHMARK_INPUTS, "ckpt": None, "out": None}),
     "eval": (_cmd_eval, {**_BENCHMARK_INPUTS, "out": None, "ckpt": None, **_SPLIT_EVAL_OPTIONS}),
     "bm25-eval": (
         _cmd_bm25_eval,

@@ -1,6 +1,7 @@
 """Exact dense top-k retrieval and an Okapi BM25 inverted-index baseline.
 
-Both rankers share the same tie-break: descending score, then ascending
+Both rankers score the whole candidate pool as one vector and select from it
+with the one top-k, `_rank_with_ties`: descending score, then ascending
 candidate id.
 """
 
@@ -12,12 +13,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import util
 from .corpus import TokenSeq
 from .encoders import TwoTower
-
-DENSE_INDEX_FORMAT = "twotower-dense-index-v1"
-
 
 @dataclass
 class RankedList:
@@ -36,7 +33,6 @@ class RankedList:
 class DenseIndex:
     candidate_ids: List[int]
     embeddings: np.ndarray
-    fingerprint: str = ""
 
 
 @dataclass
@@ -55,7 +51,6 @@ def build_dense_index(
     model: TwoTower,
     candidate_ids: Sequence[int],
     candidates: Sequence[TokenSeq],
-    fingerprint: str = "",
     batch_size: int = 256,
 ) -> DenseIndex:
     """Embed every candidate with the doc tower; over-length candidates are
@@ -73,9 +68,7 @@ def build_dense_index(
         model.encode_docs(clipped[start : start + batch_size])
         for start in range(0, len(clipped), batch_size)
     ]
-    return DenseIndex(
-        candidate_ids=list(candidate_ids), embeddings=np.vstack(rows), fingerprint=fingerprint
-    )
+    return DenseIndex(candidate_ids=list(candidate_ids), embeddings=np.vstack(rows))
 
 
 def _rank_with_ties(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -131,32 +124,33 @@ def rank_dense(
 
 
 class InvertedIndex:
-    """Token postings with term and document frequencies for BM25."""
+    """BM25 postings: each token's candidate positions and term frequencies,
+    as arrays, kept once; `ids` and `doc_lengths` are indexed by position."""
 
     def __init__(self, candidates: Sequence[Tuple[int, Sequence[int]]]):
         if not candidates:
             raise ValueError("cannot index an empty candidate set")
-        self.postings: Dict[int, List[Tuple[int, int]]] = {}
-        self.doc_lengths: Dict[int, int] = {}
-        for cid, tokens in candidates:
-            if cid in self.doc_lengths:
+        seen = set()
+        positions: Dict[int, List[int]] = {}
+        counts: Dict[int, List[int]] = {}
+        for pos, (cid, tokens) in enumerate(candidates):
+            if cid in seen:
                 raise ValueError(f"duplicate candidate id {cid}")
+            seen.add(cid)
             tf: Dict[int, int] = {}
             for token in tokens:
                 tf[token] = tf.get(token, 0) + 1
-            self.doc_lengths[cid] = len(tokens)
             for token, count in tf.items():
-                self.postings.setdefault(token, []).append((cid, count))
-        self.N = len(self.doc_lengths)
-        self.avg_doc_length = sum(self.doc_lengths.values()) / self.N
-        self.df: Dict[int, int] = {t: len(plist) for t, plist in self.postings.items()}
-        self._tf_maps: Dict[int, Dict[int, int]] = {
-            t: dict(plist) for t, plist in self.postings.items()
+                positions.setdefault(token, []).append(pos)
+                counts.setdefault(token, []).append(count)
+        self.ids = np.array([cid for cid, _ in candidates], dtype=np.int64)
+        self.doc_lengths = np.array([len(tokens) for _, tokens in candidates], dtype=np.int64)
+        self.N = len(candidates)
+        self.avg_doc_length = int(self.doc_lengths.sum()) / self.N
+        self.postings: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
+            t: (np.array(positions[t], dtype=np.int64), np.array(counts[t], dtype=np.int64))
+            for t in positions
         }
-
-    def idf(self, token: int) -> float:
-        df = self.df.get(token, 0)
-        return math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
 
 
 def _query_terms(query_tokens) -> List[int]:
@@ -164,67 +158,26 @@ def _query_terms(query_tokens) -> List[int]:
     return sorted(set(ids))
 
 
-def bm25_score(query_tokens, candidate_id: int, index: InvertedIndex, p: BM25Params) -> float:
-    """Okapi BM25 with the +1 idf variant; query terms are deduplicated."""
-    length_norm = p.k1 * (
-        1.0 - p.b + p.b * index.doc_lengths[candidate_id] / index.avg_doc_length
-    )
-    total = 0.0
-    for token in _query_terms(query_tokens):
-        tf = index._tf_maps.get(token, {}).get(candidate_id, 0)
-        if tf == 0:
-            continue
-        total += index.idf(token) * tf * (p.k1 + 1.0) / (tf + length_norm)
-    return total
-
-
 def bm25_topk(index: InvertedIndex, query_tokens, k: int, p: BM25Params) -> RankedList:
-    """Score via the postings of the query's tokens only; identical result to
-    exhaustively scoring every document."""
+    """Okapi BM25 with the +1 idf variant; query terms are deduplicated.
+
+    Each term's postings add into one score vector over the pool, in
+    ascending token order. A candidate no term touches scores 0.0, below
+    every touched one (idf > 0 and tf >= 1), so it ranks by ascending id.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    accum: Dict[int, float] = {}
+    scores = np.zeros(index.N)
     for token in _query_terms(query_tokens):
-        plist = index.postings.get(token)
-        if not plist:
+        if token not in index.postings:
             continue
-        idf = index.idf(token)
-        for cid, tf in plist:
-            norm = p.k1 * (1.0 - p.b + p.b * index.doc_lengths[cid] / index.avg_doc_length)
-            accum[cid] = accum.get(cid, 0.0) + idf * tf * (p.k1 + 1.0) / (tf + norm)
-    scored = sorted(accum.items(), key=lambda item: (-item[1], item[0]))
-    ids = [cid for cid, _ in scored[:k]]
-    scores = [s for _, s in scored[:k]]
-    if len(ids) < k:
-        # Fill with zero-score docs the accumulator never touched, by id.
-        for cid in sorted(c for c in index.doc_lengths if c not in accum):
-            if len(ids) >= k:
-                break
-            ids.append(cid)
-            scores.append(0.0)
-    return RankedList(ids=ids, scores=scores, exhausted=k > index.N)
-
-
-def save_dense_index(prefix: str, index: DenseIndex) -> None:
-    tensors = {
-        "embeddings": index.embeddings,
-        "candidate_ids": np.asarray(index.candidate_ids, dtype=np.int64),
-    }
-    meta = {
-        "format": DENSE_INDEX_FORMAT,
-        "n": len(index.candidate_ids),
-        "k": int(index.embeddings.shape[1]),
-        "fingerprint": index.fingerprint,
-    }
-    util.save_tensors(prefix, tensors, meta)
-
-
-def load_dense_index(prefix: str) -> DenseIndex:
-    tensors, meta = util.load_tensors(prefix)
-    if meta.get("format") != DENSE_INDEX_FORMAT:
-        raise ValueError(f"not a dense index: {prefix}")
-    return DenseIndex(
-        candidate_ids=[int(i) for i in tensors["candidate_ids"]],
-        embeddings=tensors["embeddings"],
-        fingerprint=meta.get("fingerprint", ""),
+        pos, tf = index.postings[token]
+        idf = math.log(1.0 + (index.N - len(pos) + 0.5) / (len(pos) + 0.5))
+        norm = p.k1 * (1.0 - p.b + p.b * index.doc_lengths[pos] / index.avg_doc_length)
+        scores[pos] += idf * tf * (p.k1 + 1.0) / (tf + norm)
+    top_ids, top_scores = _rank_with_ties(index.ids, scores, k)
+    return RankedList(
+        ids=[int(i) for i in top_ids],
+        scores=[float(s) for s in top_scores],
+        exhausted=k > index.N,
     )

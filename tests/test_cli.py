@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from twotower import util
+from twotower import cli, util
 from twotower.encoders import load_checkpoint
 from twotower.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cmd_dispatch, render_report
 
@@ -38,8 +38,14 @@ class TestDispatch:
         assert run("eval", "--no-such-flag") == EXIT_USAGE
         assert "usage" in capsys.readouterr().err.lower()
 
-    def test_unknown_command_is_usage_error(self):
+    def test_unknown_command_is_usage_error(self, capsys):
         assert run("frobnicate") == EXIT_USAGE
+        assert run("index", "--help") == EXIT_USAGE  # deleted: its file was read by nothing
+        assert "invalid choice: 'index'" in capsys.readouterr().err
+
+    def test_docstring_lists_every_command(self):
+        listed = cli.__doc__.split(":", 1)[1].split(".", 1)[0]
+        assert [name.strip() for name in listed.split(",")] == list(cli._COMMANDS)
 
     def test_no_command_prints_usage(self, capsys):
         assert run() == EXIT_USAGE
@@ -52,7 +58,6 @@ class TestDispatch:
         ("eval", "--doc-max-len", "40"),
         ("ingest", "--seed", "3"),  # commands that draw no random numbers
         ("vocab", "--seed", "3"),
-        ("index", "--seed", "3"),
         ("report", "--seed", "3"),
         ("vocab", "--threads", "2"),  # read by nothing
         ("vocab", "--deterministic", None),
@@ -181,6 +186,10 @@ class TestTrainEvalCommands:
             "--ckpt", ckpt, "--out", tuned, "--ratio", "60/40",
             "--steps", "4", "--batch", "4", "--eval-every", "2", "--seed", "5",
         ) == EXIT_OK
+        record = json.loads(open(tmp_path / "manifests.jsonl").readline())
+        assert record["command"] == "finetune"
+        assert record["inputs"][ckpt + ".json"] == util.sha256_file(ckpt + ".json")
+        assert record["inputs"][ckpt + ".bin"] == util.sha256_file(ckpt + ".bin")
         report = str(tmp_path / "report.json")
         assert run(
             "eval", "--corpus", corpus, "--vocab", vocab, "--qa", qa,
@@ -190,19 +199,31 @@ class TestTrainEvalCommands:
         recalls = [payload["recalls"][k] for k in ("1", "5", "10", "50", "100")]
         assert recalls == sorted(recalls)
 
-    def test_index_command(self, workdir, trained, tmp_path):
-        root, corpus, qa, vocab = workdir
-        _, ckpt = trained
-        index = str(tmp_path / "dense")
+    @pytest.mark.parametrize("flags, message", [
+        (["--arch", "nope"], "unknown arch"),
+        (["--hidden-dim", "10", "--heads", "4"], "divisible by num_heads"),
+    ])
+    def test_pretrain_bad_encoder_setting_rejected_before_loading(self, tmp_path, flags, message, capsys):
+        # The corpus does not exist: loading it first would be a runtime error.
+        missing = str(tmp_path / "missing.jsonl")
         assert run(
-            "index", "--corpus", corpus, "--vocab", vocab, "--qa", qa,
-            "--ckpt", ckpt, "--out", index,
-        ) == EXIT_OK
-        from twotower.retrieval import load_dense_index
+            "pretrain", "--corpus", missing, "--vocab", missing, "--out", str(tmp_path / "m"), *flags,
+        ) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
-        loaded = load_dense_index(index)
-        assert loaded.embeddings.shape[0] == len(loaded.candidate_ids)
-        assert loaded.fingerprint
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value)
+        for command in ("eval", "bm25-eval")
+        for flag, value in [("--k", "0"), ("--k", "x"), ("--k", "5,,10"), ("--ratio", "60/50")]
+    ] + [("finetune", "--ratio", "60/50"), ("finetune", "--ratio", "60-40")])
+    def test_bad_k_or_ratio_rejected_before_loading(self, tmp_path, command, flag, value, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        argv = [command, "--corpus", missing, "--vocab", missing, "--qa", missing,
+                "--out", str(tmp_path / "out"), flag, value]
+        if command != "bm25-eval":
+            argv += ["--ckpt", missing]
+        assert run(*argv) == EXIT_USAGE
+        assert f"{flag} {value!r}" in capsys.readouterr().err
 
     def test_pretrain_tasks_none_rejected_before_work(self, workdir, tmp_path, capsys):
         _, corpus, _, vocab = workdir
@@ -240,7 +261,6 @@ class TestTrainEvalCommands:
             "--seed", "5",
         ) == EXIT_OK
         assert util.load_json(report)["n_queries"] > 0
-        assert run("index", *data, "--qa", qa, "--ckpt", tuned, "--out", str(tmp_path / "idx")) == EXIT_OK
 
     def test_bm25_eval(self, workdir, tmp_path):
         root, corpus, qa, vocab = workdir
@@ -291,11 +311,23 @@ class TestExperimentCommand:
             b = open(os.path.join(outs[1], filename), "rb").read()
             assert a == b
 
-    @pytest.mark.parametrize("grid", [
-        {"tasks": ["ict+bfs+wlp", "ict+nope"]},
-        {"encoders": ["transformer", "nope"]},
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param(grid, message, id=f"grid{i}") for i, (grid, message) in enumerate([
+            ({"tasks": ["ict+bfs+wlp", "ict+nope"]}, "nope"),
+            ({"encoders": ["transformer", "nope"]}, "nope"),
+            ({"seeds": [], "augment_limit": 5}, "seeds"),
+            ({"seeds": []}, "seeds"),
+            ({"ratios": []}, "ratios"),
+            ({"ratios": [[60, 50]]}, "split ratio"),
+            ({"ratios": [[100, 0]]}, "split ratio"),
+            ({"ratios": [[60, 30, 10]]}, "split ratio"),
+            ({"ks": []}, "ks"),
+            ({"ks": [0, 10]}, "ks"),
+            ({"tasks": [], "include_bm25": False}, "no cell"),
+            ({"encoders": ["bow_mlp"], "tasks": ["mlm"], "include_bm25": False}, "no cell"),
+        ])
     ])
-    def test_bad_grid_rejected_before_work(self, workdir, tmp_path, grid, capsys):
+    def test_bad_grid_rejected_before_work(self, workdir, tmp_path, grid, message, capsys):
         _, corpus, qa, _ = workdir
         cfg_path = str(tmp_path / "grid.json")
         util.dump_json(cfg_path, grid)
@@ -303,7 +335,7 @@ class TestExperimentCommand:
         assert run(
             "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", str(out_dir),
         ) == EXIT_USAGE
-        assert "nope" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_report_rendering(self, workdir, tmp_path, capsys):

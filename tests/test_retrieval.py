@@ -12,13 +12,10 @@ from twotower.retrieval import (
     BM25Params,
     DenseIndex,
     InvertedIndex,
-    bm25_score,
     bm25_topk,
     build_dense_index,
     dense_topk,
-    load_dense_index,
     rank_dense,
-    save_dense_index,
 )
 from twotower.util import subrng
 
@@ -27,6 +24,24 @@ def full_sort_oracle(ids, scores, k):
     """Naive oracle: score everything, stable sort by (-score, id)."""
     order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     return [ids[i] for i in order[:k]]
+
+
+def bm25_score(query_tokens, candidate_id, docs, p):
+    """Oracle: Okapi BM25 with the +1 idf variant and deduplicated query
+    terms, computed from the raw (id, tokens) list, one candidate at a time."""
+    n = len(docs)
+    avg_doc_length = sum(len(tokens) for _, tokens in docs) / n
+    doc = dict(docs)[candidate_id]
+    total = 0.0
+    for token in sorted(set(query_tokens.ids)):
+        tf = doc.count(token)
+        if tf == 0:
+            continue
+        length_norm = p.k1 * (1.0 - p.b + p.b * len(doc) / avg_doc_length)
+        df = sum(1 for _, tokens in docs if token in tokens)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        total += idf * tf * (p.k1 + 1.0) / (tf + length_norm)
+    return total
 
 
 class TestDenseTopk:
@@ -168,34 +183,27 @@ class TestBuildDenseIndex:
         expected = encode(model.doc, cfg, [TokenSeq(long_seq.ids[: cfg.doc_max_len])], "doc")
         np.testing.assert_allclose(index.embeddings, expected, atol=1e-12)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        cfg, model = self._setup()
-        index = build_dense_index(model, [0], [TokenSeq([2, 7])], fingerprint="abc")
-        save_dense_index(str(tmp_path / "idx"), index)
-        loaded = load_dense_index(str(tmp_path / "idx"))
-        assert loaded.candidate_ids == index.candidate_ids
-        assert loaded.fingerprint == "abc"
-        np.testing.assert_array_equal(loaded.embeddings, index.embeddings)
-
 
 class TestBM25:
     def test_hand_computed_two_doc_example(self):
         # d1 = "a b", d2 = "b b", query "a", k1=1.2, b=0.75:
         # idf(a) = ln(1 + (2 - 1 + 0.5)/(1 + 0.5)) = ln 2
         # score(d1) = ln2 * (1 * 2.2) / (1 + 1.2 * (1 - 0.75 + 0.75 * 2/2)) = ln 2
-        index = InvertedIndex([(0, [10, 11]), (1, [11, 11])])
-        got = bm25_score(TokenSeq([10]), 0, index, BM25Params())
-        assert got == pytest.approx(math.log(2.0), abs=1e-12)
+        docs = [(0, [10, 11]), (1, [11, 11])]
+        ranked = bm25_topk(InvertedIndex(docs), TokenSeq([10]), 1, BM25Params())
+        assert ranked.ids == [0]
+        assert ranked.scores[0] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert bm25_score(TokenSeq([10]), 0, docs, BM25Params()) == ranked.scores[0]
 
     def test_zero_overlap_scores_zero(self):
         index = InvertedIndex([(0, [10, 11]), (1, [11, 11])])
-        assert bm25_score(TokenSeq([99]), 0, index, BM25Params()) == 0.0
+        assert bm25_topk(index, TokenSeq([99]), 2, BM25Params()).scores == [0.0, 0.0]
 
     def test_query_terms_deduplicated(self):
         index = InvertedIndex([(0, [10, 11]), (1, [11, 11])])
         p = BM25Params()
-        single = bm25_score(TokenSeq([10]), 0, index, p)
-        repeated = bm25_score(TokenSeq([10, 10, 10]), 0, index, p)
+        single = bm25_topk(index, TokenSeq([10, 11]), 2, p)
+        repeated = bm25_topk(index, TokenSeq([11, 10, 10, 11, 10]), 2, p)
         assert single == repeated
 
     def test_non_negative_scores(self):
@@ -205,8 +213,7 @@ class TestBM25:
         p = BM25Params()
         for _ in range(40):
             query = TokenSeq([int(t) for t in rng.integers(5, 40, size=5)])
-            for cid, _ in docs:
-                assert bm25_score(query, cid, index, p) >= 0.0
+            assert all(s >= 0.0 for s in bm25_topk(index, query, len(docs), p).scores)
 
     def test_single_token_single_doc(self):
         docs = [(i, [20 + i]) for i in range(5)]
@@ -227,8 +234,30 @@ class TestBM25:
             query = TokenSeq([int(t) for t in rng.integers(5, 70, size=rng.integers(1, 6))])
             k = int(rng.integers(1, 30))
             ranked = bm25_topk(index, query, k, p)
-            scores = [bm25_score(query, cid, index, p) for cid, _ in docs]
+            scores = [bm25_score(query, cid, docs, p) for cid, _ in docs]
             assert ranked.ids == full_sort_oracle([cid for cid, _ in docs], scores, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_exhaustive_oracle_under_heavy_ties(self, data):
+        # A few distinct docs repeated many times over a 5-token vocabulary:
+        # most scores tie, many at zero.
+        distinct = data.draw(
+            st.lists(st.lists(st.integers(0, 4), max_size=6), min_size=1, max_size=4)
+        )
+        n = data.draw(st.integers(1, 40))
+        ids = data.draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True))
+        docs = [(cid, data.draw(st.sampled_from(distinct))) for cid in ids]
+        query = TokenSeq(data.draw(st.lists(st.integers(0, 5), max_size=6)))
+        k = data.draw(st.integers(1, n + 3))
+        p = BM25Params(k1=data.draw(st.sampled_from([0.0, 1.2, 2.0])),
+                       b=data.draw(st.sampled_from([0.0, 0.75, 1.0])))
+        ranked = bm25_topk(InvertedIndex(docs), query, k, p)
+        scores = [bm25_score(query, cid, docs, p) for cid in ids]
+        order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
+        assert ranked.ids == [ids[i] for i in order]
+        assert ranked.scores == [scores[i] for i in order]
+        assert ranked.exhausted == (k > n)
 
     def test_empty_query_fills_by_id(self):
         index = InvertedIndex([(3, [10]), (1, [11]), (2, [12])])
@@ -243,15 +272,21 @@ class TestBM25:
         assert ranked.exhausted
 
     def test_invariants_of_index(self):
-        docs = [(0, [10, 11, 10]), (1, [11])]
+        docs = [(5, [10, 11, 10]), (2, [11]), (7, [])]
         index = InvertedIndex(docs)
-        assert index.doc_lengths == {0: 3, 1: 1}
-        assert index.avg_doc_length == 2.0
-        assert index.df == {10: 1, 11: 2}
-        for token, plist in index.postings.items():
-            assert index.df[token] == len(plist)
-        for cid, tokens in docs:
-            assert sum(tf for t, plist in index.postings.items() for c, tf in plist if c == cid) == len(tokens)
+        assert index.ids.tolist() == [5, 2, 7]
+        assert index.doc_lengths.tolist() == [3, 1, 0]
+        assert index.avg_doc_length == 4 / 3
+        assert {t: (pos.tolist(), tf.tolist()) for t, (pos, tf) in index.postings.items()} == {
+            10: ([0], [2]),
+            11: ([0, 1], [1, 1]),
+        }
+        for position, (_, tokens) in enumerate(docs):
+            assert sum(int(tf[pos == position].sum()) for pos, tf in index.postings.values()) == len(tokens)
+
+    def test_duplicate_candidate_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate candidate id 3"):
+            InvertedIndex([(3, [10]), (1, [11]), (3, [12])])
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
