@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -325,6 +325,8 @@ class ExperimentConfig:
             parse_task_spec(task)
         for arch in self.encoders:
             self.encoder_config(arch, NUM_SPECIALS)
+        self.pretrain_config(self.seeds[0])
+        self.finetune_config(self.seeds[0])
         if not self.include_bm25 and not any(
             _has_cell(arch, task) for arch in self.encoders for task in self.tasks
         ):
@@ -342,6 +344,26 @@ class ExperimentConfig:
             query_max_len=self.query_max_len,
             doc_max_len=self.doc_max_len,
             dtype=self.dtype,
+        )
+
+    def pretrain_config(self, seed: int) -> TrainRunConfig:
+        return TrainRunConfig(
+            batch_size=self.batch_size,
+            total_steps=self.pretrain_steps,
+            seed=seed,
+            lr_peak=self.pretrain_lr,
+            warmup_fraction=self.warmup_fraction,
+        )
+
+    def finetune_config(self, seed: int) -> TrainRunConfig:
+        return TrainRunConfig(
+            batch_size=self.batch_size,
+            total_steps=self.finetune_steps,
+            seed=seed,
+            lr_peak=self.finetune_lr,
+            warmup_fraction=self.warmup_fraction,
+            eval_every=self.eval_every,
+            patience=self.patience,
         )
 
 
@@ -421,10 +443,14 @@ def finetune_model(
     metrics_out=None,
 ) -> Tuple[TwoTower, List[dict]]:
     """Fine-tune on the split's training questions, selecting the checkpoint
-    by validation recall over the candidates; returns (model, history)."""
+    by validation recall over the candidates; returns (model, history).
+
+    The batch is at most the number of training questions (and at least 2):
+    a larger one would hold some pairs twice."""
+    batch_size = min(train_cfg.batch_size, max(2, len(split.train)))
     return finetune(
         model,
-        train_cfg,
+        replace(train_cfg, batch_size=batch_size),
         finetune_pairs(split.train, candidates),
         [ex.question_tokens for ex in split.validation],
         [ex.gold_id for ex in split.validation],
@@ -523,26 +549,10 @@ def run_experiment(
                     continue
                 if task != TASK_NONE:
                     log(f"pretrain[{seed}] {arch}/{task}: {cfg.pretrain_steps} steps")
-                train_cfg = TrainRunConfig(
-                    batch_size=cfg.batch_size,
-                    total_steps=cfg.pretrain_steps,
-                    seed=seed,
-                    lr_peak=cfg.pretrain_lr,
-                    warmup_fraction=cfg.warmup_fraction,
-                )
-                pretrained = pretrain_model(task, enc_cfg, train_cfg, store)
+                pretrained = pretrain_model(task, enc_cfg, cfg.pretrain_config(seed), store)
                 for split in splits:
                     log(f"finetune[{seed}] {arch}/{task} @ {split.ratio_label}")
-                    ft_cfg = TrainRunConfig(
-                        batch_size=min(cfg.batch_size, max(2, len(split.train))),
-                        total_steps=cfg.finetune_steps,
-                        seed=seed,
-                        lr_peak=cfg.finetune_lr,
-                        warmup_fraction=cfg.warmup_fraction,
-                        eval_every=cfg.eval_every,
-                        patience=cfg.patience,
-                    )
-                    best, _ = finetune_model(pretrained, ft_cfg, split, candidates)
+                    best, _ = finetune_model(pretrained, cfg.finetune_config(seed), split, candidates)
                     add_cells(split, arch, task, seed, best)
         if cfg.include_bm25:
             for split in splits:

@@ -3,16 +3,16 @@ eval, bm25-eval, experiment, report.
 
 Each command declares its options once, in `_COMMANDS`, as name -> default; a
 default of None marks a required path. Option values resolve as CLI flag >
-TWOTOWER_<NAME> env var > --config JSON > default. The --config file is read
-once, and a key in it that the command does not declare is a usage error
-(`experiment` also takes the `ExperimentConfig` fields there). `pretrain`
-writes the model, one `TwoTower` value, as a checkpoint; `finetune` and
-`eval` read one and take every encoder setting from it, the max lengths
-included. Every option is checked before any input is read: a bad value is a
-usage error. `pretrain`, `finetune`, `eval` and `bm25-eval` run the stage
-functions of `benchmark` (`pretrain_model`, `finetune_model`,
-`with_distractors`, `evaluate_system`) that `experiment` runs for each cell
-of its grid. Every run appends one manifest record (resolved config,
+TWOTOWER_<NAME> env var > --config JSON > default, and each must have the type
+of its default. The --config file is read once, and a key in it that the
+command does not declare is a usage error (`experiment` also takes the
+`ExperimentConfig` fields there). `pretrain` writes the model, one `TwoTower`
+value, as a checkpoint; `finetune` and `eval` read one and take every encoder
+setting from it, the max lengths included. Every option is checked before
+any input is read: a bad value is a usage error. `pretrain`, `finetune`,
+`eval` and `bm25-eval` run the stage functions of `benchmark`
+(`pretrain_model`, `finetune_model`, `with_distractors`, `evaluate_system`)
+that `experiment` runs for each cell of its grid. Every run appends one manifest record (resolved config,
 input/output hashes, timing) to manifests.jsonl beside its primary output.
 Progress goes to stderr; machine-readable results go to files or stdout.
 """
@@ -54,14 +54,27 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _coerce(value: str, default):
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
+_ENV_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
+def _typed(name: str, value, default, env: bool):
+    """An env var's text or a --config JSON value as the type of the option's
+    default (a string for a required path). Env text is parsed, booleans from
+    1/0/true/false/yes/no/on/off; a --config value must already have the type,
+    an integer passing for a float. Anything else is a usage error."""
+    kind = str if default is None else type(default)
+    if env:
+        try:
+            return _ENV_BOOLS[value.lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
+            pass
+    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    elif kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    return value
+    source = ENV_PREFIX + name.replace("-", "_").upper() if env else f"--config key {name!r}"
+    raise UsageError(f"{source}: expected {kind.__name__}, got {value!r}")
 
 
 def _load_config(path: Optional[str], allowed: Iterable[str]) -> Dict[str, object]:
@@ -80,7 +93,8 @@ def _load_config(path: Optional[str], allowed: Iterable[str]) -> Dict[str, objec
 def resolve_options(
     args: argparse.Namespace, defaults: Dict[str, object], file_cfg: Dict[str, object]
 ) -> Dict[str, object]:
-    """Merge CLI flags over env vars over the --config file over defaults."""
+    """Merge CLI flags over env vars over the --config file over defaults,
+    each value checked against the type of its default."""
     resolved = {}
     for name, default in defaults.items():
         attr = name.replace("-", "_")
@@ -90,10 +104,10 @@ def resolve_options(
             continue
         env_value = os.environ.get(ENV_PREFIX + attr.upper())
         if env_value is not None:
-            resolved[name] = _coerce(env_value, default)
+            resolved[name] = _typed(name, env_value, default, env=True)
             continue
         if name in file_cfg:
-            resolved[name] = file_cfg[name]
+            resolved[name] = _typed(name, file_cfg[name], default, env=False)
             continue
         resolved[name] = default
     return resolved
@@ -196,15 +210,18 @@ def _ckpt_files(o: Dict[str, object]) -> List[str]:
 
 
 def _cmd_synth(args, o) -> int:
+    try:
+        cfg = synth.SynthConfig(
+            n_articles=int(o["articles"]),
+            n_topics=int(o["topics"]),
+            n_qa=int(o["qa-count"]),
+            seed=int(o["seed"]),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     outputs = [str(o["out"]), str(o["qa"])]
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
-    cfg = synth.SynthConfig(
-        n_articles=int(o["articles"]),
-        n_topics=int(o["topics"]),
-        n_qa=int(o["qa-count"]),
-        seed=int(o["seed"]),
-    )
     records, entries = synth.generate(cfg)
     util.atomic_write_text(outputs[0], synth.corpus_jsonl(records))
     buffer = io.StringIO()
@@ -279,6 +296,22 @@ def _cmd_gen_pairs(args, o) -> int:
     return EXIT_OK
 
 
+def _train_config(o: Dict[str, object], **fields) -> TrainRunConfig:
+    """The `TrainRunConfig` of --batch, --steps, --seed, --lr, --warmup and the
+    given fields; a value it rejects is a usage error."""
+    try:
+        return TrainRunConfig(
+            batch_size=int(o["batch"]),
+            total_steps=int(o["steps"]),
+            seed=int(o["seed"]),
+            lr_peak=float(o["lr"]),
+            warmup_fraction=float(o["warmup"]),
+            **fields,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _cmd_pretrain(args, o) -> int:
     _parse_tasks(o, accept=(benchmark.TASK_MLM,))
     # The vocabulary size is not known yet, so the smallest valid one stands in.
@@ -298,20 +331,13 @@ def _cmd_pretrain(args, o) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    train_cfg = _train_config(o, correction=str(o["correction"]))
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     store, vocab = _load_tokenized(o)
     enc_cfg = dataclasses.replace(enc_cfg, vocab_size=len(vocab))
-    train_cfg = TrainRunConfig(
-        batch_size=int(o["batch"]),
-        total_steps=int(o["steps"]),
-        seed=int(o["seed"]),
-        correction=str(o["correction"]),
-        lr_peak=float(o["lr"]),
-        warmup_fraction=float(o["warmup"]),
-    )
     task_spec = str(o["tasks"])
     with _metrics_file(o) as metrics_out:
         model = benchmark.pretrain_model(task_spec, enc_cfg, train_cfg, store, metrics_out)
@@ -325,6 +351,7 @@ def _cmd_pretrain(args, o) -> int:
 
 def _cmd_finetune(args, o) -> int:
     ratio = _parse_ratio(o)
+    train_cfg = _train_config(o, eval_every=int(o["eval-every"]), patience=int(o["patience"]))
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
@@ -335,17 +362,7 @@ def _cmd_finetune(args, o) -> int:
     _, examples, candidates, _ = _build_benchmark(
         o, store, vocab, cfg.query_max_len, cfg.doc_max_len
     )
-    seed = int(o["seed"])
-    split = benchmark.make_split(examples, ratio, seed)
-    train_cfg = TrainRunConfig(
-        batch_size=int(o["batch"]),
-        total_steps=int(o["steps"]),
-        seed=seed,
-        lr_peak=float(o["lr"]),
-        warmup_fraction=float(o["warmup"]),
-        eval_every=int(o["eval-every"]),
-        patience=int(o["patience"]),
-    )
+    split = benchmark.make_split(examples, ratio, train_cfg.seed)
     with _metrics_file(o) as metrics_out:
         best, history = benchmark.finetune_model(model, train_cfg, split, candidates, metrics_out)
     best_recall = max(h["val_recall"] for h in history if "val_recall" in h)

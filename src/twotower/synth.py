@@ -40,6 +40,14 @@ class SynthConfig:
     link_prob: float = 0.55
     answer_word_prob: float = 0.7
 
+    def __post_init__(self):
+        # Articles are dealt to topics round-robin, and links are drawn from
+        # the articles of neighbouring topics: every topic needs an article.
+        if not 1 <= self.n_topics <= self.n_articles:
+            raise ValueError(
+                f"need 1 <= topics <= articles, got {self.n_topics} topics and {self.n_articles} articles"
+            )
+
 
 def _make_word(rng: np.random.Generator, taken: set) -> str:
     while True:

@@ -1,5 +1,11 @@
 """Training: in-batch sampled softmax, Adam with warmup + linear decay,
-and the pre-training / fine-tuning loops."""
+and the pre-training / fine-tuning loops.
+
+`_train_steps` is the one step loop: `pretrain`, `finetune` and
+`mlm_pretrain` give it their batches and a step function, which returns a
+batch's loss and both towers' gradients. `_softmax_xent` is the one softmax
+cross-entropy, under the in-batch loss and the masked-token head alike.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +34,11 @@ from .util import subrng
 CORRECTION_NONE = "none"
 CORRECTION_LOG_FREQUENCY = "log_frequency"
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+MASK_RATE = 0.15
+
 
 @dataclass
 class LossOutput:
@@ -47,14 +58,20 @@ class TrainRunConfig:
     patience: int = 5
     lr_peak: float = 1e-3
     warmup_fraction: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    mask_rate: float = 0.15
 
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (at least one in-batch negative)")
+        if self.total_steps < 0:
+            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if not self.lr_peak > 0:
+            raise ValueError(f"lr_peak must be > 0, got {self.lr_peak}")
+        if not 0 <= self.warmup_fraction <= 1:
+            raise ValueError(f"warmup_fraction must be in [0, 1], got {self.warmup_fraction}")
         if self.correction not in (CORRECTION_NONE, CORRECTION_LOG_FREQUENCY):
             raise ValueError(f"unknown correction mode: {self.correction!r}")
 
@@ -79,20 +96,30 @@ def in_batch_softmax_loss(
         if c.shape != (batch,):
             raise ValueError(f"correction must have shape ({batch},)")
         logits = logits - c[None, :]
-    peak = logits.max(axis=1, keepdims=True)
-    expd = np.exp(logits - peak)
-    denom = expd.sum(axis=1, keepdims=True)
-    probs = expd / denom
-    lse = peak[:, 0] + np.log(denom[:, 0])
-    loss = float(np.mean(lse - np.diag(logits)))
-    grad_logits = (probs - np.eye(batch, dtype=probs.dtype)) / batch
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == np.arange(batch)))
+    loss, accuracy, grad_logits = _softmax_xent(logits, np.arange(batch))
     return LossOutput(
         loss=loss,
         grad_q=grad_logits @ d,
         grad_d=grad_logits.T @ q,
         in_batch_accuracy=accuracy,
     )
+
+
+def _softmax_xent(logits: np.ndarray, targets: np.ndarray) -> Tuple[float, float, np.ndarray]:
+    """(mean NLL of each row's target column under the row softmax, fraction
+    of rows whose argmax is the target, gradient of the loss w.r.t. logits)."""
+    n = logits.shape[0]
+    rows = np.arange(n)
+    peak = logits.max(axis=1, keepdims=True)
+    expd = np.exp(logits - peak)
+    denom = expd.sum(axis=1, keepdims=True)
+    dlogits = expd / denom
+    lse = peak[:, 0] + np.log(denom[:, 0])
+    loss = float(np.mean(lse - logits[rows, targets]))
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == targets))
+    dlogits[rows, targets] -= 1.0
+    dlogits /= n
+    return loss, accuracy, dlogits
 
 
 def full_softmax_loss(q_emb: np.ndarray, all_d_embs: np.ndarray, gold: int) -> float:
@@ -111,12 +138,7 @@ class OptimizerState:
     step: int
     m: Params
     v: Params
-    lr_peak: float
-    warmup_fraction: float
-    total_steps: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    cfg: TrainRunConfig
 
     @classmethod
     def for_params(cls, params: Params, cfg: TrainRunConfig) -> "OptimizerState":
@@ -124,24 +146,20 @@ class OptimizerState:
             step=0,
             m={k: np.zeros_like(a) for k, a in params.items()},
             v={k: np.zeros_like(a) for k, a in params.items()},
-            lr_peak=cfg.lr_peak,
-            warmup_fraction=cfg.warmup_fraction,
-            total_steps=cfg.total_steps,
-            beta1=cfg.adam_beta1,
-            beta2=cfg.adam_beta2,
-            epsilon=cfg.adam_epsilon,
+            cfg=cfg,
         )
 
     def learning_rate(self, step: Optional[int] = None) -> float:
         """Piecewise-linear schedule: 0 -> lr_peak over the warmup window,
         then linear decay to 0 at total_steps."""
         t = self.step if step is None else step
-        warm = self.warmup_fraction * self.total_steps
+        lr_peak, total = self.cfg.lr_peak, self.cfg.total_steps
+        warm = self.cfg.warmup_fraction * total
         if t <= warm:
-            return self.lr_peak * (t / warm) if warm > 0 else self.lr_peak
-        if t >= self.total_steps:
+            return lr_peak * (t / warm) if warm > 0 else lr_peak
+        if t >= total:
             return 0.0
-        return self.lr_peak * (self.total_steps - t) / (self.total_steps - warm)
+        return lr_peak * (total - t) / (total - warm)
 
 
 def adam_step(params: Params, grads: Params, state: OptimizerState) -> Tuple[Params, OptimizerState]:
@@ -149,7 +167,7 @@ def adam_step(params: Params, grads: Params, state: OptimizerState) -> Tuple[Par
     state.step += 1
     t = state.step
     lr = state.learning_rate(t)
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for name, grad in grads.items():
@@ -162,7 +180,7 @@ def adam_step(params: Params, grads: Params, state: OptimizerState) -> Tuple[Par
         v *= b2
         v += (1.0 - b2) * grad * grad
         if lr != 0.0:
-            update = (m / bias1) / (np.sqrt(v / bias2) + state.epsilon)
+            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
             params[name] -= lr * update
     return params, state
 
@@ -181,41 +199,63 @@ class _FrequencyCorrection:
         return np.array([math.log(self.counts[k] / self.total) for k in keys])
 
 
-def _emit(metrics_out, record: dict) -> None:
+def _emit(metrics_out, record: dict) -> dict:
     if metrics_out is not None:
         metrics_out.write(json.dumps(record) + "\n")
+    return record
 
 
-def _contrastive_steps(
-    model: TwoTower,
-    state: OptimizerState,
-    batches: Iterable[Sequence[PretrainPair]],
-    correction: Optional[_FrequencyCorrection] = None,
+def _batches(stream: Iterable, cfg: TrainRunConfig) -> Iterator[list]:
+    """cfg.total_steps lists of cfg.batch_size consecutive stream items."""
+    stream = iter(stream)
+    for step in range(1, cfg.total_steps + 1):
+        batch = list(itertools.islice(stream, cfg.batch_size))
+        if len(batch) < cfg.batch_size:
+            raise ValueError(f"pair stream exhausted at step {step}")
+        yield batch
+
+
+def _train_steps(
+    model: TwoTower, state: OptimizerState, batches: Iterable, step: Callable
 ) -> Iterator[dict]:
-    """For each batch of positive pairs, encode both sides, take the in-batch
-    softmax loss, apply one Adam update to both towers and yield the step record.
+    """The one training loop: for each batch, `step(batch)` returns (loss,
+    accuracy, query-tower grads, doc-tower grads); check that the loss is
+    finite, apply one Adam update to both towers and yield the step record.
 
-    A generator, so that one step's activations stay referenced until the next
-    step has allocated its own, as in a plain loop. Releasing them all at the
-    end of each step let glibc's malloc return the memory to the OS and fault
-    it in again, which made pretrain steps 10-20% slower (2-core x86 host).
+    A generator, so that `finetune` can validate between steps and stop early;
+    like a plain loop, it keeps one step's gradients referenced until the next
+    step has allocated its own (see `_contrastive_step`).
     """
     for batch in batches:
-        q_embs, q_cache = model.encode_queries_with_cache([p.query for p in batch])
-        d_embs, d_cache = model.encode_docs_with_cache([p.doc for p in batch])
+        loss, acc, grads_q, grads_d = step(batch)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite loss at step {state.step + 1}")
+        adam_step(model.params(), model.merge_grads(grads_q, grads_d), state)
+        yield {"step": state.step, "loss": loss, "acc": acc, "lr": state.learning_rate()}
+
+
+def _contrastive_step(model: TwoTower, correction: Optional[_FrequencyCorrection] = None) -> Callable:
+    """The step function of a batch of positive pairs: encode both sides, take
+    the in-batch softmax loss and backpropagate it through both towers.
+
+    Each side's activations stay referenced until the next step has computed
+    its own, as in a plain loop. Releasing them all at the end of each step let
+    glibc's malloc return the memory to the OS and fault it in again, which
+    made pretrain steps 10-20% slower (2-core x86 host); holding them through
+    the next step's backward too raised peak RSS by 11%.
+    """
+    caches = [None, None]  # the query and doc activations of the latest step
+
+    def step(batch: Sequence[PretrainPair]):
+        q_embs, caches[0] = model.encode_queries_with_cache([p.query for p in batch])
+        d_embs, caches[1] = model.encode_docs_with_cache([p.doc for p in batch])
         c = correction.update_and_get([p.source for p in batch]) if correction else None
         out = in_batch_softmax_loss(q_embs, d_embs, c)
-        if not np.isfinite(out.loss):
-            raise RuntimeError(f"non-finite loss at step {state.step + 1}")
-        grads_q = backward_from_cache(model.query, model.config, q_cache, out.grad_q)
-        grads_d = backward_from_cache(model.doc, model.config, d_cache, out.grad_d)
-        adam_step(model.params(), model.merge_grads(grads_q, grads_d), state)
-        yield {
-            "step": state.step,
-            "loss": out.loss,
-            "acc": out.in_batch_accuracy,
-            "lr": state.learning_rate(),
-        }
+        grads_q = backward_from_cache(model.query, model.config, caches[0], out.grad_q)
+        grads_d = backward_from_cache(model.doc, model.config, caches[1], out.grad_d)
+        return out.loss, out.in_batch_accuracy, grads_q, grads_d
+
+    return step
 
 
 def pretrain(
@@ -231,21 +271,10 @@ def pretrain(
     """
     model = TwoTower.init(enc_cfg, train_cfg.seed)
     state = OptimizerState.for_params(model.params(), train_cfg)
-    stream = iter(pair_stream)
-
-    def batches() -> Iterator[List[PretrainPair]]:
-        for step in range(1, train_cfg.total_steps + 1):
-            batch = list(itertools.islice(stream, train_cfg.batch_size))
-            if len(batch) < train_cfg.batch_size:
-                raise ValueError(f"pair stream exhausted at step {step}")
-            yield batch
-
     correction = _FrequencyCorrection() if train_cfg.correction == CORRECTION_LOG_FREQUENCY else None
-    history: List[dict] = []
-    for record in _contrastive_steps(model, state, batches(), correction):
-        history.append(record)
-        _emit(metrics_out, record)
-    return model, history
+    step = _contrastive_step(model, correction)
+    steps = _train_steps(model, state, _batches(pair_stream, train_cfg), step)
+    return model, [_emit(metrics_out, record) for record in steps]
 
 
 def _mlm_step(
@@ -253,14 +282,13 @@ def _mlm_step(
     enc_cfg: EncoderConfig,
     batch: List[TokenSeq],
     rng: np.random.Generator,
-    mask_rate: float,
     role: str,
 ) -> Tuple[float, float, Params]:
     """One masked-token prediction step for a single tower.
 
     The vocabulary head ties the token embedding matrix plus a bias.
     """
-    examples = [gen_mlm(seq, rng, mask_rate, enc_cfg.vocab_size) for seq in batch]
+    examples = [gen_mlm(seq, rng, MASK_RATE, enc_cfg.vocab_size) for seq in batch]
     hidden, cache = hidden_states(params, enc_cfg, [e.input for e in examples], role)
     rows, cols, targets = [], [], []
     for i, example in enumerate(examples):
@@ -269,23 +297,11 @@ def _mlm_step(
             cols.append(pos)
             targets.append(original)
     if not targets:
-        zero = {k: np.zeros_like(a) for k, a in params.items()}
-        return 0.0, 0.0, zero
+        return 0.0, 0.0, {k: np.zeros_like(a) for k, a in params.items()}
     backing = hidden[rows, cols]
     emb = params["emb/token"]
     logits = backing @ emb.T + params["mlm/bias"]
-    peak = logits.max(axis=1, keepdims=True)
-    expd = np.exp(logits - peak)
-    denom = expd.sum(axis=1, keepdims=True)
-    probs = expd / denom
-    target_idx = np.array(targets)
-    n = len(targets)
-    lse = peak[:, 0] + np.log(denom[:, 0])
-    loss = float(np.mean(lse - logits[np.arange(n), target_idx]))
-    acc = float(np.mean(np.argmax(logits, axis=1) == target_idx))
-    dlogits = probs
-    dlogits[np.arange(n), target_idx] -= 1.0
-    dlogits /= n
+    loss, acc, dlogits = _softmax_xent(logits, np.array(targets))
     d_hidden = np.zeros_like(hidden)
     d_hidden[rows, cols] = dlogits @ emb
     grads = hidden_backward(params, enc_cfg, cache, d_hidden)
@@ -319,37 +335,29 @@ def mlm_pretrain(
     if not sentences:
         raise ValueError("corpus has no tokenized sentences")
     rng = subrng(train_cfg.seed, "mlm")
-    history: List[dict] = []
-    for step in range(1, train_cfg.total_steps + 1):
-        idx = rng.integers(len(sentences), size=train_cfg.batch_size)
-        q_batch = [
-            TokenSeq(sentences[i].token_ids[: enc_cfg.query_max_len]) for i in idx
-        ]
-        idx = rng.integers(len(passages), size=train_cfg.batch_size)
-        d_batch = []
-        for i in idx:
-            passage = passages[i]
-            body = [t for s in passage.sentences for t in s.token_ids]
-            title = store.title_token_ids.get(passage.article_id, [])
-            d_batch.append(make_doc_input(title, body, enc_cfg.doc_max_len))
-        loss_q, acc_q, grads_q = _mlm_step(
-            model.query, enc_cfg, q_batch, rng, train_cfg.mask_rate, q_role
-        )
-        loss_d, acc_d, grads_d = _mlm_step(
-            model.doc, enc_cfg, d_batch, rng, train_cfg.mask_rate, d_role
-        )
-        loss = 0.5 * (loss_q + loss_d)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at step {step}")
-        adam_step(model.params(), model.merge_grads(grads_q, grads_d), state)
-        record = {
-            "step": step,
-            "loss": loss,
-            "acc": 0.5 * (acc_q + acc_d),
-            "lr": state.learning_rate(),
-        }
-        history.append(record)
-        _emit(metrics_out, record)
+
+    # Each step draws from rng in this order: query indices, doc indices (for
+    # the batch), then query masks, doc masks (in the step).
+    def batches() -> Iterator[Tuple[List[TokenSeq], List[TokenSeq]]]:
+        for _ in range(train_cfg.total_steps):
+            idx = rng.integers(len(sentences), size=train_cfg.batch_size)
+            q_batch = [TokenSeq(sentences[i].token_ids[: enc_cfg.query_max_len]) for i in idx]
+            idx = rng.integers(len(passages), size=train_cfg.batch_size)
+            d_batch = []
+            for i in idx:
+                passage = passages[i]
+                body = [t for s in passage.sentences for t in s.token_ids]
+                title = store.title_token_ids.get(passage.article_id, [])
+                d_batch.append(make_doc_input(title, body, enc_cfg.doc_max_len))
+            yield q_batch, d_batch
+
+    def step(batch: Tuple[List[TokenSeq], List[TokenSeq]]):
+        q_batch, d_batch = batch
+        loss_q, acc_q, grads_q = _mlm_step(model.query, enc_cfg, q_batch, rng, q_role)
+        loss_d, acc_d, grads_d = _mlm_step(model.doc, enc_cfg, d_batch, rng, d_role)
+        return 0.5 * (loss_q + loss_d), 0.5 * (acc_q + acc_d), grads_q, grads_d
+
+    history = [_emit(metrics_out, record) for record in _train_steps(model, state, batches(), step)]
     for tower in (model.query, model.doc):
         tower.pop("mlm/bias", None)
     return model, history
@@ -391,24 +399,16 @@ def finetune(
     def evaluate() -> float:
         return recall_at_k(model, val_queries, val_gold_ids, candidates)
 
-    def batches() -> Iterator[List[PretrainPair]]:
-        order = rng.permutation(len(train_pairs))
-        cursor = 0
-        for _ in range(train_cfg.total_steps):
-            take: List[PretrainPair] = []
-            while len(take) < train_cfg.batch_size:
-                if cursor >= len(order):
-                    order = rng.permutation(len(train_pairs))
-                    cursor = 0
-                take.append(train_pairs[order[cursor]])
-                cursor += 1
-            yield take
+    def shuffled_pairs() -> Iterator[PretrainPair]:
+        while True:  # one fresh permutation per pass
+            yield from (train_pairs[i] for i in rng.permutation(len(train_pairs)))
 
     best_recall = evaluate()
     best = model.copy()
     stale = 0
     history: List[dict] = [{"step": 0, "loss": None, "acc": None, "val_recall": best_recall}]
-    for record in _contrastive_steps(model, state, batches()):
+    batches = _batches(shuffled_pairs(), train_cfg)
+    for record in _train_steps(model, state, batches, _contrastive_step(model)):
         step = record["step"]
         if step % train_cfg.eval_every == 0 or step == train_cfg.total_steps:
             recall = evaluate()
@@ -419,8 +419,7 @@ def finetune(
                 stale = 0
             else:
                 stale += 1
-        history.append(record)
-        _emit(metrics_out, record)
+        history.append(_emit(metrics_out, record))
         if stale > train_cfg.patience:
             break
     return best, history

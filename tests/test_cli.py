@@ -81,6 +81,45 @@ class TestDispatch:
         assert run(command, "--config", cfg_path) == EXIT_USAGE
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env, file_cfg, source", [
+        ({"TWOTOWER_SHARE_TOWERS": "nope"}, {}, "TWOTOWER_SHARE_TOWERS"),
+        ({"TWOTOWER_STEPS": "2.5"}, {}, "TWOTOWER_STEPS"),
+        ({"TWOTOWER_LR": "fast"}, {}, "TWOTOWER_LR"),
+        ({}, {"share-towers": "false"}, "'share-towers'"),
+        ({}, {"steps": "abc"}, "'steps'"),
+        ({}, {"steps": True}, "'steps'"),
+        ({}, {"steps": 2.0}, "'steps'"),
+        ({}, {"lr": "0.1"}, "'lr'"),
+        ({}, {"corpus": 5}, "'corpus'"),
+    ])
+    def test_mistyped_env_or_config_value_is_usage_error(
+        self, env, file_cfg, source, tmp_path, monkeypatch, capsys
+    ):
+        # The corpus does not exist: a value checked after loading would exit 2.
+        missing = str(tmp_path / "missing.jsonl")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cfg_path = str(tmp_path / "cfg.json")
+        util.dump_json(cfg_path, {"corpus": missing, "vocab": missing, **file_cfg})
+        assert run("pretrain", "--config", cfg_path, "--out", str(tmp_path / "m")) == EXIT_USAGE
+        assert source in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env, file_cfg, name, value", [
+        ({"TWOTOWER_SHARE_TOWERS": "Off"}, {"share-towers": True}, "share-towers", False),
+        ({"TWOTOWER_SHARE_TOWERS": "YES"}, {}, "share-towers", True),
+        ({}, {"share-towers": True}, "share-towers", True),
+        ({}, {"lr": 1}, "lr", 1.0),
+        ({"TWOTOWER_LR": "2e-3"}, {}, "lr", 2e-3),
+    ])
+    def test_env_and_config_values_take_the_type_of_the_default(
+        self, env, file_cfg, name, value, monkeypatch
+    ):
+        for var, text in env.items():
+            monkeypatch.setenv(var, text)
+        args = cli._build_parser().parse_args(["pretrain"])
+        resolved = cli.resolve_options(args, cli._options("pretrain"), file_cfg)
+        assert resolved[name] == value and type(resolved[name]) is type(value)
+
 
 class TestPipelineCommands:
     def test_ingest_roundtrip(self, workdir, tmp_path):
@@ -144,6 +183,15 @@ class TestPipelineCommands:
         assert run("gen-pairs", "--corpus", missing, "--vocab", missing,
                    "--out", str(tmp_path / "p.jsonl"), "--tasks", tasks) == EXIT_USAGE
         assert repr(tasks) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("articles, topics", [(60, 100), (5, 0)])
+    def test_synth_needs_an_article_per_topic(self, tmp_path, articles, topics, capsys):
+        out = tmp_path / "corpus.jsonl"
+        assert run("synth", "--out", str(out), "--qa", str(tmp_path / "qa.jsonl"),
+                   "--articles", str(articles), "--topics", str(topics)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{topics} topics" in err and f"{articles} articles" in err
+        assert not out.exists()
 
     def test_config_file_supplies_flags(self, workdir, tmp_path):
         _, corpus, _, _ = workdir
@@ -224,6 +272,26 @@ class TestTrainEvalCommands:
             argv += ["--ckpt", missing]
         assert run(*argv) == EXIT_USAGE
         assert f"{flag} {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("pretrain", "--batch", "1", "batch_size"),
+        ("pretrain", "--steps", "-1", "total_steps"),
+        ("pretrain", "--lr", "-1", "lr_peak"),
+        ("pretrain", "--warmup", "7", "warmup_fraction"),
+        ("finetune", "--batch", "1", "batch_size"),
+        ("finetune", "--eval-every", "0", "eval_every"),
+        ("finetune", "--patience", "-1", "patience"),
+        ("finetune", "--warmup", "-0.5", "warmup_fraction"),
+    ])
+    def test_bad_training_setting_rejected_before_loading(
+        self, tmp_path, command, flag, value, message, capsys
+    ):
+        missing = str(tmp_path / "missing.jsonl")
+        argv = [command, "--corpus", missing, "--vocab", missing, "--out", str(tmp_path / "m"), flag, value]
+        if command == "finetune":
+            argv += ["--qa", missing, "--ckpt", missing]
+        assert run(*argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_pretrain_tasks_none_rejected_before_work(self, workdir, tmp_path, capsys):
         _, corpus, _, vocab = workdir
@@ -325,6 +393,14 @@ class TestExperimentCommand:
             ({"ks": [0, 10]}, "ks"),
             ({"tasks": [], "include_bm25": False}, "no cell"),
             ({"encoders": ["bow_mlp"], "tasks": ["mlm"], "include_bm25": False}, "no cell"),
+            ({"batch_size": 1}, "batch_size"),
+            ({"pretrain_steps": -1}, "total_steps"),
+            ({"finetune_steps": -1}, "total_steps"),
+            ({"eval_every": 0}, "eval_every"),
+            ({"patience": -1}, "patience"),
+            ({"pretrain_lr": 0.0}, "lr_peak"),
+            ({"finetune_lr": -1e-3}, "lr_peak"),
+            ({"warmup_fraction": 1.5}, "warmup_fraction"),
         ])
     ])
     def test_bad_grid_rejected_before_work(self, workdir, tmp_path, grid, message, capsys):
@@ -360,13 +436,19 @@ class TestOnePipeline:
     def test_commands_reproduce_experiment_cells(self, workdir, tmp_path):
         # pretrain -> finetune -> eval and bm25-eval, given the experiment's
         # settings, give the recalls of the matching experiment cells, with and
-        # without distractors. The batch stays at most the training split's size,
-        # so the experiment's finetune batch clamp does not engage; seed and
-        # learning rate are ones for which fine-tuning keeps a later step.
+        # without distractors. The training split holds 32 questions, so batch
+        # 48 is cut to 32 in fine-tuning. Seeds and learning rate are ones for
+        # which fine-tuning keeps a later step.
+        for batch, seed in [(4, 3), (48, 8)]:
+            out = tmp_path / f"batch{batch}"
+            out.mkdir()
+            self._check_chain(workdir, out, batch, seed)
+
+    def _check_chain(self, workdir, tmp_path, batch, seed):
         _, corpus, qa, vocab = workdir
         grid = {
-            "ratios": [[60, 40]], "tasks": ["ict+bfs+wlp"], "seeds": [3], "augment_limit": 20,
-            "pretrain_steps": 3, "finetune_steps": 4, "finetune_lr": 3e-3, "batch_size": 4,
+            "ratios": [[60, 40]], "tasks": ["ict+bfs+wlp"], "seeds": [seed], "augment_limit": 20,
+            "pretrain_steps": 3, "finetune_steps": 4, "finetune_lr": 3e-3, "batch_size": batch,
             "eval_every": 2, "num_layers": 1, "hidden_dim": 16, "num_heads": 2, "ff_dim": 32,
             "emb_dim": 8, "vocab_max_size": 4096,
         }
@@ -382,16 +464,16 @@ class TestOnePipeline:
         }
         assert len(cells) == 4
 
-        data = ["--corpus", corpus, "--vocab", vocab, "--seed", "3"]
+        data = ["--corpus", corpus, "--vocab", vocab, "--seed", str(seed)]
         ckpt, tuned = str(tmp_path / "ckpt"), str(tmp_path / "tuned")
         assert run(
             "pretrain", *data, "--out", ckpt, "--tasks", "ict+bfs+wlp", "--steps", "3",
-            "--batch", "4", "--layers", "1", "--hidden-dim", "16", "--heads", "2",
+            "--batch", str(batch), "--layers", "1", "--hidden-dim", "16", "--heads", "2",
             "--ff-dim", "32", "--emb-dim", "8",
         ) == EXIT_OK
         assert run(
             "finetune", *data, "--qa", qa, "--ckpt", ckpt, "--out", tuned, "--ratio", "60/40",
-            "--steps", "4", "--lr", "0.003", "--batch", "4", "--eval-every", "2",
+            "--steps", "4", "--lr", "0.003", "--batch", str(batch), "--eval-every", "2",
         ) == EXIT_OK
         assert open(tuned + ".bin", "rb").read() != open(ckpt + ".bin", "rb").read()
         for augment in (0, 20):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from twotower.benchmark import build_reqa, finetune_pairs, make_split
-from twotower.corpus import TokenSeq
-from twotower.encoders import EncoderConfig, TwoTower, save_checkpoint
-from twotower.pairs import TaskMixture, sample_mixture
+from twotower.corpus import NUM_SPECIALS, TokenSeq
+from twotower.encoders import EncoderConfig, TwoTower, hidden_states, init_params, save_checkpoint
+from twotower.pairs import TaskMixture, gen_mlm, sample_mixture
 from twotower.training import (
+    MASK_RATE,
     OptimizerState,
     TrainRunConfig,
+    _mlm_step,
     adam_step,
     finetune,
     full_softmax_loss,
@@ -299,6 +301,54 @@ class TestMlmPretrain:
         a, b = run(), run()
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+
+class TestMlmStep:
+    def test_loss_and_gradients_match_oracles(self):
+        # float64 weights drawn at std 0.5, so that the gradients stand well
+        # above finite-difference round-off; each evaluation re-seeds the masking.
+        cfg = small_enc_config(
+            12, hidden_dim=8, num_heads=2, ff_dim=16, emb_dim=4, doc_max_len=8, dtype="float64"
+        )
+        rng = subrng(31)
+        params = {k: rng.normal(scale=0.5, size=a.shape) for k, a in init_params(cfg, rng).items()}
+        params["mlm/bias"] = rng.normal(scale=0.5, size=cfg.vocab_size)
+        batch = [TokenSeq(list(rng.integers(NUM_SPECIALS, cfg.vocab_size, size=n))) for n in (8, 6, 7)]
+
+        def mask_rng():
+            return subrng(32, "mask")
+
+        loss, _, grads = _mlm_step(params, cfg, batch, mask_rng(), "doc")
+
+        # The loss is the mean full-softmax NLL over the masked positions; the
+        # head's bias joins the logits as one more coordinate.
+        masking = mask_rng()
+        examples = [gen_mlm(seq, masking, MASK_RATE, cfg.vocab_size) for seq in batch]
+        hidden, _ = hidden_states(params, cfg, [e.input for e in examples], "doc")
+        head = np.hstack([params["emb/token"], params["mlm/bias"][:, None]])
+        nlls = [
+            full_softmax_loss(np.append(hidden[i, pos], 1.0), head, original)
+            for i, e in enumerate(examples)
+            for pos, original in e.labels
+        ]
+        assert len(nlls) >= 2
+        assert loss == pytest.approx(float(np.mean(nlls)), abs=1e-12)
+
+        eps = 1e-5
+        worst = 0.0
+        for name in ("emb/token", "mlm/bias", "layer0/ffn/w1"):
+            arr = params[name]
+            for idx in np.ndindex(arr.shape):
+                original = arr[idx]
+                arr[idx] = original + eps
+                f_plus = _mlm_step(params, cfg, batch, mask_rng(), "doc")[0]
+                arr[idx] = original - eps
+                f_minus = _mlm_step(params, cfg, batch, mask_rng(), "doc")[0]
+                arr[idx] = original
+                numeric = (f_plus - f_minus) / (2 * eps)
+                analytic = grads[name][idx]
+                worst = max(worst, abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-6))
+        assert worst < 1e-5
 
 
 @pytest.fixture(scope="module")
