@@ -1,14 +1,14 @@
-"""Command-line surface: synth, ingest, vocab, gen-pairs, pretrain, finetune,
-eval, bm25-eval, experiment, report.
+"""Command-line surface: synth, vocab, pretrain, finetune, eval, bm25-eval,
+experiment.
 
 Each command declares its options once, in `_COMMANDS`, as name -> default; a
 default of None marks a required path. Option values resolve as CLI flag >
 TWOTOWER_<NAME> env var > --config JSON > default, and each must have the type
 of its default. The --config file is read once, and a key in it that the
 command does not declare is a usage error (`experiment` also takes the
-`ExperimentConfig` fields there). `pretrain` writes the model, one `TwoTower`
-value, as a checkpoint; `finetune` and `eval` read one and take every encoder
-setting from it, the max lengths included. Every option is checked before
+`ExperimentConfig` fields there, each of the type of its default). `pretrain`
+writes the model, one `TwoTower` value, as a checkpoint; `finetune` and `eval`
+read one and take every encoder setting from it, the max lengths included. Every option is checked before
 any input is read: a bad value is a usage error. `pretrain`, `finetune`,
 `eval` and `bm25-eval` run the stage functions of `benchmark`
 (`pretrain_model`, `finetune_model`, `with_distractors`, `evaluate_system`)
@@ -29,8 +29,8 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import benchmark, pairs, retrieval, synth, util
-from .corpus import NUM_SPECIALS, Vocabulary, build_vocab, parse_corpus, serialize_corpus, tokenize_corpus
+from . import benchmark, retrieval, synth, util
+from .corpus import NUM_SPECIALS, Vocabulary, build_vocab, parse_corpus, tokenize_corpus
 from .encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from .training import TrainRunConfig
 
@@ -60,9 +60,10 @@ _ENV_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
 
 def _typed(name: str, value, default, env: bool):
     """An env var's text or a --config JSON value as the type of the option's
-    default (a string for a required path). Env text is parsed, booleans from
-    1/0/true/false/yes/no/on/off; a --config value must already have the type,
-    an integer passing for a float. Anything else is a usage error."""
+    or `ExperimentConfig` field's default (a string for a required path). Env
+    text is parsed, booleans from 1/0/true/false/yes/no/on/off; a --config
+    value must already have the type, an integer passing for a float. Anything
+    else is a usage error."""
     kind = str if default is None else type(default)
     if env:
         try:
@@ -145,8 +146,8 @@ def _read_lines(path: str) -> List[str]:
         return f.readlines()
 
 
-def _load_corpus(path: str, link_policy: str = "drop"):
-    return parse_corpus(_read_lines(path), link_policy)
+def _load_corpus(path: str):
+    return parse_corpus(_read_lines(path))
 
 
 def _load_tokenized(o: Dict[str, object]):
@@ -232,19 +233,6 @@ def _cmd_synth(args, o) -> int:
     return EXIT_OK
 
 
-def _cmd_ingest(args, o) -> int:
-    outputs = [str(o["out"])]
-    _check_outputs(outputs, bool(o["force"]))
-    start = time.time()
-    store = _load_corpus(str(o["corpus"]), str(o["link-policy"]))
-    buffer = io.StringIO()
-    serialize_corpus(store, buffer)
-    util.atomic_write_text(outputs[0], buffer.getvalue())
-    _log(f"ingested {len(store.articles)} articles, {len(store.passages)} passages")
-    _write_manifest("ingest", o, [str(o["corpus"])], outputs, time.time() - start)
-    return EXIT_OK
-
-
 def _cmd_vocab(args, o) -> int:
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
@@ -259,41 +247,13 @@ def _cmd_vocab(args, o) -> int:
     return EXIT_OK
 
 
-def _parse_tasks(o: Dict[str, object], accept: Sequence[str]):
-    """`benchmark.parse_task_spec` of --tasks; a spec it rejects is a usage error."""
+def _parse_tasks(o: Dict[str, object]):
+    """`benchmark.parse_task_spec` of --tasks, which takes mlm but not none; a
+    spec it rejects is a usage error."""
     try:
-        return benchmark.parse_task_spec(str(o["tasks"]), accept)
+        return benchmark.parse_task_spec(str(o["tasks"]), (benchmark.TASK_MLM,))
     except ValueError as exc:
         raise UsageError(f"--tasks: {exc}") from exc
-
-
-def _cmd_gen_pairs(args, o) -> int:
-    mixture = _parse_tasks(o, accept=())
-    outputs = [str(o["out"])] + ([str(o["stats"])] if o["stats"] else [])
-    _check_outputs(outputs, bool(o["force"]))
-    start = time.time()
-    store, _ = _load_tokenized(o)
-    seed = int(o["seed"])
-    generated = list(
-        pairs.sample_mixture(
-            store,
-            mixture,
-            int(o["n"]),
-            util.subrng(seed, "pairs"),
-            int(o["query-max-len"]),
-            int(o["doc-max-len"]),
-        )
-    )
-    buffer = io.StringIO()
-    pairs.write_pairs(buffer, generated)
-    util.atomic_write_text(outputs[0], buffer.getvalue())
-    if o["stats"]:
-        util.dump_json(str(o["stats"]), pairs.pair_stats(generated))
-    _log(f"generated {len(generated)} pairs")
-    _write_manifest(
-        "gen-pairs", o, [str(o["corpus"]), str(o["vocab"])], outputs, time.time() - start
-    )
-    return EXIT_OK
 
 
 def _train_config(o: Dict[str, object], **fields) -> TrainRunConfig:
@@ -313,7 +273,7 @@ def _train_config(o: Dict[str, object], **fields) -> TrainRunConfig:
 
 
 def _cmd_pretrain(args, o) -> int:
-    _parse_tasks(o, accept=(benchmark.TASK_MLM,))
+    _parse_tasks(o)
     # The vocabulary size is not known yet, so the smallest valid one stands in.
     try:
         enc_cfg = EncoderConfig(
@@ -331,7 +291,7 @@ def _cmd_pretrain(args, o) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    train_cfg = _train_config(o, correction=str(o["correction"]))
+    train_cfg = _train_config(o)
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
@@ -431,20 +391,21 @@ def _cmd_bm25_eval(args, o) -> int:
 
 
 def render_report(report: dict) -> str:
-    """Plain-text table of mean recalls: one row per (ratio, encoder, task)."""
-    ks = report["config"]["ks"] if "config" in report else [1, 5, 10, 50, 100]
+    """Plain-text table of the mean recalls of a `run_experiment` report: one
+    row per (ratio, encoder, task)."""
+    ks = report["config"]["ks"]
     header = f"{'ratio':>8}  {'encoder':<12} {'pretraining':<14} " + " ".join(
         f"{'R@' + str(k):>8}" for k in ks
     )
     blocks = []
     for augmented in (False, True):
-        rows = [m for m in report.get("means", []) if m.get("augmented") == augmented]
+        rows = [m for m in report["means"] if m["augmented"] == augmented]
         if not rows:
             continue
         lines = []
         if augmented:
             lines.append("")
-            lines.append(f"with {report['config'].get('augment_limit', 0)} distractor candidates:")
+            lines.append(f"with {report['config']['augment_limit']} distractor candidates:")
         lines.append(header)
         lines.append("-" * len(header))
         for row in sorted(rows, key=lambda r: (r["ratio"], r["encoder"], r["task"])):
@@ -458,7 +419,11 @@ def _cmd_experiment(args, o) -> int:
     out_dir = str(o["out"])
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")
-    grid = {k: v for k, v in args.config_values.items() if k in _EXPERIMENT_FIELDS}
+    grid = {
+        k: _typed(k, v, _EXPERIMENT_DEFAULTS[k], env=False)
+        for k, v in args.config_values.items()
+        if k in _EXPERIMENT_DEFAULTS
+    }
     grid.setdefault("seeds", [int(o["seed"])])
     try:
         exp_cfg = benchmark.ExperimentConfig(**grid)
@@ -471,23 +436,14 @@ def _cmd_experiment(args, o) -> int:
     report = benchmark.run_experiment(store, entries, exp_cfg, log=_log)
     os.makedirs(out_dir, exist_ok=True)
     util.dump_json(report_json, report)
-    util.atomic_write_text(report_txt, render_report(report))
-    print(render_report(report), end="")
+    text = render_report(report)
+    util.atomic_write_text(report_txt, text)
+    print(text, end="")
     _write_manifest(
         "experiment", o,
         [str(o["corpus"]), str(o["qa"])] + ([args.config] if args.config else []),
         [report_json, report_txt], time.time() - start,
     )
-    return EXIT_OK
-
-
-def _cmd_report(args, o) -> int:
-    report = util.load_json(str(o["in"]))
-    text = render_report(report)
-    if o["out"]:
-        _check_outputs([str(o["out"])], bool(o["force"]))
-        util.atomic_write_text(str(o["out"]), text)
-    print(text, end="")
     return EXIT_OK
 
 
@@ -514,7 +470,9 @@ _SPLIT_EVAL_OPTIONS = {
     "seed": 7,
 }
 
-_EXPERIMENT_FIELDS = set(benchmark.ExperimentConfig.__dataclass_fields__)
+# The `ExperimentConfig` fields an `experiment --config` file may set, with
+# the defaults their values are type-checked against.
+_EXPERIMENT_DEFAULTS = dataclasses.asdict(benchmark.ExperimentConfig())
 
 _INPUTS = {"corpus": None, "vocab": None}
 _BENCHMARK_INPUTS = {**_INPUTS, "qa": None}
@@ -526,21 +484,7 @@ _COMMANDS = {
         _cmd_synth,
         {"out": None, "qa": None, "articles": 500, "topics": 100, "qa-count": 1000, "seed": 13},
     ),
-    "ingest": (_cmd_ingest, {"corpus": None, "out": None, "link-policy": "drop"}),
     "vocab": (_cmd_vocab, {"corpus": None, "out": None, "max-size": 8192, "min-freq": 1}),
-    "gen-pairs": (
-        _cmd_gen_pairs,
-        {
-            **_INPUTS,
-            "out": None,
-            "stats": "",
-            "tasks": "ict+bfs+wlp",
-            "n": 1000,
-            "query-max-len": 16,
-            "doc-max-len": 48,
-            "seed": 7,
-        },
-    ),
     "pretrain": (
         _cmd_pretrain,
         {
@@ -551,7 +495,6 @@ _COMMANDS = {
             "seed": 7,
             **_ENCODER_OPTIONS,
             **_TRAIN_OPTIONS,
-            "correction": "none",
         },
     ),
     "finetune": (
@@ -584,7 +527,6 @@ _COMMANDS = {
         },
     ),
     "experiment": (_cmd_experiment, {"corpus": None, "qa": None, "out": None, "seed": 7}),
-    "report": (_cmd_report, {"in": None, "out": ""}),
 }
 
 
@@ -610,7 +552,7 @@ def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         options = _options(args.command)
-        extra = _EXPERIMENT_FIELDS if args.command == "experiment" else ()
+        extra = _EXPERIMENT_DEFAULTS if args.command == "experiment" else ()
         args.config_values = _load_config(args.config, [*options, *extra])
         resolved = resolve_options(args, options, args.config_values)
         for name, default in options.items():

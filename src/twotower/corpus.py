@@ -16,9 +16,6 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = range(5)
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 NUM_SPECIALS = len(SPECIAL_TOKENS)
 
-LINK_DROP = "drop"
-LINK_KEEP = "keep"
-
 # Words that end in "." but do not terminate a sentence.
 _ABBREVIATIONS = frozenset(
     ["Dr.", "Mr.", "Mrs.", "Ms.", "St.", "vs.", "etc.", "e.g.", "i.e.", "Fig.", "No."]
@@ -42,7 +39,7 @@ class Passage:
     text: str
     sentences: List[Sentence]
     outgoing_links: List[int]
-    # Back-references filled at ingestion; not serialized.
+    # Back-references filled at parsing.
     article_id: int = -1
     section_index: int = -1
 
@@ -136,14 +133,12 @@ def split_sentences(text: str) -> List[Sentence]:
     return sentences
 
 
-def parse_corpus(lines: Iterable[str], link_policy: str = LINK_DROP) -> CorpusStore:
+def parse_corpus(lines: Iterable[str]) -> CorpusStore:
     """Parse the JSONL corpus format into a CorpusStore.
 
-    Dangling hyperlinks are removed (drop) or preserved (keep) per
-    link_policy; sections whose passages yield no sentences are discarded.
+    Hyperlinks to article ids the corpus does not hold are dropped; sections
+    whose passages yield no sentences are discarded.
     """
-    if link_policy not in (LINK_DROP, LINK_KEEP):
-        raise ValueError(f"unknown link_policy: {link_policy!r}")
     articles: List[Article] = []
     next_passage_id = 0
     for lineno, line in enumerate(lines, start=1):
@@ -187,31 +182,10 @@ def parse_corpus(lines: Iterable[str], link_policy: str = LINK_DROP) -> CorpusSt
         articles.append(Article(id=record["id"], title=record["title"], sections=sections))
 
     known_ids = {article.id for article in articles}
-    if link_policy == LINK_DROP:
-        for article in articles:
-            for passage in article.passages():
-                passage.outgoing_links = [t for t in passage.outgoing_links if t in known_ids]
+    for article in articles:
+        for passage in article.passages():
+            passage.outgoing_links = [t for t in passage.outgoing_links if t in known_ids]
     return CorpusStore(articles)
-
-
-def serialize_corpus(store: CorpusStore, out: TextIO) -> None:
-    """Write the store back to the JSONL corpus format."""
-    for article in store.articles.values():
-        record = {
-            "id": article.id,
-            "title": article.title,
-            "sections": [
-                {
-                    "heading": section.heading,
-                    "passages": [
-                        {"text": p.text, "links": list(p.outgoing_links)}
-                        for p in section.passages
-                    ],
-                }
-                for section in article.sections
-            ],
-        }
-        out.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def normalize_text(text: str) -> str:

@@ -347,14 +347,6 @@ def backward_from_cache(params: Params, config: EncoderConfig, cache, grad_out: 
     return grads
 
 
-def backward(
-    params: Params, config: EncoderConfig, batch: Batch, grad_out: np.ndarray, tower: str = "doc"
-) -> Params:
-    """Recompute the forward pass and return parameter gradients."""
-    _, cache = encode_with_cache(params, config, batch, tower)
-    return backward_from_cache(params, config, cache, grad_out)
-
-
 def hidden_states(params: Params, config: EncoderConfig, batch: Batch, tower: str = "doc"):
     """Per-position hidden states after the final LayerNorm (transformer only)."""
     if config.arch != ARCH_TRANSFORMER:

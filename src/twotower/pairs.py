@@ -16,7 +16,6 @@ Docs are always ``[CLS] title [SEP] body`` token sequences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -60,7 +59,7 @@ class PretrainPair:
     task: str
     # (query article id, doc passage id, query sentence index in its passage)
     source: Tuple[int, int, int]
-    # Extra provenance for invariant checks; not serialized.
+    # Extra provenance for invariant checks.
     query_passage_id: int = -1
 
     def doc_body(self) -> List[int]:
@@ -307,49 +306,3 @@ def sample_mixture(
     for _ in range(n):
         task = tasks[int(rng.choice(len(tasks), p=weights))]
         yield generate(task)
-
-
-def pair_stats(pairs: Iterable[PretrainPair]) -> dict:
-    """Per-task pair counts and mean query/doc token lengths."""
-    counts: Dict[str, int] = {}
-    q_tokens: Dict[str, int] = {}
-    d_tokens: Dict[str, int] = {}
-    for pair in pairs:
-        counts[pair.task] = counts.get(pair.task, 0) + 1
-        q_tokens[pair.task] = q_tokens.get(pair.task, 0) + len(pair.query)
-        d_tokens[pair.task] = d_tokens.get(pair.task, 0) + len(pair.doc)
-    stats = {}
-    for task in sorted(counts) or []:
-        n = counts[task]
-        stats[task] = {
-            "pairs": n,
-            "tokens": q_tokens[task] + d_tokens[task],
-            "avg_query_tokens": q_tokens[task] / n if n else None,
-            "avg_doc_tokens": d_tokens[task] / n if n else None,
-        }
-    for task in PRETRAIN_TASKS:
-        if task not in stats:
-            stats[task] = {"pairs": 0, "tokens": 0, "avg_query_tokens": None, "avg_doc_tokens": None}
-    return stats
-
-
-def write_pairs(out, pairs: Iterable[PretrainPair]) -> int:
-    n = 0
-    for pair in pairs:
-        record = {"task": pair.task, "q": pair.query.ids, "d": pair.doc.ids, "src": list(pair.source)}
-        out.write(json.dumps(record) + "\n")
-        n += 1
-    return n
-
-
-def read_pairs(lines: Iterable[str]) -> Iterator[PretrainPair]:
-    for line in lines:
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        yield PretrainPair(
-            query=TokenSeq(list(record["q"])),
-            doc=TokenSeq(list(record["d"])),
-            task=record["task"],
-            source=tuple(record["src"]),
-        )

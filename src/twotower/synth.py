@@ -42,10 +42,12 @@ class SynthConfig:
 
     def __post_init__(self):
         # Articles are dealt to topics round-robin, and links are drawn from
-        # the articles of neighbouring topics: every topic needs an article.
-        if not 1 <= self.n_topics <= self.n_articles:
+        # the other articles of neighbouring topics: every topic needs an
+        # article, and every article another article to link to.
+        if not (1 <= self.n_topics <= self.n_articles and self.n_articles >= 2):
             raise ValueError(
-                f"need 1 <= topics <= articles, got {self.n_topics} topics and {self.n_articles} articles"
+                f"need 1 <= topics <= articles and at least 2 articles, "
+                f"got {self.n_topics} topics and {self.n_articles} articles"
             )
 
 

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +30,6 @@ from .encoders import (
 )
 from .pairs import PretrainPair, gen_mlm, make_doc_input
 from .util import subrng
-
-CORRECTION_NONE = "none"
-CORRECTION_LOG_FREQUENCY = "log_frequency"
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -53,7 +50,6 @@ class TrainRunConfig:
     batch_size: int = 32
     total_steps: int = 200
     seed: int = 0
-    correction: str = CORRECTION_NONE
     eval_every: int = 20
     patience: int = 5
     lr_peak: float = 1e-3
@@ -72,15 +68,11 @@ class TrainRunConfig:
             raise ValueError(f"lr_peak must be > 0, got {self.lr_peak}")
         if not 0 <= self.warmup_fraction <= 1:
             raise ValueError(f"warmup_fraction must be in [0, 1], got {self.warmup_fraction}")
-        if self.correction not in (CORRECTION_NONE, CORRECTION_LOG_FREQUENCY):
-            raise ValueError(f"unknown correction mode: {self.correction!r}")
 
 
-def in_batch_softmax_loss(
-    q_embs: np.ndarray, d_embs: np.ndarray, correction: Optional[np.ndarray] = None
-) -> LossOutput:
+def in_batch_softmax_loss(q_embs: np.ndarray, d_embs: np.ndarray) -> LossOutput:
     """Mean NLL of each query against its own doc with all other in-batch
-    docs as negatives; logits are inner products minus the per-doc correction."""
+    docs as negatives; logits are the query-doc inner products."""
     q = np.asarray(q_embs)
     d = np.asarray(d_embs)
     if q.ndim != 2 or q.shape != d.shape:
@@ -91,11 +83,6 @@ def in_batch_softmax_loss(
     if not (np.isfinite(q).all() and np.isfinite(d).all()):
         raise ValueError("non-finite embeddings")
     logits = q @ d.T
-    if correction is not None:
-        c = np.asarray(correction)
-        if c.shape != (batch,):
-            raise ValueError(f"correction must have shape ({batch},)")
-        logits = logits - c[None, :]
     loss, accuracy, grad_logits = _softmax_xent(logits, np.arange(batch))
     return LossOutput(
         loss=loss,
@@ -185,20 +172,6 @@ def adam_step(params: Params, grads: Params, state: OptimizerState) -> Tuple[Par
     return params, state
 
 
-class _FrequencyCorrection:
-    """logQ correction from a streaming count of sampled doc identities."""
-
-    def __init__(self):
-        self.counts: Dict[Tuple, int] = {}
-        self.total = 0
-
-    def update_and_get(self, keys: Sequence[Tuple]) -> np.ndarray:
-        for key in keys:
-            self.counts[key] = self.counts.get(key, 0) + 1
-            self.total += 1
-        return np.array([math.log(self.counts[k] / self.total) for k in keys])
-
-
 def _emit(metrics_out, record: dict) -> dict:
     if metrics_out is not None:
         metrics_out.write(json.dumps(record) + "\n")
@@ -234,7 +207,7 @@ def _train_steps(
         yield {"step": state.step, "loss": loss, "acc": acc, "lr": state.learning_rate()}
 
 
-def _contrastive_step(model: TwoTower, correction: Optional[_FrequencyCorrection] = None) -> Callable:
+def _contrastive_step(model: TwoTower) -> Callable:
     """The step function of a batch of positive pairs: encode both sides, take
     the in-batch softmax loss and backpropagate it through both towers.
 
@@ -249,8 +222,7 @@ def _contrastive_step(model: TwoTower, correction: Optional[_FrequencyCorrection
     def step(batch: Sequence[PretrainPair]):
         q_embs, caches[0] = model.encode_queries_with_cache([p.query for p in batch])
         d_embs, caches[1] = model.encode_docs_with_cache([p.doc for p in batch])
-        c = correction.update_and_get([p.source for p in batch]) if correction else None
-        out = in_batch_softmax_loss(q_embs, d_embs, c)
+        out = in_batch_softmax_loss(q_embs, d_embs)
         grads_q = backward_from_cache(model.query, model.config, caches[0], out.grad_q)
         grads_d = backward_from_cache(model.doc, model.config, caches[1], out.grad_d)
         return out.loss, out.in_batch_accuracy, grads_q, grads_d
@@ -271,9 +243,7 @@ def pretrain(
     """
     model = TwoTower.init(enc_cfg, train_cfg.seed)
     state = OptimizerState.for_params(model.params(), train_cfg)
-    correction = _FrequencyCorrection() if train_cfg.correction == CORRECTION_LOG_FREQUENCY else None
-    step = _contrastive_step(model, correction)
-    steps = _train_steps(model, state, _batches(pair_stream, train_cfg), step)
+    steps = _train_steps(model, state, _batches(pair_stream, train_cfg), _contrastive_step(model))
     return model, [_emit(metrics_out, record) for record in steps]
 
 

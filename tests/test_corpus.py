@@ -16,7 +16,6 @@ from twotower.corpus import (
     build_vocab,
     normalize_text,
     parse_corpus,
-    serialize_corpus,
     split_sentences,
     tokenize,
 )
@@ -55,28 +54,9 @@ class TestParseCorpus:
             "id": 1, "title": "t",
             "sections": [{"heading": "", "passages": [{"text": "A b.", "links": [99]}]}],
         }]
-        store = parse_corpus(_lines(records), link_policy="drop")
+        store = parse_corpus(_lines(records))
         assert 1 in store.articles
         assert store.passage(0).outgoing_links == []
-
-    def test_dangling_link_kept_with_keep_policy(self):
-        records = [{
-            "id": 1, "title": "t",
-            "sections": [{"heading": "", "passages": [{"text": "A b.", "links": [99]}]}],
-        }]
-        store = parse_corpus(_lines(records), link_policy="keep")
-        assert store.passage(0).outgoing_links == [99]
-
-    def test_roundtrip_parse_serialize_parse(self, small_toy):
-        store, _, _ = small_toy
-        buf = io.StringIO()
-        serialize_corpus(store, buf)
-        reparsed = parse_corpus(buf.getvalue().splitlines())
-        buf2 = io.StringIO()
-        serialize_corpus(reparsed, buf2)
-        assert buf.getvalue() == buf2.getvalue()
-        assert list(reparsed.articles) == list(store.articles)
-        assert len(reparsed.passages) == len(store.passages)
 
 
 class TestSplitSentences:

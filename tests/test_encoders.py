@@ -10,8 +10,9 @@ from twotower.encoders import (
     EncoderConfig,
     EncoderError,
     TwoTower,
-    backward,
+    backward_from_cache,
     encode,
+    encode_with_cache,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -169,7 +170,8 @@ class TestBowMlp:
         cfg = tiny_config(arch=ARCH_BOW_MLP)
         params = init_params(cfg, subrng(8), "doc")
         grad_out = subrng(9).normal(size=(1, cfg.emb_dim))
-        grads = backward(params, cfg, [TokenSeq([7, 9])], grad_out, "doc")
+        _, cache = encode_with_cache(params, cfg, [TokenSeq([7, 9])], "doc")
+        grads = backward_from_cache(params, cfg, cache, grad_out)
         nonzero_rows = np.flatnonzero(np.abs(grads["emb/token"]).sum(axis=1))
         assert set(nonzero_rows) == {7, 9}
 
@@ -241,7 +243,8 @@ class TestBackward:
         for arch in (ARCH_TRANSFORMER, ARCH_BOW_MLP):
             cfg = tiny_config(arch=arch)
             params = init_params(cfg, subrng(11), "doc")
-            grads = backward(params, cfg, [TokenSeq([2, 7, 9])], np.zeros((1, cfg.emb_dim)), "doc")
+            _, cache = encode_with_cache(params, cfg, [TokenSeq([2, 7, 9])], "doc")
+            grads = backward_from_cache(params, cfg, cache, np.zeros((1, cfg.emb_dim)))
             for name, grad in grads.items():
                 assert np.all(grad == 0.0), name
 
@@ -256,7 +259,8 @@ class TestBackward:
         def objective():
             return float((encode(params, cfg, batch, "doc") * grad_out).sum())
 
-        grads = backward(params, cfg, batch, grad_out, "doc")
+        _, cache = encode_with_cache(params, cfg, batch, "doc")
+        grads = backward_from_cache(params, cfg, cache, grad_out)
         eps = 1e-5
         coord_rng = np.random.default_rng(0)
         checked = 0
