@@ -259,7 +259,6 @@ class TestTrainEvalCommands:
         ("finetune", "--eval-every", "0", "eval_every"),
         ("finetune", "--patience", "-1", "patience"),
         ("finetune", "--warmup", "-0.5", "warmup_fraction"),
-        ("pretrain", "--tasks", "ict+nope", "'ict+nope'"),
     ])
     def test_bad_training_setting_rejected_before_loading(
         self, tmp_path, command, flag, value, message, capsys
@@ -270,6 +269,14 @@ class TestTrainEvalCommands:
             argv += ["--qa", missing, "--ckpt", missing]
         assert run(*argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tasks", ["none", "ict+nope"])
+    def test_pretrain_bad_tasks_rejected_before_loading(self, tmp_path, tasks, capsys):
+        # The corpus does not exist: loading it first would be a runtime error.
+        missing = str(tmp_path / "missing.jsonl")
+        assert run("pretrain", "--corpus", missing, "--vocab", missing,
+                   "--out", str(tmp_path / "m"), "--tasks", tasks) == EXIT_USAGE
+        assert repr(tasks) in capsys.readouterr().err
 
     def test_pretrain_tasks_none_rejected_before_work(self, workdir, tmp_path, capsys):
         _, corpus, _, vocab = workdir
