@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from . import retrieval
-from .corpus import NUM_SPECIALS, CorpusStore, TokenSeq, Vocabulary, build_vocab, tokenize, tokenize_corpus
+from .corpus import NUM_SPECIALS, CorpusStore, Vocabulary, build_vocab, tokenize, tokenize_corpus
 from .encoders import ARCH_TRANSFORMER, EncoderConfig, TwoTower
 from .pairs import (
     PRETRAIN_TASKS,
@@ -49,14 +49,14 @@ class Candidate:
     id: int
     sentence_index: int
     passage_id: int
-    tower_tokens: TokenSeq
+    tower_tokens: List[int]
     match_tokens: List[int]
 
 
 @dataclass
 class ReqaExample:
     question: str
-    question_tokens: TokenSeq
+    question_tokens: List[int]
     gold_id: int
 
 
@@ -144,7 +144,7 @@ def build_reqa(
         examples.append(
             ReqaExample(
                 question=entry.question,
-                question_tokens=make_query_input(tokenize(entry.question, vocab).ids, query_max_len),
+                question_tokens=make_query_input(tokenize(entry.question, vocab), query_max_len),
                 gold_id=gold,
             )
         )
@@ -225,8 +225,8 @@ def augment_open_domain(
     for sentence_text, passage_text in external:
         if n_added >= limit:
             break
-        sent_ids = tokenize(sentence_text, vocab).ids
-        passage_ids = tokenize(passage_text, vocab).ids
+        sent_ids = tokenize(sentence_text, vocab)
+        passage_ids = tokenize(passage_text, vocab)
         out.append(
             Candidate(
                 id=next_id,
@@ -390,7 +390,7 @@ def parse_task_spec(spec: str, accept: Sequence[str] = (TASK_NONE, TASK_MLM)) ->
     return TaskMixture.uniform(tasks)
 
 
-def dense_candidates(candidates: Sequence[Candidate]) -> List[Tuple[int, TokenSeq]]:
+def dense_candidates(candidates: Sequence[Candidate]) -> List[Tuple[int, List[int]]]:
     """The (id, tower tokens) pairs that dense ranking scores."""
     return [(c.id, c.tower_tokens) for c in candidates]
 

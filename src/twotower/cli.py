@@ -62,8 +62,9 @@ def _typed(name: str, value, default, env: bool):
     """An env var's text or a --config JSON value as the type of the option's
     or `ExperimentConfig` field's default (a string for a required path). Env
     text is parsed, booleans from 1/0/true/false/yes/no/on/off; a --config
-    value must already have the type, an integer passing for a float. Anything
-    else is a usage error."""
+    value must already have the type, an integer passing for a float, and each
+    element of a list the type of the default's first element. Anything else
+    is a usage error."""
     kind = str if default is None else type(default)
     if env:
         try:
@@ -71,6 +72,8 @@ def _typed(name: str, value, default, env: bool):
         except (KeyError, ValueError):
             pass
     elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        if kind is list and default:
+            return [_typed(name, item, default[0], env) for item in value]
         return value
     elif kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)

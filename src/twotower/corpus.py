@@ -269,15 +269,6 @@ def build_vocab(store: CorpusStore, max_size: int, min_freq: int = 1) -> Vocabul
     return Vocabulary(tokens)
 
 
-@dataclass
-class TokenSeq:
-    ids: List[int]
-    truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 def _tokenize_word(word: str, vocab: Vocabulary) -> List[int]:
     pieces: List[int] = []
     start = 0
@@ -298,7 +289,7 @@ def _tokenize_word(word: str, vocab: Vocabulary) -> List[int]:
     return pieces
 
 
-def tokenize(text: str, vocab: Vocabulary, max_len: Optional[int] = None) -> TokenSeq:
+def tokenize(text: str, vocab: Vocabulary) -> List[int]:
     """Greedy longest-match-first subword tokenization of normalized text.
 
     A word with no matching piece at any position becomes a single UNK.
@@ -306,14 +297,12 @@ def tokenize(text: str, vocab: Vocabulary, max_len: Optional[int] = None) -> Tok
     ids: List[int] = []
     for word in normalize_text(text).split():
         ids.extend(_tokenize_word(word, vocab))
-    if max_len is not None and len(ids) > max_len:
-        return TokenSeq(ids[:max_len], truncated=True)
-    return TokenSeq(ids, truncated=False)
+    return ids
 
 
 def tokenize_corpus(store: CorpusStore, vocab: Vocabulary) -> None:
     """Fill sentence token_ids and cache per-article title token ids."""
     for sentence in store.sentences():
-        sentence.token_ids = tokenize(sentence.text, vocab).ids
+        sentence.token_ids = tokenize(sentence.text, vocab)
     for article in store.articles.values():
-        store.title_token_ids[article.id] = tokenize(article.title, vocab).ids
+        store.title_token_ids[article.id] = tokenize(article.title, vocab)

@@ -2,24 +2,26 @@
 
 Forward and backward passes are written directly in numpy so gradients are
 exact and checkable against finite differences. A tower's parameters are a
-plain dict of named arrays; the module functions take one such dict plus the
-config. The retriever itself is a `TwoTower` value: one config, a query tower
-and a doc tower, which are the same dict when the towers are shared. Which
-tower role ("query", "doc" or "shared") an input is encoded with is decided
-inside `TwoTower` only.
+plain dict of named arrays; the module functions take one such dict, the
+config and a batch of token id lists. A transformer tower's length is the row
+count of its `emb/pos` table: a longer sequence is an `EncoderError`. A
+bag-of-words tower has no position table and takes any length. The retriever
+itself is a `TwoTower` value: one config, a query tower of `query_max_len`
+positions and a doc tower of `doc_max_len`, or one tower of the larger length
+when the towers are shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import erf
 
 from . import util
-from .corpus import NUM_SPECIALS, PAD_ID, TokenSeq
+from .corpus import NUM_SPECIALS, PAD_ID
 
 ARCH_BOW_MLP = "bow_mlp"
 ARCH_TRANSFORMER = "transformer"
@@ -27,7 +29,7 @@ ARCH_TRANSFORMER = "transformer"
 CHECKPOINT_FORMAT = "twotower-checkpoint-v1"
 
 Params = Dict[str, np.ndarray]
-Batch = Sequence[Union[TokenSeq, Sequence[int]]]
+Batch = Sequence[Sequence[int]]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
@@ -64,15 +66,6 @@ class EncoderConfig:
         if self.vocab_size < NUM_SPECIALS:
             raise EncoderError("vocab_size must cover the special tokens")
 
-    def max_len(self, tower: str) -> int:
-        if tower == "query":
-            return self.query_max_len
-        if tower == "doc":
-            return self.doc_max_len
-        if tower == "shared":
-            return max(self.query_max_len, self.doc_max_len)
-        raise EncoderError(f"unknown tower: {tower!r}")
-
     def np_dtype(self) -> np.dtype:
         return np.dtype(self.dtype)
 
@@ -95,9 +88,9 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.
     return out.astype(dtype)
 
 
-def init_params(config: EncoderConfig, rng: np.random.Generator, tower: str = "doc") -> Params:
-    """Fresh tower parameters: truncated-normal weights, zero biases,
-    unit LayerNorm gains."""
+def init_params(config: EncoderConfig, rng: np.random.Generator, positions: int) -> Params:
+    """Fresh tower parameters: truncated-normal weights, zero biases, unit
+    LayerNorm gains; a transformer tower gets `positions` position rows."""
     dt = config.np_dtype()
     h, k, v = config.hidden_dim, config.emb_dim, config.vocab_size
     params: Params = {"emb/token": _truncated_normal(rng, (v, h), 0.02, dt)}
@@ -107,8 +100,7 @@ def init_params(config: EncoderConfig, rng: np.random.Generator, tower: str = "d
         params["mlp/w2"] = _truncated_normal(rng, (h, k), 0.02, dt)
         params["mlp/b2"] = np.zeros(k, dtype=dt)
         return params
-    length = config.max_len(tower)
-    params["emb/pos"] = _truncated_normal(rng, (length, h), 0.02, dt)
+    params["emb/pos"] = _truncated_normal(rng, (positions, h), 0.02, dt)
     for i in range(config.num_layers):
         p = f"layer{i}"
         params[f"{p}/ln1/gain"] = np.ones(h, dtype=dt)
@@ -130,12 +122,12 @@ def init_params(config: EncoderConfig, rng: np.random.Generator, tower: str = "d
     return params
 
 
-def _pad_batch(batch: Batch, max_len: int) -> Tuple[np.ndarray, np.ndarray]:
-    rows = [seq.ids if isinstance(seq, TokenSeq) else list(seq) for seq in batch]
+def _pad_batch(batch: Batch, max_len: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    rows = [list(seq) for seq in batch]
     if not rows:
         raise EncoderError("empty batch")
     for row in rows:
-        if len(row) > max_len:
+        if max_len is not None and len(row) > max_len:
             raise EncoderError(f"sequence of length {len(row)} exceeds max_len {max_len}")
         if not row:
             raise EncoderError("empty sequence in batch")
@@ -317,19 +309,18 @@ def _backward_bow(params: Params, cache, grad_out: np.ndarray) -> Params:
     return grads
 
 
-def encode_with_cache(params: Params, config: EncoderConfig, batch: Batch, tower: str = "doc"):
+def encode_with_cache(params: Params, config: EncoderConfig, batch: Batch):
     """Forward pass returning (embeddings [B, k], cache)."""
-    ids, mask = _pad_batch(batch, config.max_len(tower))
     if config.arch == ARCH_BOW_MLP:
-        return _forward_bow(params, ids, mask)
-    hidden, cache = _forward_body(params, config, ids, mask)
+        return _forward_bow(params, *_pad_batch(batch))
+    hidden, cache = _forward_body(params, config, *_pad_batch(batch, len(params["emb/pos"])))
     cache["cls"] = hidden[:, 0, :]
     out = cache["cls"] @ params["out/w"] + params["out/b"]
     return out, cache
 
 
-def encode(params: Params, config: EncoderConfig, batch: Batch, tower: str = "doc") -> np.ndarray:
-    out, _ = encode_with_cache(params, config, batch, tower)
+def encode(params: Params, config: EncoderConfig, batch: Batch) -> np.ndarray:
+    out, _ = encode_with_cache(params, config, batch)
     return out
 
 
@@ -347,12 +338,11 @@ def backward_from_cache(params: Params, config: EncoderConfig, cache, grad_out: 
     return grads
 
 
-def hidden_states(params: Params, config: EncoderConfig, batch: Batch, tower: str = "doc"):
+def hidden_states(params: Params, config: EncoderConfig, batch: Batch):
     """Per-position hidden states after the final LayerNorm (transformer only)."""
     if config.arch != ARCH_TRANSFORMER:
         raise EncoderError("per-position hidden states require the transformer arch")
-    ids, mask = _pad_batch(batch, config.max_len(tower))
-    return _forward_body(params, config, ids, mask)
+    return _forward_body(params, config, *_pad_batch(batch, len(params["emb/pos"])))
 
 
 def hidden_backward(params: Params, config: EncoderConfig, cache, d_hidden: np.ndarray) -> Params:
@@ -375,31 +365,26 @@ class TwoTower:
     @classmethod
     def init(cls, config: EncoderConfig, seed: int) -> "TwoTower":
         if config.share_towers:
-            shared = init_params(config, util.subrng(seed, "init", "shared"), "shared")
+            positions = max(config.query_max_len, config.doc_max_len)
+            shared = init_params(config, util.subrng(seed, "init", "shared"), positions)
             return cls(config, shared, shared)
         return cls(
             config,
-            init_params(config, util.subrng(seed, "init", "query"), "query"),
-            init_params(config, util.subrng(seed, "init", "doc"), "doc"),
+            init_params(config, util.subrng(seed, "init", "query"), config.query_max_len),
+            init_params(config, util.subrng(seed, "init", "doc"), config.doc_max_len),
         )
 
-    @property
-    def roles(self) -> Tuple[str, str]:
-        """The tower roles of the query and the doc side, which set each
-        side's max length."""
-        return ("shared", "shared") if self.config.share_towers else ("query", "doc")
-
     def encode_queries(self, batch: Batch) -> np.ndarray:
-        return encode(self.query, self.config, batch, self.roles[0])
+        return encode(self.query, self.config, batch)
 
     def encode_docs(self, batch: Batch) -> np.ndarray:
-        return encode(self.doc, self.config, batch, self.roles[1])
+        return encode(self.doc, self.config, batch)
 
     def encode_queries_with_cache(self, batch: Batch):
-        return encode_with_cache(self.query, self.config, batch, self.roles[0])
+        return encode_with_cache(self.query, self.config, batch)
 
     def encode_docs_with_cache(self, batch: Batch):
-        return encode_with_cache(self.doc, self.config, batch, self.roles[1])
+        return encode_with_cache(self.doc, self.config, batch)
 
     def params(self) -> Params:
         """Every array under one flat name, as the optimizer and the checkpoint

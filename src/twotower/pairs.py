@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, Article, CorpusStore, Passage, TokenSeq
+from .corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, Article, CorpusStore, Passage
 
 TASK_ICT = "ict"
 TASK_BFS = "bfs"
@@ -54,8 +54,8 @@ class DegenerateIctPair(PairGenError):
 
 @dataclass
 class PretrainPair:
-    query: TokenSeq
-    doc: TokenSeq
+    query: List[int]
+    doc: List[int]
     task: str
     # (query article id, doc passage id, query sentence index in its passage)
     source: Tuple[int, int, int]
@@ -63,15 +63,15 @@ class PretrainPair:
     query_passage_id: int = -1
 
     def doc_body(self) -> List[int]:
-        return self.doc.ids[self.doc.ids.index(SEP_ID) + 1 :]
+        return self.doc[self.doc.index(SEP_ID) + 1 :]
 
     def query_content(self) -> List[int]:
-        return self.query.ids[1:] if self.query.ids and self.query.ids[0] == CLS_ID else self.query.ids
+        return self.query[1:] if self.query and self.query[0] == CLS_ID else self.query
 
 
 @dataclass
 class MlmExample:
-    input: TokenSeq
+    input: List[int]
     labels: List[Tuple[int, int]]
 
 
@@ -97,25 +97,19 @@ class TaskMixture:
         return cls({t: 1.0 / len(tasks) for t in tasks})
 
 
-def make_query_input(content_ids: List[int], query_max_len: int) -> TokenSeq:
+def make_query_input(content_ids: List[int], query_max_len: int) -> List[int]:
     """Encoder query input: [CLS] then content, truncated to query_max_len."""
-    ids = [CLS_ID] + list(content_ids)
-    if len(ids) > query_max_len:
-        return TokenSeq(ids[:query_max_len], truncated=True)
-    return TokenSeq(ids, truncated=False)
+    return ([CLS_ID] + list(content_ids))[:query_max_len]
 
 
-def make_doc_input(title_ids: List[int], body_ids: List[int], doc_max_len: int) -> TokenSeq:
+def make_doc_input(title_ids: List[int], body_ids: List[int], doc_max_len: int) -> List[int]:
     """Encoder doc input: [CLS] title [SEP] body, truncated to doc_max_len.
 
     The title is capped so that the single SEP and at least one body token
     always survive truncation.
     """
     title = list(title_ids)[: max(doc_max_len - 3, 0)]
-    ids = [CLS_ID] + title + [SEP_ID] + list(body_ids)
-    if len(ids) > doc_max_len:
-        return TokenSeq(ids[:doc_max_len], truncated=True)
-    return TokenSeq(ids, truncated=False)
+    return ([CLS_ID] + title + [SEP_ID] + list(body_ids))[:doc_max_len]
 
 
 def _contains_subseq(haystack: List[int], needle: List[int]) -> bool:
@@ -222,7 +216,7 @@ def gen_wlp(
 
 
 def gen_mlm(
-    tokens: TokenSeq,
+    tokens: List[int],
     rng: np.random.Generator,
     mask_rate: float = 0.15,
     vocab_size: int = 0,
@@ -230,15 +224,15 @@ def gen_mlm(
 ) -> MlmExample:
     """Independently select non-special positions at mask_rate; replace the
     selected with MASK / random id / original at the given split."""
-    if not tokens.ids:
+    if not tokens:
         raise ValueError("cannot mask an empty sequence")
     if not 0.0 < mask_rate < 1.0:
         raise ValueError("mask_rate must be in (0, 1)")
-    maskable = [i for i, t in enumerate(tokens.ids) if t >= NUM_SPECIALS]
+    maskable = [i for i, t in enumerate(tokens) if t >= NUM_SPECIALS]
     selected = [i for i in maskable if rng.random() < mask_rate]
     if not selected and maskable:
         selected = [i for i in maskable if rng.random() < mask_rate]
-    input_ids = list(tokens.ids)
+    input_ids = list(tokens)
     labels: List[Tuple[int, int]] = []
     p_mask, p_random, _ = replacement
     for pos in selected:
@@ -249,7 +243,7 @@ def gen_mlm(
         elif r < p_mask + p_random:
             input_ids[pos] = int(rng.integers(NUM_SPECIALS, vocab_size))
         # else: keep the original token, label it anyway
-    return MlmExample(input=TokenSeq(input_ids, tokens.truncated), labels=labels)
+    return MlmExample(input=input_ids, labels=labels)
 
 
 def valid_sources(store: CorpusStore, task: str) -> List[int]:

@@ -13,20 +13,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import TokenSeq
 from .encoders import TwoTower
 
 @dataclass
 class RankedList:
     ids: List[int]
     scores: List[float]
-    exhausted: bool = False  # set when fewer than k candidates existed
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        return iter(zip(self.ids, self.scores))
 
 
 @dataclass
@@ -50,23 +42,19 @@ class BM25Params:
 def build_dense_index(
     model: TwoTower,
     candidate_ids: Sequence[int],
-    candidates: Sequence[TokenSeq],
+    candidates: Sequence[Sequence[int]],
     batch_size: int = 256,
 ) -> DenseIndex:
-    """Embed every candidate with the doc tower; over-length candidates are
-    truncated rather than rejected."""
+    """Embed every candidate with the doc tower, `batch_size` at a time. A
+    candidate longer than the doc tower takes is an `EncoderError`; callers
+    cut candidates with `pairs.make_doc_input`."""
     if not candidates:
         raise ValueError("cannot index an empty candidate set")
     if len(candidate_ids) != len(candidates):
         raise ValueError("candidate_ids must align with candidates")
-    max_len = model.config.max_len(model.roles[1])
-    clipped = []
-    for seq in candidates:
-        ids = seq.ids if isinstance(seq, TokenSeq) else list(seq)
-        clipped.append(TokenSeq(ids[:max_len], truncated=len(ids) > max_len))
     rows = [
-        model.encode_docs(clipped[start : start + batch_size])
-        for start in range(0, len(clipped), batch_size)
+        model.encode_docs(candidates[start : start + batch_size])
+        for start in range(0, len(candidates), batch_size)
     ]
     return DenseIndex(candidate_ids=list(candidate_ids), embeddings=np.vstack(rows))
 
@@ -94,17 +82,13 @@ def dense_topk(index: DenseIndex, q_emb: np.ndarray, k: int) -> RankedList:
     scores = index.embeddings @ np.asarray(q_emb)
     ids = np.asarray(index.candidate_ids)
     top_ids, top_scores = _rank_with_ties(ids, scores, k)
-    return RankedList(
-        ids=[int(i) for i in top_ids],
-        scores=[float(s) for s in top_scores],
-        exhausted=k > len(index.candidate_ids),
-    )
+    return RankedList(ids=[int(i) for i in top_ids], scores=[float(s) for s in top_scores])
 
 
 def rank_dense(
     model: TwoTower,
-    queries: Sequence[TokenSeq],
-    candidates: Sequence[Tuple[int, TokenSeq]],
+    queries: Sequence[Sequence[int]],
+    candidates: Sequence[Tuple[int, Sequence[int]]],
     k: int,
     batch_size: int = 512,
 ) -> List[RankedList]:
@@ -153,11 +137,6 @@ class InvertedIndex:
         }
 
 
-def _query_terms(query_tokens) -> List[int]:
-    ids = query_tokens.ids if isinstance(query_tokens, TokenSeq) else list(query_tokens)
-    return sorted(set(ids))
-
-
 def bm25_topk(index: InvertedIndex, query_tokens, k: int, p: BM25Params) -> RankedList:
     """Okapi BM25 with the +1 idf variant; query terms are deduplicated.
 
@@ -168,7 +147,7 @@ def bm25_topk(index: InvertedIndex, query_tokens, k: int, p: BM25Params) -> Rank
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = np.zeros(index.N)
-    for token in _query_terms(query_tokens):
+    for token in sorted(set(query_tokens)):
         if token not in index.postings:
             continue
         pos, tf = index.postings[token]
@@ -176,8 +155,4 @@ def bm25_topk(index: InvertedIndex, query_tokens, k: int, p: BM25Params) -> Rank
         norm = p.k1 * (1.0 - p.b + p.b * index.doc_lengths[pos] / index.avg_doc_length)
         scores[pos] += idf * tf * (p.k1 + 1.0) / (tf + norm)
     top_ids, top_scores = _rank_with_ties(index.ids, scores, k)
-    return RankedList(
-        ids=[int(i) for i in top_ids],
-        scores=[float(s) for s in top_scores],
-        exhausted=k > index.N,
-    )
+    return RankedList(ids=[int(i) for i in top_ids], scores=[float(s) for s in top_scores])

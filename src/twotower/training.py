@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import retrieval
-from .corpus import CorpusStore, TokenSeq
+from .corpus import CorpusStore
 from .encoders import (
     ARCH_TRANSFORMER,
     EncoderConfig,
@@ -250,16 +250,15 @@ def pretrain(
 def _mlm_step(
     params: Params,
     enc_cfg: EncoderConfig,
-    batch: List[TokenSeq],
+    batch: List[List[int]],
     rng: np.random.Generator,
-    role: str,
 ) -> Tuple[float, float, Params]:
     """One masked-token prediction step for a single tower.
 
     The vocabulary head ties the token embedding matrix plus a bias.
     """
     examples = [gen_mlm(seq, rng, MASK_RATE, enc_cfg.vocab_size) for seq in batch]
-    hidden, cache = hidden_states(params, enc_cfg, [e.input for e in examples], role)
+    hidden, cache = hidden_states(params, enc_cfg, [e.input for e in examples])
     rows, cols, targets = [], [], []
     for i, example in enumerate(examples):
         for pos, original in example.labels:
@@ -298,7 +297,6 @@ def mlm_pretrain(
     for tower in (model.query, model.doc):
         tower["mlm/bias"] = np.zeros(enc_cfg.vocab_size, dtype=enc_cfg.np_dtype())
     state = OptimizerState.for_params(model.params(), train_cfg)
-    q_role, d_role = model.roles
 
     passages = [store.passage(pid) for pid in sorted(store.passages)]
     sentences = [s for p in passages for s in p.sentences if s.token_ids]
@@ -308,10 +306,10 @@ def mlm_pretrain(
 
     # Each step draws from rng in this order: query indices, doc indices (for
     # the batch), then query masks, doc masks (in the step).
-    def batches() -> Iterator[Tuple[List[TokenSeq], List[TokenSeq]]]:
+    def batches() -> Iterator[Tuple[List[List[int]], List[List[int]]]]:
         for _ in range(train_cfg.total_steps):
             idx = rng.integers(len(sentences), size=train_cfg.batch_size)
-            q_batch = [TokenSeq(sentences[i].token_ids[: enc_cfg.query_max_len]) for i in idx]
+            q_batch = [sentences[i].token_ids[: enc_cfg.query_max_len] for i in idx]
             idx = rng.integers(len(passages), size=train_cfg.batch_size)
             d_batch = []
             for i in idx:
@@ -321,10 +319,10 @@ def mlm_pretrain(
                 d_batch.append(make_doc_input(title, body, enc_cfg.doc_max_len))
             yield q_batch, d_batch
 
-    def step(batch: Tuple[List[TokenSeq], List[TokenSeq]]):
+    def step(batch: Tuple[List[List[int]], List[List[int]]]):
         q_batch, d_batch = batch
-        loss_q, acc_q, grads_q = _mlm_step(model.query, enc_cfg, q_batch, rng, q_role)
-        loss_d, acc_d, grads_d = _mlm_step(model.doc, enc_cfg, d_batch, rng, d_role)
+        loss_q, acc_q, grads_q = _mlm_step(model.query, enc_cfg, q_batch, rng)
+        loss_d, acc_d, grads_d = _mlm_step(model.doc, enc_cfg, d_batch, rng)
         return 0.5 * (loss_q + loss_d), 0.5 * (acc_q + acc_d), grads_q, grads_d
 
     history = [_emit(metrics_out, record) for record in _train_steps(model, state, batches(), step)]
@@ -335,9 +333,9 @@ def mlm_pretrain(
 
 def recall_at_k(
     model: TwoTower,
-    queries: Sequence[TokenSeq],
+    queries: Sequence[Sequence[int]],
     gold_ids: Sequence[int],
-    candidates: Sequence[Tuple[int, TokenSeq]],
+    candidates: Sequence[Tuple[int, Sequence[int]]],
     k: int = 10,
     batch_size: int = 256,
 ) -> float:
@@ -350,9 +348,9 @@ def finetune(
     model: TwoTower,
     train_cfg: TrainRunConfig,
     train_pairs: Sequence[PretrainPair],
-    val_queries: Sequence[TokenSeq],
+    val_queries: Sequence[Sequence[int]],
     val_gold_ids: Sequence[int],
-    candidates: Sequence[Tuple[int, TokenSeq]],
+    candidates: Sequence[Tuple[int, Sequence[int]]],
     metrics_out=None,
 ) -> Tuple[TwoTower, List[dict]]:
     """Fine-tune a copy of the model on downstream pairs, returning the

@@ -76,8 +76,8 @@ class TestBuildReqa:
         for c in candidates:
             assert (c.passage_id, c.sentence_index) not in seen
             seen.add((c.passage_id, c.sentence_index))
-            assert c.tower_tokens.ids[0] == CLS_ID
-            assert c.tower_tokens.ids.count(SEP_ID) == 1
+            assert c.tower_tokens[0] == CLS_ID
+            assert c.tower_tokens.count(SEP_ID) == 1
             assert len(c.tower_tokens) <= D_LEN
 
     def test_toy_candidates_outnumber_examples(self, small_toy):
@@ -97,9 +97,8 @@ class TestBuildReqa:
 
 def _numbered_examples(n):
     from twotower.benchmark import ReqaExample
-    from twotower.corpus import TokenSeq
 
-    return [ReqaExample(f"question {i}", TokenSeq([CLS_ID, 5 + i]), i) for i in range(n)]
+    return [ReqaExample(f"question {i}", [CLS_ID, 5 + i], i) for i in range(n)]
 
 
 class TestMakeSplit:
@@ -170,7 +169,7 @@ class TestAugment:
         out = augment_open_domain(candidates, [dup], 5, vocab, D_LEN)
         clone = out[-1]
         assert clone.id != gold.id
-        assert clone.tower_tokens.ids == gold.tower_tokens.ids
+        assert clone.tower_tokens == gold.tower_tokens
 
     def test_distractor_sampling_excludes_referenced(self, small_toy):
         store, entries, vocab = small_toy
@@ -313,7 +312,9 @@ class TestExperiment:
             dtype="float64",
         )
         model = TwoTower(
-            enc_cfg, init_params(enc_cfg, subrng(45), "query"), init_params(enc_cfg, subrng(44), "doc")
+            enc_cfg,
+            init_params(enc_cfg, subrng(45), enc_cfg.query_max_len),
+            init_params(enc_cfg, subrng(44), enc_cfg.doc_max_len),
         )
         base_index = build_dense_index(model, [c.id for c in candidates],
                                        [c.tower_tokens for c in candidates])

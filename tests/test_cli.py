@@ -388,6 +388,9 @@ class TestExperimentCommand:
             ({"warmup_fraction": 1.5}, "warmup_fraction"),
             ({"batch_size": "8"}, "'batch_size'"),
             ({"seeds": 7}, "'seeds'"),
+            ({"tasks": [5]}, "'tasks'"),
+            ({"seeds": ["a"]}, "'seeds'"),
+            ({"seeds": [True]}, "'seeds'"),
         ])
     ])
     def test_bad_grid_rejected_before_work(self, workdir, tmp_path, grid, message, capsys):

@@ -151,35 +151,26 @@ class TestTokenize:
     def test_greedy_longest_match(self):
         # Hand-run greedy longest match: un | ##aff | ##able.
         vocab = self._vocab(["un", "##aff", "##able"])
-        seq = tokenize("unaffable", vocab)
-        assert [vocab.id_to_token[i] for i in seq.ids] == ["un", "##aff", "##able"]
+        ids = tokenize("unaffable", vocab)
+        assert [vocab.id_to_token[i] for i in ids] == ["un", "##aff", "##able"]
 
     def test_empty_text(self):
         vocab = self._vocab(["un"])
-        seq = tokenize("", vocab)
-        assert seq.ids == [] and seq.truncated is False
+        assert tokenize("", vocab) == []
 
     def test_unseen_characters_fall_back_to_unk(self):
         vocab = self._vocab(["un"])
-        seq = tokenize("qqq", vocab)
-        assert seq.ids == [UNK_ID]
-
-    def test_truncation_flag(self):
-        vocab = self._vocab(["ab"])
-        seq = tokenize("ab ab ab", vocab, max_len=2)
-        assert len(seq.ids) == 2 and seq.truncated
+        assert tokenize("qqq", vocab) == [UNK_ID]
 
     def test_prefix_stability(self, small_toy):
         _, _, vocab = small_toy
-        a = tokenize("the dalto holds", vocab).ids
-        b = tokenize("the dalto holds something unrelated", vocab).ids
+        a = tokenize("the dalto holds", vocab)
+        b = tokenize("the dalto holds something unrelated", vocab)
         assert b[: len(a)] == a
 
     def test_deterministic_and_word_local(self, small_toy):
         _, _, vocab = small_toy
-        assert tokenize("alpha beta", vocab).ids == (
-            tokenize("alpha", vocab).ids + tokenize("beta", vocab).ids
-        )
+        assert tokenize("alpha beta", vocab) == tokenize("alpha", vocab) + tokenize("beta", vocab)
 
     def test_retained_sentences_tokenize_non_empty(self, small_toy):
         store, _, _ = small_toy

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twotower.corpus import PAD_ID, TokenSeq
+from twotower.corpus import PAD_ID
 from twotower.encoders import (
     ARCH_BOW_MLP,
     ARCH_TRANSFORMER,
@@ -106,14 +106,15 @@ def scalar_transformer_forward(params, cfg, token_ids):
 class TestInitParams:
     def test_same_seed_bit_identical(self):
         cfg = tiny_config()
-        a = init_params(cfg, subrng(7, "init"), "doc")
-        b = init_params(cfg, subrng(7, "init"), "doc")
+        a = init_params(cfg, subrng(7, "init"), cfg.doc_max_len)
+        b = init_params(cfg, subrng(7, "init"), cfg.doc_max_len)
         assert set(a) == set(b)
         for name in a:
             assert np.array_equal(a[name], b[name])
 
     def test_layernorm_gains_are_ones(self):
-        params = init_params(tiny_config(), subrng(0), "doc")
+        cfg = tiny_config()
+        params = init_params(cfg, subrng(0), cfg.doc_max_len)
         for name, arr in params.items():
             if name.endswith("ln1/gain") or name.endswith("ln2/gain") or name == "final_ln/gain":
                 assert np.all(arr == 1.0)
@@ -128,7 +129,7 @@ class TestInitParams:
         z = math.erf(alpha / math.sqrt(2.0))
         sigma_trunc = 0.02 * math.sqrt(1.0 - 2.0 * alpha * phi / z)
         cfg = tiny_config(vocab_size=1300)  # 1300*8 > 10,000 samples
-        params = init_params(cfg, subrng(3, "moments"), "doc")
+        params = init_params(cfg, subrng(3, "moments"), cfg.doc_max_len)
         sample = params["emb/token"].ravel()[:10_000]
         band = 3.0 * sigma_trunc / math.sqrt(2 * len(sample))
         assert abs(sample.std()) - sigma_trunc < band
@@ -146,14 +147,14 @@ class TestInitParams:
 class TestBowMlp:
     def test_identity_diagnostics_single_token(self):
         cfg = tiny_config(arch=ARCH_BOW_MLP)
-        params = init_params(cfg, subrng(5), "doc")
+        params = init_params(cfg, subrng(5), cfg.doc_max_len)
         h, k = cfg.hidden_dim, cfg.emb_dim
         params["mlp/w1"] = np.eye(h)
         params["mlp/w2"] = np.eye(h)[:, :k]
         params["mlp/b1"][:] = 0.0
         params["mlp/b2"][:] = 0.0
         token = 7
-        out = encode(params, cfg, [TokenSeq([token])], "doc")[0]
+        out = encode(params, cfg, [[token]])[0]
         expected = np.tanh(params["emb/token"][token])[:k]
         np.testing.assert_allclose(out, expected, atol=1e-15)
         # init weights are tiny, so tanh is close to a pass-through
@@ -161,16 +162,23 @@ class TestBowMlp:
 
     def test_order_invariance_of_mean_pooling(self):
         cfg = tiny_config(arch=ARCH_BOW_MLP)
-        params = init_params(cfg, subrng(6), "doc")
-        a = encode(params, cfg, [TokenSeq([7, 9, 11])], "doc")
-        b = encode(params, cfg, [TokenSeq([11, 7, 9])], "doc")
+        params = init_params(cfg, subrng(6), cfg.doc_max_len)
+        a = encode(params, cfg, [[7, 9, 11]])
+        b = encode(params, cfg, [[11, 7, 9]])
         np.testing.assert_allclose(a, b, atol=1e-15)
+
+    def test_takes_any_length(self):
+        # No position table, so no length limit.
+        cfg = tiny_config(arch=ARCH_BOW_MLP)
+        model = TwoTower.init(cfg, seed=5)
+        out = model.encode_queries([[7] * (cfg.doc_max_len + 5)])
+        np.testing.assert_allclose(out, model.encode_queries([[7]]), atol=1e-15)
 
     def test_token_embedding_gradient_sparsity(self):
         cfg = tiny_config(arch=ARCH_BOW_MLP)
-        params = init_params(cfg, subrng(8), "doc")
+        params = init_params(cfg, subrng(8), cfg.doc_max_len)
         grad_out = subrng(9).normal(size=(1, cfg.emb_dim))
-        _, cache = encode_with_cache(params, cfg, [TokenSeq([7, 9])], "doc")
+        _, cache = encode_with_cache(params, cfg, [[7, 9]])
         grads = backward_from_cache(params, cfg, cache, grad_out)
         nonzero_rows = np.flatnonzero(np.abs(grads["emb/token"]).sum(axis=1))
         assert set(nonzero_rows) == {7, 9}
@@ -179,62 +187,73 @@ class TestBowMlp:
 class TestTransformerForward:
     def test_matches_scalar_oracle(self):
         cfg = tiny_config()
-        params = init_params(cfg, subrng(7, "oracle"), "doc")
+        params = init_params(cfg, subrng(7, "oracle"), cfg.doc_max_len)
         tokens = [2, 7, 13]
-        vectorized = encode(params, cfg, [TokenSeq(tokens)], "doc")[0]
+        vectorized = encode(params, cfg, [tokens])[0]
         reference = scalar_transformer_forward(params, cfg, tokens)
         np.testing.assert_allclose(vectorized, reference, atol=1e-10)
 
     def test_matches_scalar_oracle_second_seed(self):
         cfg = tiny_config(num_layers=1, hidden_dim=4, num_heads=2, ff_dim=8, emb_dim=3)
-        params = init_params(cfg, subrng(21, "oracle"), "doc")
+        params = init_params(cfg, subrng(21, "oracle"), cfg.doc_max_len)
         tokens = [2, 5, 6, 9, 10]
-        vectorized = encode(params, cfg, [TokenSeq(tokens)], "doc")[0]
+        vectorized = encode(params, cfg, [tokens])[0]
         reference = scalar_transformer_forward(params, cfg, tokens)
         np.testing.assert_allclose(vectorized, reference, atol=1e-10)
 
     def test_pad_invariance(self):
         for arch in (ARCH_TRANSFORMER, ARCH_BOW_MLP):
             cfg = tiny_config(arch=arch)
-            params = init_params(cfg, subrng(1), "doc")
-            base = encode(params, cfg, [TokenSeq([2, 7, 9])], "doc")
-            padded = encode(params, cfg, [TokenSeq([2, 7, 9] + [PAD_ID] * 4)], "doc")
+            params = init_params(cfg, subrng(1), cfg.doc_max_len)
+            base = encode(params, cfg, [[2, 7, 9]])
+            padded = encode(params, cfg, [[2, 7, 9] + [PAD_ID] * 4])
             np.testing.assert_allclose(base, padded, atol=1e-10)
 
     def test_batch_permutation_equivariance(self):
         cfg = tiny_config()
-        params = init_params(cfg, subrng(2), "doc")
-        batch = [TokenSeq([2, 7]), TokenSeq([2, 9, 10]), TokenSeq([2, 11, 12, 13])]
-        out = encode(params, cfg, batch, "doc")
+        params = init_params(cfg, subrng(2), cfg.doc_max_len)
+        batch = [[2, 7], [2, 9, 10], [2, 11, 12, 13]]
+        out = encode(params, cfg, batch)
         perm = [2, 0, 1]
-        out_perm = encode(params, cfg, [batch[i] for i in perm], "doc")
+        out_perm = encode(params, cfg, [batch[i] for i in perm])
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
     def test_outputs_finite(self):
         cfg = tiny_config()
-        params = init_params(cfg, subrng(3), "doc")
+        params = init_params(cfg, subrng(3), cfg.doc_max_len)
         rng = subrng(4)
         for _ in range(10):
             length = int(rng.integers(1, cfg.doc_max_len + 1))
             tokens = [2] + [int(t) for t in rng.integers(5, cfg.vocab_size, size=length - 1)]
-            out = encode(params, cfg, [TokenSeq(tokens)], "doc")
+            out = encode(params, cfg, [tokens])
             assert np.isfinite(out).all()
 
-    def test_sequence_exceeding_max_len_rejected(self):
-        cfg = tiny_config()
-        params = init_params(cfg, subrng(5), "doc")
-        with pytest.raises(EncoderError, match="max_len"):
-            encode(params, cfg, [TokenSeq([2] * (cfg.doc_max_len + 1))], "doc")
+    @pytest.mark.parametrize("tower", ["query", "doc", "shared"])
+    def test_sequence_exceeding_max_len_rejected(self, tower):
+        # A tower's length is its position table, which `TwoTower.init` sizes
+        # to query_max_len, doc_max_len, or the larger when shared; the query
+        # length is the larger one here, so a shared tower sized to
+        # doc_max_len fails.
+        cfg = tiny_config(share_towers=tower == "shared", query_max_len=12)
+        model = TwoTower.init(cfg, seed=5)
+        params, length = {
+            "query": (model.query, cfg.query_max_len),
+            "doc": (model.doc, cfg.doc_max_len),
+            "shared": (model.query, max(cfg.query_max_len, cfg.doc_max_len)),
+        }[tower]
+        assert encode(params, cfg, [[2] * length]).shape == (1, cfg.emb_dim)
+        with pytest.raises(EncoderError, match="exceeds max_len"):
+            encode(params, cfg, [[2] * (length + 1)])
 
     def test_tower_separation(self):
         cfg = tiny_config()
-        params_q = init_params(cfg, subrng(10, "q"), "query")
-        params_d = init_params(cfg, subrng(10, "d"), "doc")
-        docs = [TokenSeq([2, 7, 9])]
-        before = encode(params_d, cfg, docs, "doc")
+        params_q = init_params(cfg, subrng(10, "q"), cfg.query_max_len)
+        params_d = init_params(cfg, subrng(10, "d"), cfg.doc_max_len)
+        docs = [[2, 7, 9]]
+        before = encode(params_d, cfg, docs)
         for name in params_q:
             params_q[name] = params_q[name] + 0.5
-        after = encode(params_d, cfg, docs, "doc")
+        after = encode(params_d, cfg, docs)
         np.testing.assert_array_equal(before, after)
 
 
@@ -242,8 +261,8 @@ class TestBackward:
     def test_zero_grad_out_gives_zero_gradients(self):
         for arch in (ARCH_TRANSFORMER, ARCH_BOW_MLP):
             cfg = tiny_config(arch=arch)
-            params = init_params(cfg, subrng(11), "doc")
-            _, cache = encode_with_cache(params, cfg, [TokenSeq([2, 7, 9])], "doc")
+            params = init_params(cfg, subrng(11), cfg.doc_max_len)
+            _, cache = encode_with_cache(params, cfg, [[2, 7, 9]])
             grads = backward_from_cache(params, cfg, cache, np.zeros((1, cfg.emb_dim)))
             for name, grad in grads.items():
                 assert np.all(grad == 0.0), name
@@ -252,14 +271,14 @@ class TestBackward:
     def test_finite_difference_oracle(self, arch):
         cfg = tiny_config(arch=arch)
         rng = subrng(12, arch)
-        params = init_params(cfg, rng, "doc")
-        batch = [TokenSeq([2, 7, 9, 11]), TokenSeq([2, 5, 6])]
+        params = init_params(cfg, rng, cfg.doc_max_len)
+        batch = [[2, 7, 9, 11], [2, 5, 6]]
         grad_out = rng.normal(size=(2, cfg.emb_dim))
 
         def objective():
-            return float((encode(params, cfg, batch, "doc") * grad_out).sum())
+            return float((encode(params, cfg, batch) * grad_out).sum())
 
-        _, cache = encode_with_cache(params, cfg, batch, "doc")
+        _, cache = encode_with_cache(params, cfg, batch)
         grads = backward_from_cache(params, cfg, cache, grad_out)
         eps = 1e-5
         coord_rng = np.random.default_rng(0)
@@ -288,7 +307,9 @@ class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_config()
         model = TwoTower(
-            cfg, init_params(cfg, subrng(14, "q"), "query"), init_params(cfg, subrng(14, "d"), "doc")
+            cfg,
+            init_params(cfg, subrng(14, "q"), cfg.query_max_len),
+            init_params(cfg, subrng(14, "d"), cfg.doc_max_len),
         )
         prefix = str(tmp_path / "ckpt")
         fp1 = save_checkpoint(prefix, model, {"stage": "test"})
@@ -302,7 +323,7 @@ class TestCheckpoint:
 
     def test_shared_towers_roundtrip(self, tmp_path):
         cfg = tiny_config(share_towers=True)
-        shared = init_params(cfg, subrng(15), "shared")
+        shared = init_params(cfg, subrng(15), cfg.doc_max_len)
         prefix = str(tmp_path / "shared")
         save_checkpoint(prefix, TwoTower(cfg, shared, shared))
         loaded, _ = load_checkpoint(prefix)
@@ -312,7 +333,7 @@ class TestCheckpoint:
 
     def test_shared_flag_requires_single_tower(self, tmp_path):
         cfg = tiny_config(share_towers=True)
-        a = init_params(cfg, subrng(16), "shared")
-        b = init_params(cfg, subrng(17), "shared")
+        a = init_params(cfg, subrng(16), cfg.doc_max_len)
+        b = init_params(cfg, subrng(17), cfg.doc_max_len)
         with pytest.raises(EncoderError):
             TwoTower(cfg, a, b)

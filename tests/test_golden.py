@@ -12,8 +12,6 @@ re-records them and says so. The digests were recorded with numpy 2 and
 OpenBLAS on x86-64; another BLAS build or CPU kernel may round differently.
 """
 
-import hashlib
-
 import pytest
 
 from twotower import cli, util
@@ -39,10 +37,6 @@ GOLDEN = {
 
 def _run(*argv):
     assert cli.main(list(argv)) == cli.EXIT_OK, argv
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +85,7 @@ def digests(tmp_path_factory):
     _run("experiment", "--corpus", corpus, "--qa", qa, "--config", grid, "--out", str(root / "exp"))
     outputs["report.json"] = root / "exp" / "report.json"
     outputs["report.txt"] = root / "exp" / "report.txt"
-    return {name: _sha256(path) for name, path in outputs.items()}
+    return {name: util.sha256_file(str(path)) for name, path in outputs.items()}
 
 
 def test_outputs_match_recorded_digests(digests):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twotower.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, TokenSeq, tokenize_corpus
+from twotower.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, tokenize_corpus
 from twotower.corpus import build_vocab, parse_corpus
 from twotower.pairs import (
     DegenerateIctPair,
@@ -61,7 +61,7 @@ class TestIct:
         title = store.title_token_ids[passage.article_id]
         first = gen_ict(passage, title, subrng(42, "u"), Q_LEN, D_LEN)
         again = gen_ict(passage, title, subrng(42, "u"), Q_LEN, D_LEN)
-        assert first.query.ids == again.query.ids and first.doc.ids == again.doc.ids
+        assert first.query == again.query and first.doc == again.doc
         rng = subrng(42, "uniform")
         counts = np.zeros(5, dtype=int)
         for _ in range(10_000):
@@ -101,7 +101,7 @@ class TestBfs:
         article = store.article(3)
         a = gen_bfs(article, subrng(5, "b"), Q_LEN, D_LEN, store.title_token_ids[3])
         b = gen_bfs(article, subrng(5, "b"), Q_LEN, D_LEN, store.title_token_ids[3])
-        assert a.query.ids == b.query.ids and a.doc.ids == b.doc.ids
+        assert a.query == b.query and a.doc == b.doc
         for seed in range(20):
             pair = gen_bfs(article, subrng(seed, "lead"), Q_LEN, D_LEN, [])
             assert store.passage(pair.query_passage_id).section_index == 0
@@ -145,23 +145,23 @@ class TestWlp:
 
 class TestMlm:
     def test_full_mask_limit_case(self):
-        tokens = TokenSeq([CLS_ID, 7, 8, 9, SEP_ID, 10])
+        tokens = [CLS_ID, 7, 8, 9, SEP_ID, 10]
         example = gen_mlm(tokens, subrng(0), 0.999999, vocab_size=20, replacement=(1.0, 0.0, 0.0))
-        assert example.input.ids == [CLS_ID, MASK_ID, MASK_ID, MASK_ID, SEP_ID, MASK_ID]
+        assert example.input == [CLS_ID, MASK_ID, MASK_ID, MASK_ID, SEP_ID, MASK_ID]
         assert sorted(p for p, _ in example.labels) == [1, 2, 3, 5]
 
     def test_specials_never_selected(self):
-        tokens = TokenSeq([CLS_ID, SEP_ID, CLS_ID])
+        tokens = [CLS_ID, SEP_ID, CLS_ID]
         example = gen_mlm(tokens, subrng(0), 0.999999, vocab_size=20)
         assert example.labels == []
-        assert example.input.ids == tokens.ids
+        assert example.input == tokens
 
     def test_selection_rate_binomial(self):
         rng = subrng(3, "mlm-rate")
         selected = 0
         total = 0
         for _ in range(100):
-            tokens = TokenSeq([CLS_ID] + [9] * 100)
+            tokens = [CLS_ID] + [9] * 100
             example = gen_mlm(tokens, rng, 0.15, vocab_size=20)
             selected += len(example.labels)
             total += 100
@@ -169,14 +169,14 @@ class TestMlm:
         assert abs(selected - 0.15 * total) <= 3 * sigma
 
     def test_labels_record_originals(self):
-        tokens = TokenSeq([CLS_ID, 7, 8, 9])
+        tokens = [CLS_ID, 7, 8, 9]
         example = gen_mlm(tokens, subrng(1), 0.999999, vocab_size=50)
         for pos, original in example.labels:
-            assert original == tokens.ids[pos]
+            assert original == tokens[pos]
 
     def test_mask_rate_validated(self):
         with pytest.raises(ValueError):
-            gen_mlm(TokenSeq([7]), subrng(0), 1.5, vocab_size=20)
+            gen_mlm([7], subrng(0), 1.5, vocab_size=20)
 
 
 class TestMixture:
@@ -212,7 +212,7 @@ class TestMixture:
         store, _, _ = small_toy
         def stream(seed):
             pairs = sample_mixture(store, TaskMixture.uniform(), 200, subrng(seed), Q_LEN, D_LEN)
-            return [(p.task, p.query.ids, p.doc.ids, p.source) for p in pairs]
+            return [(p.task, p.query, p.doc, p.source) for p in pairs]
         assert stream(9) == stream(9)
         assert stream(9) != stream(10)
 
@@ -236,8 +236,8 @@ class TestPairInvariants:
     def test_doc_format(self, sampled):
         _, pairs = sampled
         for pair in pairs:
-            assert pair.doc.ids[0] == CLS_ID
-            assert pair.doc.ids.count(SEP_ID) == 1
+            assert pair.doc[0] == CLS_ID
+            assert pair.doc.count(SEP_ID) == 1
 
     def test_ict_exclusion(self, sampled):
         _, pairs = sampled

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twotower.corpus import TokenSeq
-from twotower.encoders import EncoderConfig, TwoTower, encode
+from twotower.encoders import EncoderConfig, EncoderError, TwoTower, encode
 from twotower.retrieval import (
     BM25Params,
     DenseIndex,
@@ -33,7 +32,7 @@ def bm25_score(query_tokens, candidate_id, docs, p):
     avg_doc_length = sum(len(tokens) for _, tokens in docs) / n
     doc = dict(docs)[candidate_id]
     total = 0.0
-    for token in sorted(set(query_tokens.ids)):
+    for token in sorted(set(query_tokens)):
         tf = doc.count(token)
         if tf == 0:
             continue
@@ -84,8 +83,7 @@ class TestDenseTopk:
     def test_k_beyond_n_returns_all_flagged(self):
         index = DenseIndex([0, 1], np.eye(2))
         ranked = dense_topk(index, np.array([1.0, 0.5]), 5)
-        assert len(ranked.ids) == 2
-        assert ranked.exhausted
+        assert ranked.ids == [0, 1]
 
     def test_monotone_in_k(self):
         rng = subrng(32)
@@ -114,10 +112,10 @@ class _TableModel(TwoTower):
     """Embeds the one-token sequence [i] as row i of a fixed table."""
 
     def encode_queries(self, batch):
-        return self.query["table"][[seq.ids[0] for seq in batch]]
+        return self.query["table"][[seq[0] for seq in batch]]
 
     def encode_docs(self, batch):
-        return self.doc["table"][[seq.ids[0] for seq in batch]]
+        return self.doc["table"][[seq[0] for seq in batch]]
 
 
 class TestRankDense:
@@ -135,17 +133,14 @@ class TestRankDense:
         batch_size = data.draw(st.integers(1, 5))
         cfg = EncoderConfig(vocab_size=30, dtype="float64")
         model = _TableModel(cfg, {"table": queries}, {"table": docs})
-        candidates = [(cid, TokenSeq([row])) for row, cid in enumerate(ids)]
-        ranked = rank_dense(
-            model, [TokenSeq([i]) for i in range(n_queries)], candidates, k, batch_size
-        )
+        candidates = [(cid, [row]) for row, cid in enumerate(ids)]
+        ranked = rank_dense(model, [[i] for i in range(n_queries)], candidates, k, batch_size)
         assert len(ranked) == n_queries
         for q, got in zip(queries, ranked):
             scores = [float(d @ q) for d in docs]
             order = sorted(range(n_docs), key=lambda i: (-scores[i], ids[i]))[:k]
             assert got.ids == [ids[i] for i in order]
             assert got.scores == [scores[i] for i in order]
-            assert got.exhausted == (k > n_docs)
 
 
 class TestBuildDenseIndex:
@@ -158,30 +153,28 @@ class TestBuildDenseIndex:
 
     def test_single_candidate_matches_encode(self):
         cfg, model = self._setup()
-        seq = TokenSeq([2, 7, 9])
+        seq = [2, 7, 9]
         index = build_dense_index(model, [0], [seq])
-        np.testing.assert_allclose(index.embeddings, encode(model.doc, cfg, [seq], "doc"), atol=1e-12)
+        np.testing.assert_allclose(index.embeddings, encode(model.doc, cfg, [seq]), atol=1e-12)
 
     def test_rows_follow_candidate_order(self):
         cfg, model = self._setup()
-        seqs = [TokenSeq([2, 7]), TokenSeq([2, 9]), TokenSeq([2, 11])]
+        seqs = [[2, 7], [2, 9], [2, 11]]
         a = build_dense_index(model, [10, 20, 30], seqs)
         b = build_dense_index(model, [30, 20, 10], seqs[::-1])
         np.testing.assert_allclose(a.embeddings, b.embeddings[::-1], atol=1e-12)
 
     def test_rebuild_is_deterministic(self):
         cfg, model = self._setup()
-        seqs = [TokenSeq([2, 7]), TokenSeq([2, 9])]
+        seqs = [[2, 7], [2, 9]]
         a = build_dense_index(model, [0, 1], seqs)
         b = build_dense_index(model, [0, 1], seqs)
         assert a.embeddings.tobytes() == b.embeddings.tobytes()
 
-    def test_overlong_candidate_truncated_not_rejected(self):
+    def test_overlong_candidate_rejected(self):
         cfg, model = self._setup()
-        long_seq = TokenSeq([2] + [7] * 20)
-        index = build_dense_index(model, [0], [long_seq])
-        expected = encode(model.doc, cfg, [TokenSeq(long_seq.ids[: cfg.doc_max_len])], "doc")
-        np.testing.assert_allclose(index.embeddings, expected, atol=1e-12)
+        with pytest.raises(EncoderError, match="exceeds max_len"):
+            build_dense_index(model, [0, 1], [[2, 7], [2] + [7] * cfg.doc_max_len])
 
 
 class TestBM25:
@@ -190,20 +183,20 @@ class TestBM25:
         # idf(a) = ln(1 + (2 - 1 + 0.5)/(1 + 0.5)) = ln 2
         # score(d1) = ln2 * (1 * 2.2) / (1 + 1.2 * (1 - 0.75 + 0.75 * 2/2)) = ln 2
         docs = [(0, [10, 11]), (1, [11, 11])]
-        ranked = bm25_topk(InvertedIndex(docs), TokenSeq([10]), 1, BM25Params())
+        ranked = bm25_topk(InvertedIndex(docs), [10], 1, BM25Params())
         assert ranked.ids == [0]
         assert ranked.scores[0] == pytest.approx(math.log(2.0), abs=1e-12)
-        assert bm25_score(TokenSeq([10]), 0, docs, BM25Params()) == ranked.scores[0]
+        assert bm25_score([10], 0, docs, BM25Params()) == ranked.scores[0]
 
     def test_zero_overlap_scores_zero(self):
         index = InvertedIndex([(0, [10, 11]), (1, [11, 11])])
-        assert bm25_topk(index, TokenSeq([99]), 2, BM25Params()).scores == [0.0, 0.0]
+        assert bm25_topk(index, [99], 2, BM25Params()).scores == [0.0, 0.0]
 
     def test_query_terms_deduplicated(self):
         index = InvertedIndex([(0, [10, 11]), (1, [11, 11])])
         p = BM25Params()
-        single = bm25_topk(index, TokenSeq([10, 11]), 2, p)
-        repeated = bm25_topk(index, TokenSeq([11, 10, 10, 11, 10]), 2, p)
+        single = bm25_topk(index, [10, 11], 2, p)
+        repeated = bm25_topk(index, [11, 10, 10, 11, 10], 2, p)
         assert single == repeated
 
     def test_non_negative_scores(self):
@@ -212,14 +205,14 @@ class TestBM25:
         index = InvertedIndex(docs)
         p = BM25Params()
         for _ in range(40):
-            query = TokenSeq([int(t) for t in rng.integers(5, 40, size=5)])
+            query = [int(t) for t in rng.integers(5, 40, size=5)]
             assert all(s >= 0.0 for s in bm25_topk(index, query, len(docs), p).scores)
 
     def test_single_token_single_doc(self):
         docs = [(i, [20 + i]) for i in range(5)]
         docs[3] = (3, [7])
         index = InvertedIndex(docs)
-        ranked = bm25_topk(index, TokenSeq([7]), 3, BM25Params())
+        ranked = bm25_topk(index, [7], 3, BM25Params())
         assert ranked.ids[0] == 3
 
     def test_topk_matches_exhaustive_oracle(self):
@@ -231,7 +224,7 @@ class TestBM25:
         index = InvertedIndex(docs)
         p = BM25Params()
         for _ in range(100):
-            query = TokenSeq([int(t) for t in rng.integers(5, 70, size=rng.integers(1, 6))])
+            query = [int(t) for t in rng.integers(5, 70, size=rng.integers(1, 6))]
             k = int(rng.integers(1, 30))
             ranked = bm25_topk(index, query, k, p)
             scores = [bm25_score(query, cid, docs, p) for cid, _ in docs]
@@ -248,7 +241,7 @@ class TestBM25:
         n = data.draw(st.integers(1, 40))
         ids = data.draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n, unique=True))
         docs = [(cid, data.draw(st.sampled_from(distinct))) for cid in ids]
-        query = TokenSeq(data.draw(st.lists(st.integers(0, 5), max_size=6)))
+        query = data.draw(st.lists(st.integers(0, 5), max_size=6))
         k = data.draw(st.integers(1, n + 3))
         p = BM25Params(k1=data.draw(st.sampled_from([0.0, 1.2, 2.0])),
                        b=data.draw(st.sampled_from([0.0, 0.75, 1.0])))
@@ -257,19 +250,17 @@ class TestBM25:
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
         assert ranked.ids == [ids[i] for i in order]
         assert ranked.scores == [scores[i] for i in order]
-        assert ranked.exhausted == (k > n)
 
     def test_empty_query_fills_by_id(self):
         index = InvertedIndex([(3, [10]), (1, [11]), (2, [12])])
-        ranked = bm25_topk(index, TokenSeq([]), 2, BM25Params())
+        ranked = bm25_topk(index, [], 2, BM25Params())
         assert ranked.ids == [1, 2]
         assert ranked.scores == [0.0, 0.0]
 
     def test_k_beyond_n_flagged(self):
         index = InvertedIndex([(0, [10]), (1, [11])])
-        ranked = bm25_topk(index, TokenSeq([10]), 5, BM25Params())
-        assert len(ranked.ids) == 2
-        assert ranked.exhausted
+        ranked = bm25_topk(index, [10], 5, BM25Params())
+        assert ranked.ids == [0, 1]
 
     def test_invariants_of_index(self):
         docs = [(5, [10, 11, 10]), (2, [11]), (7, [])]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twotower.benchmark import build_reqa, finetune_pairs, make_split
-from twotower.corpus import NUM_SPECIALS, TokenSeq
+from twotower.corpus import NUM_SPECIALS
 from twotower.encoders import EncoderConfig, TwoTower, hidden_states, init_params, save_checkpoint
 from twotower.pairs import TaskMixture, gen_mlm, sample_mixture
 from twotower.training import (
@@ -288,20 +288,20 @@ class TestMlmStep:
             12, hidden_dim=8, num_heads=2, ff_dim=16, emb_dim=4, doc_max_len=8, dtype="float64"
         )
         rng = subrng(31)
-        params = {k: rng.normal(scale=0.5, size=a.shape) for k, a in init_params(cfg, rng).items()}
+        params = {k: rng.normal(scale=0.5, size=a.shape) for k, a in init_params(cfg, rng, cfg.doc_max_len).items()}
         params["mlm/bias"] = rng.normal(scale=0.5, size=cfg.vocab_size)
-        batch = [TokenSeq(list(rng.integers(NUM_SPECIALS, cfg.vocab_size, size=n))) for n in (8, 6, 7)]
+        batch = [list(rng.integers(NUM_SPECIALS, cfg.vocab_size, size=n)) for n in (8, 6, 7)]
 
         def mask_rng():
             return subrng(32, "mask")
 
-        loss, _, grads = _mlm_step(params, cfg, batch, mask_rng(), "doc")
+        loss, _, grads = _mlm_step(params, cfg, batch, mask_rng())
 
         # The loss is the mean full-softmax NLL over the masked positions; the
         # head's bias joins the logits as one more coordinate.
         masking = mask_rng()
         examples = [gen_mlm(seq, masking, MASK_RATE, cfg.vocab_size) for seq in batch]
-        hidden, _ = hidden_states(params, cfg, [e.input for e in examples], "doc")
+        hidden, _ = hidden_states(params, cfg, [e.input for e in examples])
         head = np.hstack([params["emb/token"], params["mlm/bias"][:, None]])
         nlls = [
             full_softmax_loss(np.append(hidden[i, pos], 1.0), head, original)
@@ -318,9 +318,9 @@ class TestMlmStep:
             for idx in np.ndindex(arr.shape):
                 original = arr[idx]
                 arr[idx] = original + eps
-                f_plus = _mlm_step(params, cfg, batch, mask_rng(), "doc")[0]
+                f_plus = _mlm_step(params, cfg, batch, mask_rng())[0]
                 arr[idx] = original - eps
-                f_minus = _mlm_step(params, cfg, batch, mask_rng(), "doc")[0]
+                f_minus = _mlm_step(params, cfg, batch, mask_rng())[0]
                 arr[idx] = original
                 numeric = (f_plus - f_minus) / (2 * eps)
                 analytic = grads[name][idx]
