@@ -143,14 +143,6 @@ def _pad_batch(batch: Batch, max_len: Optional[int] = None) -> Tuple[np.ndarray,
     return ids, mask
 
 
-def gelu(u: np.ndarray) -> np.ndarray:
-    return 0.5 * u * (1.0 + erf(u * _INV_SQRT_2))
-
-
-def gelu_grad(u: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(u * _INV_SQRT_2)) + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI
-
-
 def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -182,38 +174,57 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, nh * dh)
 
 
-def _forward_body(params: Params, config: EncoderConfig, ids: np.ndarray, mask: np.ndarray):
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    y = x @ w
+    y += b
+    return y
+
+
+def _forward_body(params: Params, config: EncoderConfig, ids: np.ndarray, mask: np.ndarray, backward: bool = True):
     """Run the transformer body through the final LayerNorm.
 
-    Returns hidden states [B, L, h] and a cache for the backward pass.
+    Returns hidden states [B, L, h] and, when `backward` is set, a cache for
+    the backward pass; without it no activations are kept and the cache is
+    None.
     """
     eps = config.ln_epsilon
     nh = config.num_heads
     scale = 1.0 / math.sqrt(config.hidden_dim // nh)
     x = params["emb/token"][ids] + params["emb/pos"][: ids.shape[1]]
-    key_mask = mask[:, None, None, :]
+    pad = ~mask[:, None, None, :]
     layers = []
     for i in range(config.num_layers):
         p = f"layer{i}"
         xn1, ln1_cache = _layernorm(x, params[f"{p}/ln1/gain"], params[f"{p}/ln1/bias"], eps)
-        q = xn1 @ params[f"{p}/attn/wq"] + params[f"{p}/attn/bq"]
-        k = xn1 @ params[f"{p}/attn/wk"] + params[f"{p}/attn/bk"]
-        v = xn1 @ params[f"{p}/attn/wv"] + params[f"{p}/attn/bv"]
+        q = _affine(xn1, params[f"{p}/attn/wq"], params[f"{p}/attn/bq"])
+        k = _affine(xn1, params[f"{p}/attn/wk"], params[f"{p}/attn/bk"])
+        v = _affine(xn1, params[f"{p}/attn/wv"], params[f"{p}/attn/bv"])
         qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
-        scores = np.where(key_mask, (qh @ kh.transpose(0, 1, 3, 2)) * scale, -np.inf)
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        expd = np.exp(scores)
-        probs = expd / expd.sum(axis=-1, keepdims=True)
+        # Masked softmax over the keys, in place in the score buffer.
+        probs = qh @ kh.transpose(0, 1, 3, 2)
+        probs *= scale
+        np.copyto(probs, -np.inf, where=pad)
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
         ctx = _merge_heads(probs @ vh)
-        attn = ctx @ params[f"{p}/attn/wo"] + params[f"{p}/attn/bo"]
-        a = x + attn
+        a = _affine(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
+        a += x
         xn2, ln2_cache = _layernorm(a, params[f"{p}/ln2/gain"], params[f"{p}/ln2/bias"], eps)
-        u = xn2 @ params[f"{p}/ffn/w1"] + params[f"{p}/ffn/b1"]
-        gu = gelu(u)
-        x_next = a + gu @ params[f"{p}/ffn/w2"] + params[f"{p}/ffn/b2"]
-        layers.append((xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, gu))
-        x = x_next
+        u = _affine(xn2, params[f"{p}/ffn/w1"], params[f"{p}/ffn/b1"])
+        # GELU(u) = u * cdf(u); the cache keeps the CDF, so backward takes no erf.
+        cdf = u * _INV_SQRT_2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        x = (u * cdf) @ params[f"{p}/ffn/w2"]
+        x += a
+        x += params[f"{p}/ffn/b2"]
+        if backward:
+            layers.append((xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, cdf))
     hidden, final_cache = _layernorm(x, params["final_ln/gain"], params["final_ln/bias"], eps)
+    if not backward:
+        return hidden, None
     cache = {
         "ids": ids,
         "mask": mask,
@@ -237,13 +248,14 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
 
     for i in reversed(range(config.num_layers)):
         p = f"layer{i}"
-        xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, gu = cache["layers"][i]
+        xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, cdf = cache["layers"][i]
         # ffn sublayer: out = a + gelu(xn2 @ w1 + b1) @ w2 + b2
         da = dx.copy()
         df = dx
-        grads[f"{p}/ffn/w2"] += np.einsum("blf,blh->fh", gu, df)
+        grads[f"{p}/ffn/w2"] += np.einsum("blf,blh->fh", u * cdf, df)
         grads[f"{p}/ffn/b2"] += df.sum(axis=(0, 1))
-        du = (df @ params[f"{p}/ffn/w2"].T) * gelu_grad(u)
+        # gelu'(u) = cdf(u) + u * pdf(u)
+        du = (df @ params[f"{p}/ffn/w2"].T) * (cdf + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI)
         grads[f"{p}/ffn/w1"] += np.einsum("blh,blf->hf", xn2, du)
         grads[f"{p}/ffn/b1"] += du.sum(axis=(0, 1))
         dxn2 = du @ params[f"{p}/ffn/w1"].T
@@ -309,18 +321,23 @@ def _backward_bow(params: Params, cache, grad_out: np.ndarray) -> Params:
     return grads
 
 
-def encode_with_cache(params: Params, config: EncoderConfig, batch: Batch):
-    """Forward pass returning (embeddings [B, k], cache)."""
+def encode_with_cache(params: Params, config: EncoderConfig, batch: Batch, backward: bool = True):
+    """Forward pass returning (embeddings [B, k], cache). With `backward`
+    false no activations are kept and the cache is None."""
     if config.arch == ARCH_BOW_MLP:
-        return _forward_bow(params, *_pad_batch(batch))
-    hidden, cache = _forward_body(params, config, *_pad_batch(batch, len(params["emb/pos"])))
-    cache["cls"] = hidden[:, 0, :]
-    out = cache["cls"] @ params["out/w"] + params["out/b"]
-    return out, cache
+        out, cache = _forward_bow(params, *_pad_batch(batch))
+        return out, cache if backward else None
+    ids, mask = _pad_batch(batch, len(params["emb/pos"]))
+    hidden, cache = _forward_body(params, config, ids, mask, backward)
+    cls = hidden[:, 0, :]
+    if backward:
+        cache["cls"] = cls
+    return cls @ params["out/w"] + params["out/b"], cache
 
 
 def encode(params: Params, config: EncoderConfig, batch: Batch) -> np.ndarray:
-    out, _ = encode_with_cache(params, config, batch)
+    """Embeddings [B, k] of a batch; keeps no activations."""
+    out, _ = encode_with_cache(params, config, batch, backward=False)
     return out
 
 

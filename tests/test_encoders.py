@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from twotower.corpus import PAD_ID
+from twotower.corpus import NUM_SPECIALS, PAD_ID
 from twotower.encoders import (
     ARCH_BOW_MLP,
     ARCH_TRANSFORMER,
@@ -255,6 +256,61 @@ class TestTransformerForward:
             params_q[name] = params_q[name] + 0.5
         after = encode(params_d, cfg, docs)
         np.testing.assert_array_equal(before, after)
+
+
+class TestEncodeKeepsNoActivations:
+    """`encode` skips the activation cache but must compute the same bits as
+    the forward pass that keeps it."""
+
+    @staticmethod
+    def _batch(rng, max_len, vocab_size):
+        lengths = rng.integers(1, max_len + 1, size=6)
+        return [[2] + rng.integers(NUM_SPECIALS, vocab_size, size=n - 1).tolist() for n in lengths]
+
+    @pytest.mark.parametrize("arch,dtype,share", [
+        (ARCH_TRANSFORMER, "float32", False),
+        (ARCH_TRANSFORMER, "float64", False),
+        (ARCH_TRANSFORMER, "float32", True),
+        (ARCH_TRANSFORMER, "float64", True),
+        (ARCH_BOW_MLP, "float32", False),
+        (ARCH_BOW_MLP, "float64", False),
+    ])
+    def test_bits_equal_the_cached_forward(self, arch, dtype, share):
+        cfg = tiny_config(arch=arch, dtype=dtype, share_towers=share, query_max_len=6)
+        model = TwoTower.init(cfg, seed=3)
+        rng = subrng(4, "bits")
+        queries = self._batch(rng, cfg.query_max_len, cfg.vocab_size)
+        docs = self._batch(rng, cfg.doc_max_len, cfg.vocab_size)
+        for plain, cached in (
+            (model.encode_queries(queries), model.encode_queries_with_cache(queries)),
+            (model.encode_docs(docs), model.encode_docs_with_cache(docs)),
+        ):
+            assert cached[1] is not None
+            assert plain.dtype == cached[0].dtype == np.dtype(dtype)
+            assert plain.tobytes() == cached[0].tobytes()
+
+    @pytest.mark.parametrize("arch", [ARCH_TRANSFORMER, ARCH_BOW_MLP])
+    def test_no_cache_without_backward(self, arch):
+        cfg = tiny_config(arch=arch)
+        params = init_params(cfg, subrng(5), cfg.doc_max_len)
+        out, cache = encode_with_cache(params, cfg, [[2, 7, 9]], backward=False)
+        assert cache is None
+        assert out.tobytes() == encode_with_cache(params, cfg, [[2, 7, 9]])[0].tobytes()
+
+    def test_index_batch_peak_memory(self):
+        # One 512 x 48 doc batch, as `build_dense_index` encodes it, at the
+        # default shapes in float32. Keeping every layer's activations, as a
+        # training forward does, peaks at about 330 MB.
+        cfg = EncoderConfig(vocab_size=3000, dtype="float32")
+        params = init_params(cfg, subrng(6), cfg.doc_max_len)
+        batch = subrng(7).integers(NUM_SPECIALS, cfg.vocab_size, size=(512, cfg.doc_max_len)).tolist()
+        tracemalloc.start()
+        try:
+            encode(params, cfg, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 250 * 2**20
 
 
 class TestBackward:
