@@ -180,6 +180,12 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
+def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Gradient of `x @ w` w.r.t. `w` for upstream `dy`, summed over every
+    leading axis: one BLAS matmul."""
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
 def _forward_body(params: Params, config: EncoderConfig, ids: np.ndarray, mask: np.ndarray, backward: bool = True):
     """Run the transformer body through the final LayerNorm.
 
@@ -252,11 +258,11 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
         # ffn sublayer: out = a + gelu(xn2 @ w1 + b1) @ w2 + b2
         da = dx.copy()
         df = dx
-        grads[f"{p}/ffn/w2"] += np.einsum("blf,blh->fh", u * cdf, df)
+        grads[f"{p}/ffn/w2"] += _weight_grad(u * cdf, df)
         grads[f"{p}/ffn/b2"] += df.sum(axis=(0, 1))
         # gelu'(u) = cdf(u) + u * pdf(u)
         du = (df @ params[f"{p}/ffn/w2"].T) * (cdf + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI)
-        grads[f"{p}/ffn/w1"] += np.einsum("blh,blf->hf", xn2, du)
+        grads[f"{p}/ffn/w1"] += _weight_grad(xn2, du)
         grads[f"{p}/ffn/b1"] += du.sum(axis=(0, 1))
         dxn2 = du @ params[f"{p}/ffn/w1"].T
         dx2, dg, db = _layernorm_backward(dxn2, ln2_cache)
@@ -265,7 +271,7 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
         da += dx2
         # attention sublayer: a = x + (merge(P @ V) @ wo + bo)
         dattn = da
-        grads[f"{p}/attn/wo"] += np.einsum("blh,blo->ho", ctx, dattn)
+        grads[f"{p}/attn/wo"] += _weight_grad(ctx, dattn)
         grads[f"{p}/attn/bo"] += dattn.sum(axis=(0, 1))
         dctx = _split_heads(dattn @ params[f"{p}/attn/wo"].T, nh)
         dprobs = dctx @ vh.transpose(0, 1, 3, 2)
@@ -280,7 +286,7 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
             + dv @ params[f"{p}/attn/wv"].T
         )
         for name, grad in (("wq", dq), ("wk", dk), ("wv", dv)):
-            grads[f"{p}/attn/{name}"] += np.einsum("blh,blo->ho", xn1, grad)
+            grads[f"{p}/attn/{name}"] += _weight_grad(xn1, grad)
         grads[f"{p}/attn/bq"] += dq.sum(axis=(0, 1))
         grads[f"{p}/attn/bk"] += dk.sum(axis=(0, 1))
         grads[f"{p}/attn/bv"] += dv.sum(axis=(0, 1))

@@ -21,11 +21,11 @@ TINY_ENCODER = ["--layers", "1", "--hidden-dim", "16", "--heads", "2", "--ff-dim
 PRETRAIN = ["--steps", "4", "--batch", "4", "--seed", "5", *TINY_ENCODER]
 
 GOLDEN = {
-    "ict-bfs-wlp.bin": "062bddb1fb7b0f387c8d4d454c3ce83415d98b1e3ca47575c11a71d800b54010",
-    "mlm-shared.bin": "685a02af38505d3e722a5b24656305230e8edf6d97150b651598c229f4c6b267",
-    "ict-shared.bin": "663f17ec93213f4aae8e57e8cff94992d2d9f8b35beb602617cd213931c51573",
+    "ict-bfs-wlp.bin": "9f69ddae389646fe3e7fd2bef8470593dbb534087cc716e58a8c920a318d1042",
+    "mlm-shared.bin": "d2d46dc0d9540e764f9afbd4b24096a6a19c81a4ee4f7bf6d3403746fa615306",
+    "ict-shared.bin": "8bc3a2dade42156ab087e0d1237dd6476225743672a4dd175518b0544f8bd7d0",
     "bow.bin": "92dd6d51acc92c23973f0916389c9ce0fab1310af41ab9faabea642b2c775bc6",
-    "tuned.bin": "9c08525689383b43b80694872a282d0aa03d90ddfd75ff30d6ca1cb94d10f6d7",
+    "tuned.bin": "49df5be79a74d3cb6d46d9d431f8a88338293323d5a13189ebea1ca5de5a51b5",
     "eval-tuned.json": "7e3f18543b31b565d23684b3da9d64e64508395c6a64b0e8a436a81a6cdddc6e",
     "eval-ict-shared.json": "0071ff5faee2537e6193408fdcce0d71681abe50a7aebd2721eaf031112c1cfd",
     "eval-bow.json": "e9d9197856b823bd3cf83c774bfe18ae87548444c13c523ac57b0b1ac8985ba7",
