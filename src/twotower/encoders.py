@@ -1,14 +1,17 @@
 """Two-tower encoders: a bag-of-words MLP and a small pre-LN Transformer.
 
 Forward and backward passes are written directly in numpy so gradients are
-exact and checkable against finite differences. A tower's parameters are a
-plain dict of named arrays; the module functions take one such dict, the
-config and a batch of token id lists. A transformer tower's length is the row
-count of its `emb/pos` table: a longer sequence is an `EncoderError`. A
-bag-of-words tower has no position table and takes any length. The retriever
-itself is a `TwoTower` value: one config, a query tower of `query_max_len`
-positions and a doc tower of `doc_max_len`, or one tower of the larger length
-when the towers are shared.
+exact and checkable against finite differences. The forward pass keeps each
+layer's activations only when a backward pass follows: `encode` keeps none.
+A training cache holds the GELU's normal CDF, from which the backward pass
+rebuilds GELU(u) and its derivative without a second erf. A tower's
+parameters are a plain dict of named arrays; the module functions take one
+such dict, the config and a batch of token id lists. A transformer tower's
+length is the row count of its `emb/pos` table: a longer sequence is an
+`EncoderError`. A bag-of-words tower has no position table and takes any
+length. The retriever itself is a `TwoTower` value: one config, a query
+tower of `query_max_len` positions and a doc tower of `doc_max_len`, or one
+tower of the larger length when the towers are shared.
 """
 
 from __future__ import annotations
@@ -186,7 +189,29 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _forward_body(params: Params, config: EncoderConfig, ids: np.ndarray, mask: np.ndarray, backward: bool = True):
+def _masked_softmax(scores: np.ndarray, scale: float, pad: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of `scores * scale` with the `pad` keys
+    masked out, computed in place in `scores`."""
+    scores *= scale
+    np.copyto(scores, -np.inf, where=pad)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
+def _gelu_cdf(u: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of `u`; GELU(u) = u * cdf."""
+    cdf = u * _INV_SQRT_2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _forward_body(
+    params: Params, config: EncoderConfig, ids: np.ndarray, mask: np.ndarray, backward: bool = True
+):
     """Run the transformer body through the final LayerNorm.
 
     Returns hidden states [B, L, h] and, when `backward` is set, a cache for
@@ -206,23 +231,14 @@ def _forward_body(params: Params, config: EncoderConfig, ids: np.ndarray, mask: 
         k = _affine(xn1, params[f"{p}/attn/wk"], params[f"{p}/attn/bk"])
         v = _affine(xn1, params[f"{p}/attn/wv"], params[f"{p}/attn/bv"])
         qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
-        # Masked softmax over the keys, in place in the score buffer.
-        probs = qh @ kh.transpose(0, 1, 3, 2)
-        probs *= scale
-        np.copyto(probs, -np.inf, where=pad)
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs = _masked_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, pad)
         ctx = _merge_heads(probs @ vh)
         a = _affine(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
         a += x
         xn2, ln2_cache = _layernorm(a, params[f"{p}/ln2/gain"], params[f"{p}/ln2/bias"], eps)
         u = _affine(xn2, params[f"{p}/ffn/w1"], params[f"{p}/ffn/b1"])
-        # GELU(u) = u * cdf(u); the cache keeps the CDF, so backward takes no erf.
-        cdf = u * _INV_SQRT_2
-        erf(cdf, out=cdf)
-        cdf += 1.0
-        cdf *= 0.5
+        # GELU(u) = u * cdf; the cache keeps the CDF, so backward takes no erf.
+        cdf = _gelu_cdf(u)
         x = (u * cdf) @ params[f"{p}/ffn/w2"]
         x += a
         x += params[f"{p}/ffn/b2"]
