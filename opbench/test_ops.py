@@ -35,10 +35,7 @@ CONFIG = encoders.EncoderConfig(vocab_size=3000, dtype="float32")
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 if hasattr(encoders, "_weight_grad"):
-    affine, weight_grad = encoders._affine, encoders._weight_grad
-
-    def softmax(scores, scale, pad):
-        return encoders._masked_softmax(scores, scale, pad)
+    affine, weight_grad, softmax = encoders._affine, encoders._weight_grad, encoders._masked_softmax
 
     def gelu_forward(u):
         cdf = encoders._gelu_cdf(u)
@@ -70,7 +67,7 @@ else:  # a tree with the ops inline in `_forward_body`/`_backward_body`
 
 
 class Inputs:
-    """Parameters of one layer and activations of one batch shape."""
+    """Tower parameters and random activations of one batch shape."""
 
     def __init__(self, batch, length):
         cfg = CONFIG
