@@ -299,8 +299,8 @@ class TestEncodeKeepsNoActivations:
 
     def test_index_batch_peak_memory(self):
         # One 512 x 48 doc batch, as `build_dense_index` encodes it, at the
-        # default shapes in float32. Keeping every layer's activations, as a
-        # training forward does, peaks at about 330 MB.
+        # default shapes in float32. The same forward keeping every layer's
+        # activations for a backward pass peaks at about 270 MB.
         cfg = EncoderConfig(vocab_size=3000, dtype="float32")
         params = init_params(cfg, subrng(6), cfg.doc_max_len)
         batch = subrng(7).integers(NUM_SPECIALS, cfg.vocab_size, size=(512, cfg.doc_max_len)).tolist()
