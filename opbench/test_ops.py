@@ -110,7 +110,7 @@ def embedding_backward(t):
 
 def layernorm_forward(t):
     p = t.params
-    return encoders._layernorm(t.x, p["layer0/ln1/gain"], p["layer0/ln1/bias"], CONFIG.ln_epsilon)
+    return encoders._layernorm(t.x, p["layer0/ln1/gain"], p["layer0/ln1/bias"], encoders.LN_EPSILON)
 
 
 def layernorm_backward(t):

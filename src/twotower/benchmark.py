@@ -24,9 +24,9 @@ from .pairs import (
     PRETRAIN_TASKS,
     TASK_FINETUNE,
     PretrainPair,
-    TaskMixture,
     make_doc_input,
     make_query_input,
+    passage_body,
     sample_mixture,
 )
 from .training import TrainRunConfig, finetune, mlm_pretrain, pretrain
@@ -46,11 +46,18 @@ class QaEntry:
 
 @dataclass
 class Candidate:
+    """A (sentence, passage) answer candidate. BM25 matches the sentence then
+    the passage; the doc tower reads them as `[CLS] sentence [SEP] passage`,
+    cut to its own length."""
+
     id: int
     sentence_index: int
     passage_id: int
-    tower_tokens: List[int]
-    match_tokens: List[int]
+    sentence_tokens: List[int]
+    passage_tokens: List[int]
+
+    def doc_input(self, doc_max_len: int) -> List[int]:
+        return make_doc_input(self.sentence_tokens, self.passage_tokens, doc_max_len)
 
 
 @dataclass
@@ -100,7 +107,6 @@ def build_reqa(
     store: CorpusStore,
     vocab: Vocabulary,
     query_max_len: int,
-    doc_max_len: int,
 ) -> Tuple[List[ReqaExample], List[Candidate], int]:
     """Expand referenced passages into (sentence, passage) candidates and map
     each entry to the first sentence containing its answer span.
@@ -116,19 +122,11 @@ def build_reqa(
     lookup: Dict[Tuple[int, int], int] = {}
     for pid in referenced:
         passage = store.passage(pid)
-        passage_ids = [t for s in passage.sentences for t in s.token_ids]
+        passage_ids = passage_body(passage)
         for i, sentence in enumerate(passage.sentences):
             cid = len(candidates)
             lookup[(pid, i)] = cid
-            candidates.append(
-                Candidate(
-                    id=cid,
-                    sentence_index=i,
-                    passage_id=pid,
-                    tower_tokens=make_doc_input(sentence.token_ids, passage_ids, doc_max_len),
-                    match_tokens=sentence.token_ids + passage_ids,
-                )
-            )
+            candidates.append(Candidate(cid, i, pid, sentence.token_ids, passage_ids))
     examples: List[ReqaExample] = []
     dropped = 0
     for entry in entries:
@@ -215,7 +213,6 @@ def augment_open_domain(
     external: Iterable[Tuple[str, str]],
     limit: int,
     vocab: Vocabulary,
-    doc_max_len: int,
 ) -> List[Candidate]:
     """Append up to `limit` external (sentence, passage) texts as distractor
     candidates with fresh ids; existing candidates and gold ids are unchanged."""
@@ -225,15 +222,13 @@ def augment_open_domain(
     for sentence_text, passage_text in external:
         if n_added >= limit:
             break
-        sent_ids = tokenize(sentence_text, vocab)
-        passage_ids = tokenize(passage_text, vocab)
         out.append(
             Candidate(
                 id=next_id,
                 sentence_index=0,
                 passage_id=-(n_added + 1),
-                tower_tokens=make_doc_input(sent_ids, passage_ids, doc_max_len),
-                match_tokens=sent_ids + passage_ids,
+                sentence_tokens=tokenize(sentence_text, vocab),
+                passage_tokens=tokenize(passage_text, vocab),
             )
         )
         next_id += 1
@@ -373,11 +368,15 @@ def _has_cell(arch: str, task: str) -> bool:
     return task != TASK_MLM or arch == ARCH_TRANSFORMER
 
 
-def parse_task_spec(spec: str, accept: Sequence[str] = (TASK_NONE, TASK_MLM)) -> Optional[TaskMixture]:
-    """The uniform pair mixture a '+'-joined subset of the pre-training tasks
-    names, or None for a spec in `accept` (none and mlm generate no pairs).
+def parse_task_spec(
+    spec: str, accept: Sequence[str] = (TASK_NONE, TASK_MLM)
+) -> Optional[Tuple[str, ...]]:
+    """The pair mixture, a tuple of task names, that a '+'-joined subset of
+    the pre-training tasks names, or None for a spec in `accept` (none and
+    mlm generate no pairs).
 
-    Any other spec raises ValueError naming what is accepted.
+    Any other spec, a task named twice included, raises ValueError naming
+    what is accepted.
     """
     if spec in accept:
         return None
@@ -387,20 +386,26 @@ def parse_task_spec(spec: str, accept: Sequence[str] = (TASK_NONE, TASK_MLM)) ->
             f"task spec {spec!r}: expected {''.join(a + ' or ' for a in accept)}"
             f"a '+'-joined subset of {', '.join(PRETRAIN_TASKS)}"
         )
-    return TaskMixture.uniform(tasks)
+    repeated = sorted({t for t in tasks if tasks.count(t) > 1})
+    if repeated:
+        raise ValueError(f"task spec {spec!r} names {', '.join(repeated)} more than once")
+    return tuple(tasks)
 
 
-def dense_candidates(candidates: Sequence[Candidate]) -> List[Tuple[int, List[int]]]:
-    """The (id, tower tokens) pairs that dense ranking scores."""
-    return [(c.id, c.tower_tokens) for c in candidates]
+def dense_candidates(candidates: Sequence[Candidate], doc_max_len: int) -> List[Tuple[int, List[int]]]:
+    """The (id, doc tower input) pairs that dense ranking scores, each cut to
+    the doc tower's `doc_max_len`."""
+    return [(c.id, c.doc_input(doc_max_len)) for c in candidates]
 
 
-def finetune_pairs(split_part: Sequence[ReqaExample], candidates: Sequence[Candidate]) -> List[PretrainPair]:
+def finetune_pairs(
+    split_part: Sequence[ReqaExample], candidates: Sequence[Candidate], doc_max_len: int
+) -> List[PretrainPair]:
     by_id = {c.id: c for c in candidates}
     return [
         PretrainPair(
             query=ex.question_tokens,
-            doc=by_id[ex.gold_id].tower_tokens,
+            doc=by_id[ex.gold_id].doc_input(doc_max_len),
             task=TASK_FINETUNE,
             source=(-1, by_id[ex.gold_id].passage_id, by_id[ex.gold_id].sentence_index),
         )
@@ -448,13 +453,14 @@ def finetune_model(
     The batch is at most the number of training questions (and at least 2):
     a larger one would hold some pairs twice."""
     batch_size = min(train_cfg.batch_size, max(2, len(split.train)))
+    doc_max_len = model.config.doc_max_len
     return finetune(
         model,
         replace(train_cfg, batch_size=batch_size),
-        finetune_pairs(split.train, candidates),
+        finetune_pairs(split.train, candidates, doc_max_len),
         [ex.question_tokens for ex in split.validation],
         [ex.gold_id for ex in split.validation],
-        dense_candidates(candidates),
+        dense_candidates(candidates, doc_max_len),
         metrics_out,
     )
 
@@ -466,7 +472,6 @@ def with_distractors(
     limit: int,
     seed: int,
     vocab: Vocabulary,
-    doc_max_len: int,
 ) -> List[Candidate]:
     """The candidates plus up to `limit` distractors drawn from the passages
     no QA entry references (none when `limit` <= 0)."""
@@ -474,7 +479,7 @@ def with_distractors(
         return list(candidates)
     referenced = {e.passage_id for e in entries}
     distractors = sample_distractors(store, referenced, limit, seed)
-    return augment_open_domain(candidates, distractors, limit, vocab, doc_max_len)
+    return augment_open_domain(candidates, distractors, limit, vocab)
 
 
 def evaluate_system(
@@ -487,9 +492,10 @@ def evaluate_system(
     dense model or by BM25 with the given parameters."""
     queries = [ex.question_tokens for ex in part]
     if isinstance(system, TwoTower):
-        ranked = retrieval.rank_dense(system, queries, dense_candidates(pool), max(ks))
+        docs = dense_candidates(pool, system.config.doc_max_len)
+        ranked = retrieval.rank_dense(system, queries, docs, max(ks))
     else:
-        index = retrieval.InvertedIndex([(c.id, c.match_tokens) for c in pool])
+        index = retrieval.InvertedIndex([(c.id, c.sentence_tokens + c.passage_tokens) for c in pool])
         ranked = [retrieval.bm25_topk(index, q, max(ks), system) for q in queries]
     return evaluate(ranked, [ex.gold_id for ex in part], ks, n_candidates=len(pool))
 
@@ -506,16 +512,12 @@ def run_experiment(
     if vocab is None:
         vocab = build_vocab(store, cfg.vocab_max_size, cfg.vocab_min_freq)
     tokenize_corpus(store, vocab)
-    examples, candidates, dropped = build_reqa(
-        entries, store, vocab, cfg.query_max_len, cfg.doc_max_len
-    )
+    examples, candidates, dropped = build_reqa(entries, store, vocab, cfg.query_max_len)
     log(f"benchmark: {len(examples)} examples, {len(candidates)} candidates, {dropped} dropped")
     bm25_params = retrieval.BM25Params(k1=cfg.bm25_k1, b=cfg.bm25_b)
     pools = [(False, candidates)]
     if cfg.augment_limit > 0:
-        augmented = with_distractors(
-            store, entries, candidates, cfg.augment_limit, cfg.seeds[0], vocab, cfg.doc_max_len
-        )
+        augmented = with_distractors(store, entries, candidates, cfg.augment_limit, cfg.seeds[0], vocab)
         log(f"augmentation: +{len(augmented) - len(candidates)} distractors")
         pools.append((True, augmented))
 

@@ -8,12 +8,15 @@ of its default. The --config file is read once, and a key in it that the
 command does not declare is a usage error (`experiment` also takes the
 `ExperimentConfig` fields there, each of the type of its default). `pretrain`
 writes the model, one `TwoTower` value, as a checkpoint; `finetune` and `eval`
-read one and take every encoder setting from it, the max lengths included. Every option is checked before
-any input is read: a bad value is a usage error. `pretrain`, `finetune`,
-`eval` and `bm25-eval` run the stage functions of `benchmark`
-(`pretrain_model`, `finetune_model`, `with_distractors`, `evaluate_system`)
-that `experiment` runs for each cell of its grid. Every run appends one manifest record (resolved config,
-input/output hashes, timing) to manifests.jsonl beside its primary output.
+read one and take every encoder setting from it, the max lengths included;
+the doc tower's length is read only where candidates are fed to it.
+`bm25-eval` cuts questions to --query-max-len and matches whole candidates,
+so it takes no doc length. Every option is checked before any input is read:
+a bad value is a usage error. `pretrain`, `finetune`, `eval` and `bm25-eval`
+run the stage functions of `benchmark` (`pretrain_model`, `finetune_model`,
+`with_distractors`, `evaluate_system`) that `experiment` runs for each cell of
+its grid. Every run appends one manifest record (resolved config, input/output
+hashes, timing) to manifests.jsonl beside its primary output.
 Progress goes to stderr; machine-readable results go to files or stdout.
 """
 
@@ -161,12 +164,10 @@ def _load_tokenized(o: Dict[str, object]):
     return store, vocab
 
 
-def _build_benchmark(o: Dict[str, object], store, vocab, query_max_len: int, doc_max_len: int):
+def _build_benchmark(o: Dict[str, object], store, vocab, query_max_len: int):
     """(QA entries, examples, candidates, dropped count) of the --qa file."""
     entries = benchmark.read_qa_entries(_read_lines(str(o["qa"])))
-    examples, candidates, dropped = benchmark.build_reqa(
-        entries, store, vocab, query_max_len, doc_max_len
-    )
+    examples, candidates, dropped = benchmark.build_reqa(entries, store, vocab, query_max_len)
     return entries, examples, candidates, dropped
 
 
@@ -321,10 +322,7 @@ def _cmd_finetune(args, o) -> int:
     start = time.time()
     store, vocab = _load_tokenized(o)
     model, _ = load_checkpoint(str(o["ckpt"]))
-    cfg = model.config
-    _, examples, candidates, _ = _build_benchmark(
-        o, store, vocab, cfg.query_max_len, cfg.doc_max_len
-    )
+    _, examples, candidates, _ = _build_benchmark(o, store, vocab, model.config.query_max_len)
     split = benchmark.make_split(examples, ratio, train_cfg.seed)
     with _metrics_file(o) as metrics_out:
         best, history = benchmark.finetune_model(model, train_cfg, split, candidates, metrics_out)
@@ -352,20 +350,16 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     store, vocab = _load_tokenized(o)
     if dense:
         system, _ = load_checkpoint(str(o["ckpt"]))
-        query_max_len, doc_max_len = system.config.query_max_len, system.config.doc_max_len
+        query_max_len = system.config.query_max_len
         label = f"dense:{system.config.arch}"
     else:
         system = retrieval.BM25Params(float(o["bm25-k1"]), float(o["bm25-b"]))
-        query_max_len, doc_max_len = int(o["query-max-len"]), int(o["doc-max-len"])
+        query_max_len = int(o["query-max-len"])
         label = "bm25"
-    entries, examples, candidates, dropped = _build_benchmark(
-        o, store, vocab, query_max_len, doc_max_len
-    )
+    entries, examples, candidates, dropped = _build_benchmark(o, store, vocab, query_max_len)
     seed = int(o["seed"])
     split = benchmark.make_split(examples, ratio, seed)
-    pool = benchmark.with_distractors(
-        store, entries, candidates, int(o["augment"]), seed, vocab, doc_max_len
-    )
+    pool = benchmark.with_distractors(store, entries, candidates, int(o["augment"]), seed, vocab)
     report = benchmark.evaluate_system(system, pool, getattr(split, part_name), ks)
     payload = {
         "system": label,
@@ -526,7 +520,6 @@ _COMMANDS = {
             "bm25-k1": 1.2,
             "bm25-b": 0.75,
             "query-max-len": 16,
-            "doc-max-len": 48,
         },
     ),
     "experiment": (_cmd_experiment, {"corpus": None, "qa": None, "out": None, "seed": 7}),

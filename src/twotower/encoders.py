@@ -29,7 +29,8 @@ from .corpus import NUM_SPECIALS, PAD_ID
 ARCH_BOW_MLP = "bow_mlp"
 ARCH_TRANSFORMER = "transformer"
 
-CHECKPOINT_FORMAT = "twotower-checkpoint-v1"
+CHECKPOINT_FORMAT = "twotower-checkpoint-v2"
+LN_EPSILON = 1e-12
 
 Params = Dict[str, np.ndarray]
 Batch = Sequence[Sequence[int]]
@@ -54,8 +55,7 @@ class EncoderConfig:
     query_max_len: int = 16
     doc_max_len: int = 48
     share_towers: bool = False
-    ln_epsilon: float = 1e-12
-    dtype: str = "float64"
+    dtype: str = "float32"
 
     def __post_init__(self):
         if self.arch not in (ARCH_BOW_MLP, ARCH_TRANSFORMER):
@@ -218,7 +218,7 @@ def _forward_body(
     the backward pass; without it no activations are kept and the cache is
     None.
     """
-    eps = config.ln_epsilon
+    eps = LN_EPSILON
     nh = config.num_heads
     scale = 1.0 / math.sqrt(config.hidden_dim // nh)
     x = params["emb/token"][ids] + params["emb/pos"][: ids.shape[1]]

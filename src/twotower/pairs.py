@@ -11,13 +11,18 @@ Three paragraph-level tasks plus a token-masking baseline:
 * mlm  - masked-token prediction examples (used by the baseline trainer,
          not emitted as pairs).
 
+Each pair task's generator takes the store and a source id (a passage for
+ict, an article otherwise) and looks up its own passages and titles. A
+mixture is a tuple of task names: `sample_mixture` draws each pair's task
+uniformly from it, as the paper combines its three tasks.
+
 Docs are always ``[CLS] title [SEP] body`` token sequences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +35,11 @@ TASK_FINETUNE = "finetune"
 PRETRAIN_TASKS = (TASK_ICT, TASK_BFS, TASK_WLP)
 
 MAX_RESAMPLES = 100
+
+# Masked-token baseline: the share of non-special positions selected, and the
+# (MASK, random id, original) split of what a selected position becomes.
+MASK_RATE = 0.15
+MLM_REPLACEMENT = (0.8, 0.1, 0.1)
 
 
 class PairGenError(Exception):
@@ -75,28 +85,6 @@ class MlmExample:
     labels: List[Tuple[int, int]]
 
 
-@dataclass
-class TaskMixture:
-    weights: Dict[str, float]
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ValueError("mixture needs at least one task")
-        if any(w <= 0 for w in self.weights.values()):
-            raise ValueError("mixture weights must be positive")
-        total = sum(self.weights.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights must sum to 1, got {total}")
-        unknown = set(self.weights) - set(PRETRAIN_TASKS)
-        if unknown:
-            raise ValueError(f"unknown tasks in mixture: {sorted(unknown)}")
-
-    @classmethod
-    def uniform(cls, tasks: Iterable[str] = PRETRAIN_TASKS) -> "TaskMixture":
-        tasks = list(tasks)
-        return cls({t: 1.0 / len(tasks) for t in tasks})
-
-
 def make_query_input(content_ids: List[int], query_max_len: int) -> List[int]:
     """Encoder query input: [CLS] then content, truncated to query_max_len."""
     return ([CLS_ID] + list(content_ids))[:query_max_len]
@@ -122,27 +110,38 @@ def _contains_subseq(haystack: List[int], needle: List[int]) -> bool:
     return False
 
 
+def passage_body(passage: Passage, skip: int = -1) -> List[int]:
+    """The token ids of the passage's sentences in order, sentence `skip` left out."""
+    body: List[int] = []
+    for j, sentence in enumerate(passage.sentences):
+        if j != skip:
+            body.extend(sentence.token_ids)
+    return body
+
+
+def passage_doc(store: CorpusStore, passage: Passage, doc_max_len: int, skip: int = -1) -> List[int]:
+    """Doc input of a passage: its article's title, then its body without
+    sentence `skip`."""
+    title = store.title_token_ids.get(passage.article_id, [])
+    return make_doc_input(title, passage_body(passage, skip), doc_max_len)
+
+
 def gen_ict(
-    passage: Passage,
-    title_ids: List[int],
+    store: CorpusStore,
+    passage_id: int,
     rng: np.random.Generator,
     query_max_len: int,
     doc_max_len: int,
 ) -> PretrainPair:
     """Draw a sentence uniformly; pair it with the rest of the passage."""
+    passage = store.passage(passage_id)
     n = len(passage.sentences)
     if n < 2:
         raise NotEnoughSentences(f"passage {passage.id} has {n} sentence(s)")
     i = int(rng.integers(n))
-    query = make_query_input(passage.sentences[i].token_ids, query_max_len)
-    body: List[int] = []
-    for j, sentence in enumerate(passage.sentences):
-        if j != i:
-            body.extend(sentence.token_ids)
-    doc = make_doc_input(title_ids, body, doc_max_len)
     pair = PretrainPair(
-        query=query,
-        doc=doc,
+        query=make_query_input(passage.sentences[i].token_ids, query_max_len),
+        doc=passage_doc(store, passage, doc_max_len, skip=i),
         task=TASK_ICT,
         source=(passage.article_id, passage.id, i),
         query_passage_id=passage.id,
@@ -152,33 +151,30 @@ def gen_ict(
     return pair
 
 
-def _lead_sentences(article: Article) -> List[Tuple[Passage, int]]:
-    return [(p, i) for p in article.lead.passages for i in range(len(p.sentences))]
+def _lead_sentence(article: Article, rng: np.random.Generator) -> Tuple[Passage, int]:
+    """A uniform lead-section sentence of the article, as (passage, index)."""
+    leads = [(p, i) for p in article.lead.passages for i in range(len(p.sentences))]
+    return leads[int(rng.integers(len(leads)))]
 
 
 def gen_bfs(
-    article: Article,
+    store: CorpusStore,
+    article_id: int,
     rng: np.random.Generator,
     query_max_len: int,
     doc_max_len: int,
-    title_ids: Optional[List[int]] = None,
 ) -> PretrainPair:
     """Pair a uniform lead-section sentence with a uniform other passage of
     the same article (the query's own passage is excluded)."""
-    leads = _lead_sentences(article)
-    q_passage, q_idx = leads[int(rng.integers(len(leads)))]
+    article = store.article(article_id)
+    q_passage, q_idx = _lead_sentence(article, rng)
     candidates = [p for p in article.passages() if p.id != q_passage.id]
     if not candidates:
         raise NotEnoughPassages(f"article {article.id} has no passage outside the query's")
     doc_passage = candidates[int(rng.integers(len(candidates)))]
-    body: List[int] = []
-    for sentence in doc_passage.sentences:
-        body.extend(sentence.token_ids)
-    query = make_query_input(q_passage.sentences[q_idx].token_ids, query_max_len)
-    doc = make_doc_input(title_ids or [], body, doc_max_len)
     return PretrainPair(
-        query=query,
-        doc=doc,
+        query=make_query_input(q_passage.sentences[q_idx].token_ids, query_max_len),
+        doc=passage_doc(store, doc_passage, doc_max_len),
         task=TASK_BFS,
         source=(article.id, doc_passage.id, q_idx),
         query_passage_id=q_passage.id,
@@ -186,55 +182,41 @@ def gen_bfs(
 
 
 def gen_wlp(
-    target: Article,
     store: CorpusStore,
+    target_id: int,
     rng: np.random.Generator,
     query_max_len: int,
     doc_max_len: int,
 ) -> PretrainPair:
     """Pair a uniform lead-section sentence of the target with a uniform
     passage from another article that links to the target."""
-    inbound = store.inbound.get(target.id, [])
+    inbound = store.inbound.get(target_id, [])
     if not inbound:
-        raise NoInboundLink(f"article {target.id} has no inbound links")
-    leads = _lead_sentences(target)
-    q_passage, q_idx = leads[int(rng.integers(len(leads)))]
+        raise NoInboundLink(f"article {target_id} has no inbound links")
+    q_passage, q_idx = _lead_sentence(store.article(target_id), rng)
     doc_passage = store.passage(inbound[int(rng.integers(len(inbound)))])
-    body: List[int] = []
-    for sentence in doc_passage.sentences:
-        body.extend(sentence.token_ids)
-    linking_title = store.title_token_ids.get(doc_passage.article_id, [])
-    query = make_query_input(q_passage.sentences[q_idx].token_ids, query_max_len)
-    doc = make_doc_input(linking_title, body, doc_max_len)
     return PretrainPair(
-        query=query,
-        doc=doc,
+        query=make_query_input(q_passage.sentences[q_idx].token_ids, query_max_len),
+        doc=passage_doc(store, doc_passage, doc_max_len),
         task=TASK_WLP,
-        source=(target.id, doc_passage.id, q_idx),
+        source=(target_id, doc_passage.id, q_idx),
         query_passage_id=q_passage.id,
     )
 
 
-def gen_mlm(
-    tokens: List[int],
-    rng: np.random.Generator,
-    mask_rate: float = 0.15,
-    vocab_size: int = 0,
-    replacement: Tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> MlmExample:
-    """Independently select non-special positions at mask_rate; replace the
-    selected with MASK / random id / original at the given split."""
+def gen_mlm(tokens: List[int], rng: np.random.Generator, vocab_size: int) -> MlmExample:
+    """Independently select non-special positions at MASK_RATE; replace the
+    selected with MASK / a random id in [NUM_SPECIALS, vocab_size) / the
+    original at the MLM_REPLACEMENT split."""
     if not tokens:
         raise ValueError("cannot mask an empty sequence")
-    if not 0.0 < mask_rate < 1.0:
-        raise ValueError("mask_rate must be in (0, 1)")
     maskable = [i for i, t in enumerate(tokens) if t >= NUM_SPECIALS]
-    selected = [i for i in maskable if rng.random() < mask_rate]
+    selected = [i for i in maskable if rng.random() < MASK_RATE]
     if not selected and maskable:
-        selected = [i for i in maskable if rng.random() < mask_rate]
+        selected = [i for i in maskable if rng.random() < MASK_RATE]
     input_ids = list(tokens)
     labels: List[Tuple[int, int]] = []
-    p_mask, p_random, _ = replacement
+    p_mask, p_random, _ = MLM_REPLACEMENT
     for pos in selected:
         labels.append((pos, input_ids[pos]))
         r = rng.random()
@@ -260,43 +242,37 @@ def valid_sources(store: CorpusStore, task: str) -> List[int]:
 
 def sample_mixture(
     store: CorpusStore,
-    mix: TaskMixture,
+    tasks: Sequence[str],
     n: int,
     rng: np.random.Generator,
     query_max_len: int,
     doc_max_len: int,
 ) -> Iterator[PretrainPair]:
-    """Emit exactly n pairs; per pair the task is drawn from the mixture
-    weights and the source uniformly among that task's valid sources.
+    """Emit exactly n pairs; per pair the task is drawn uniformly from the
+    mixture's tasks and the source uniformly among that task's valid sources.
 
     Generation failures (e.g. a duplicate sentence defeating the ict
     exclusion) are resampled up to MAX_RESAMPLES times.
     """
-    tasks = sorted(mix.weights)
-    weights = np.array([mix.weights[t] for t in tasks])
+    tasks = sorted(tasks)
     sources = {t: valid_sources(store, t) for t in tasks}
     for task in tasks:
         if not sources[task]:
             raise ValueError(f"task {task!r} has no valid sources in this corpus")
+    # Looked up per call, so a wrapper installed on a module function (as the
+    # span tracer does) is the one called.
+    generators = {TASK_ICT: gen_ict, TASK_BFS: gen_bfs, TASK_WLP: gen_wlp}
 
     def generate(task: str) -> PretrainPair:
-        pool = sources[task]
+        pool, gen = sources[task], generators[task]
         for _ in range(MAX_RESAMPLES):
-            source_id = pool[int(rng.integers(len(pool)))]
             try:
-                if task == TASK_ICT:
-                    passage = store.passage(source_id)
-                    title = store.title_token_ids.get(passage.article_id, [])
-                    return gen_ict(passage, title, rng, query_max_len, doc_max_len)
-                if task == TASK_BFS:
-                    article = store.article(source_id)
-                    title = store.title_token_ids.get(article.id, [])
-                    return gen_bfs(article, rng, query_max_len, doc_max_len, title)
-                return gen_wlp(store.article(source_id), store, rng, query_max_len, doc_max_len)
+                return gen(store, pool[int(rng.integers(len(pool)))], rng, query_max_len, doc_max_len)
             except PairGenError:
                 continue
         raise RuntimeError(f"exceeded {MAX_RESAMPLES} resamples for task {task!r}")
 
+    uniform = np.full(len(tasks), 1.0 / len(tasks))
     for _ in range(n):
-        task = tasks[int(rng.choice(len(tasks), p=weights))]
+        task = tasks[int(rng.choice(len(tasks), p=uniform))]
         yield generate(task)

@@ -10,7 +10,7 @@ topically related articles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -26,19 +26,24 @@ _VERBS = ["holds", "keeps", "makes", "finds", "shows", "moves", "takes", "turns"
 _PREPS = ["near", "under", "over", "beside", "behind"]
 _QWORDS = ["which", "what", "whose"]
 
+# Content words per topic, and how many of them each article emphasizes.
+WORDS_PER_TOPIC = 12
+OWN_WORDS = 4
+# Chance that a body / lead-section sentence names the article's entity.
+ENTITY_PROB = 0.35
+LEAD_ENTITY_PROB = 0.6
+# Chance that a passage links to related articles.
+LINK_PROB = 0.55
+# Chance that a question also names the first word of its answer.
+ANSWER_WORD_PROB = 0.7
+
 
 @dataclass
 class SynthConfig:
     n_articles: int = 500
     n_topics: int = 100
-    words_per_topic: int = 12
-    own_words: int = 4
     n_qa: int = 1000
     seed: int = 13
-    entity_prob: float = 0.35
-    lead_entity_prob: float = 0.6
-    link_prob: float = 0.55
-    answer_word_prob: float = 0.7
 
     def __post_init__(self):
         # Articles are dealt to topics round-robin, and links are drawn from
@@ -115,14 +120,14 @@ def generate(cfg: SynthConfig) -> Tuple[List[dict], List[QaEntry]]:
     rng = subrng(cfg.seed, "synth")
     taken: set = set()
     topics = [
-        [_make_word(rng, taken) for _ in range(cfg.words_per_topic)] for _ in range(cfg.n_topics)
+        [_make_word(rng, taken) for _ in range(WORDS_PER_TOPIC)] for _ in range(cfg.n_topics)
     ]
     all_words = [w for tw in topics for w in tw]
 
     plans: List[_ArticlePlan] = []
     for aid in range(cfg.n_articles):
         topic = aid % cfg.n_topics
-        own_idx = rng.permutation(cfg.words_per_topic)[: cfg.own_words]
+        own_idx = rng.permutation(WORDS_PER_TOPIC)[:OWN_WORDS]
         plans.append(
             _ArticlePlan(
                 id=aid,
@@ -150,13 +155,13 @@ def generate(cfg: SynthConfig) -> Tuple[List[dict], List[QaEntry]]:
             sec_passages = []
             for _ in range(n_passages):
                 n_sentences = int(rng.integers(3, 6))
-                entity_prob = cfg.lead_entity_prob if is_lead else cfg.entity_prob
+                entity_prob = LEAD_ENTITY_PROB if is_lead else ENTITY_PROB
                 sentences = [
                     _sentence_words(rng, plan, all_words, entity_prob)
                     for _ in range(n_sentences)
                 ]
                 links: List[int] = []
-                if rng.random() < cfg.link_prob:
+                if rng.random() < LINK_PROB:
                     related = [
                         (plan.topic + d) % cfg.n_topics for d in (-1, 0, 1)
                     ]
@@ -201,7 +206,7 @@ def generate(cfg: SynthConfig) -> Tuple[List[dict], List[QaEntry]]:
             absent = absent + plan.own_words
         picked = [absent[int(rng.integers(len(absent)))] for _ in range(2)]
         question_words = [_pick(rng, _QWORDS), picked[0], picked[1], "of", plan.entity]
-        if rng.random() < cfg.answer_word_prob:
+        if rng.random() < ANSWER_WORD_PROB:
             question_words += [_pick(rng, _VERBS), "the", answer.split()[0].lower()]
         question_words.append("?")
         entries.append(QaEntry(" ".join(question_words), answer, pid))

@@ -28,13 +28,12 @@ from .encoders import (
     hidden_backward,
     hidden_states,
 )
-from .pairs import PretrainPair, gen_mlm, make_doc_input
+from .pairs import PretrainPair, gen_mlm, passage_doc
 from .util import subrng
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-MASK_RATE = 0.15
 
 
 @dataclass
@@ -257,7 +256,7 @@ def _mlm_step(
 
     The vocabulary head ties the token embedding matrix plus a bias.
     """
-    examples = [gen_mlm(seq, rng, MASK_RATE, enc_cfg.vocab_size) for seq in batch]
+    examples = [gen_mlm(seq, rng, enc_cfg.vocab_size) for seq in batch]
     hidden, cache = hidden_states(params, enc_cfg, [e.input for e in examples])
     rows, cols, targets = [], [], []
     for i, example in enumerate(examples):
@@ -311,12 +310,7 @@ def mlm_pretrain(
             idx = rng.integers(len(sentences), size=train_cfg.batch_size)
             q_batch = [sentences[i].token_ids[: enc_cfg.query_max_len] for i in idx]
             idx = rng.integers(len(passages), size=train_cfg.batch_size)
-            d_batch = []
-            for i in idx:
-                passage = passages[i]
-                body = [t for s in passage.sentences for t in s.token_ids]
-                title = store.title_token_ids.get(passage.article_id, [])
-                d_batch.append(make_doc_input(title, body, enc_cfg.doc_max_len))
+            d_batch = [passage_doc(store, passages[i], enc_cfg.doc_max_len) for i in idx]
             yield q_batch, d_batch
 
     def step(batch: Tuple[List[List[int]], List[List[int]]]):
@@ -337,10 +331,12 @@ def recall_at_k(
     gold_ids: Sequence[int],
     candidates: Sequence[Tuple[int, Sequence[int]]],
     k: int = 10,
-    batch_size: int = 256,
 ) -> float:
-    """Fraction of queries whose gold candidate lands in the dense top-k."""
-    ranked = retrieval.rank_dense(model, queries, candidates, k, batch_size)
+    """Fraction of queries whose gold candidate lands in the dense top-k.
+
+    Encodes 256 at a time: the batch shape decides the float rounding of the
+    validation recalls, and so which checkpoint `finetune` keeps."""
+    ranked = retrieval.rank_dense(model, queries, candidates, k, batch_size=256)
     return sum(gold in r.ids for r, gold in zip(ranked, gold_ids)) / len(queries)
 
 

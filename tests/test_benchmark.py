@@ -9,7 +9,9 @@ from twotower.benchmark import (
     QaEntry,
     augment_open_domain,
     build_reqa,
+    dense_candidates,
     evaluate,
+    evaluate_system,
     make_split,
     parse_task_spec,
     read_qa_entries,
@@ -44,7 +46,7 @@ class TestBuildReqa:
     def test_counting_rule(self, three_sentence_setup):
         store, vocab = three_sentence_setup
         entries = [QaEntry("what is delta ?", "Delta epsilon", 0)]
-        examples, candidates, dropped = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
+        examples, candidates, dropped = build_reqa(entries, store, vocab, Q_LEN)
         assert len(candidates) == 3
         assert len(examples) == 1
         assert dropped == 0
@@ -53,38 +55,39 @@ class TestBuildReqa:
     def test_answer_spanning_sentence_boundary_dropped(self, three_sentence_setup):
         store, vocab = three_sentence_setup
         entries = [QaEntry("q ?", "gamma. Delta", 0)]
-        examples, _, dropped = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
+        examples, _, dropped = build_reqa(entries, store, vocab, Q_LEN)
         assert examples == []
         assert dropped == 1
 
     def test_first_matching_sentence_is_gold(self, three_sentence_setup):
         store, vocab = three_sentence_setup
         entries = [QaEntry("q ?", "ta", 0)]  # substring of "beta" and "Delta", ...
-        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
+        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
         assert examples[0].gold_id == candidates[0].id
 
     def test_unresolvable_passage_id(self, three_sentence_setup):
         store, vocab = three_sentence_setup
         with pytest.raises(ValueError, match="unknown passage id"):
-            build_reqa([QaEntry("q", "a", 99)], store, vocab, Q_LEN, D_LEN)
+            build_reqa([QaEntry("q", "a", 99)], store, vocab, Q_LEN)
 
     def test_candidate_format_and_dedup(self, small_toy):
         store, entries, vocab = small_toy
-        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
+        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
         assert len(candidates) >= len(examples) or True  # shapes checked below
         seen = set()
         for c in candidates:
             assert (c.passage_id, c.sentence_index) not in seen
             seen.add((c.passage_id, c.sentence_index))
-            assert c.tower_tokens[0] == CLS_ID
-            assert c.tower_tokens.count(SEP_ID) == 1
-            assert len(c.tower_tokens) <= D_LEN
+            doc = c.doc_input(D_LEN)
+            assert doc[0] == CLS_ID
+            assert doc.count(SEP_ID) == 1
+            assert len(doc) <= D_LEN
 
     def test_toy_candidates_outnumber_examples(self, small_toy):
         # Mirrors the published benchmark shape: more (sentence, passage)
         # candidates than question tuples.
         store, entries, vocab = small_toy
-        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
+        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
         assert len(candidates) >= len(examples)
 
     def test_qa_file_roundtrip(self, small_toy):
@@ -143,18 +146,39 @@ class TestMakeSplit:
             make_split(_numbered_examples(100), (80, 10), seed=0)
 
 
+class TestDenseCandidates:
+    def test_one_pool_serves_towers_of_two_lengths(self, small_toy):
+        # The pool is built with no doc length; each tower's candidates are
+        # cut to its own `doc_max_len`, so neither encode is an EncoderError.
+        from twotower.encoders import EncoderConfig, TwoTower
+
+        store, entries, vocab = small_toy
+        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
+        assert max(len(c.doc_input(1000)) for c in candidates) > 32
+        for doc_max_len in (8, 32):
+            cfg = EncoderConfig(
+                num_layers=1, hidden_dim=16, num_heads=2, ff_dim=16, emb_dim=8,
+                vocab_size=len(vocab), query_max_len=Q_LEN, doc_max_len=doc_max_len,
+            )
+            docs = dense_candidates(candidates, doc_max_len)
+            assert max(len(doc) for _, doc in docs) == doc_max_len
+            report = evaluate_system(TwoTower.init(cfg, 3), candidates, examples, (1, 10))
+            assert report.n_candidates == len(candidates)
+            assert report.n_queries == len(examples)
+
+
 class TestAugment:
     def test_limit_zero_is_identity(self, small_toy):
         store, entries, vocab = small_toy
-        _, candidates, _ = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
-        out = augment_open_domain(candidates, [("a b", "a b c d")], 0, vocab, D_LEN)
+        _, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
+        out = augment_open_domain(candidates, [("a b", "a b c d")], 0, vocab)
         assert len(out) == len(candidates)
 
     def test_appends_with_fresh_ids(self, small_toy):
         store, entries, vocab = small_toy
-        _, candidates, _ = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
+        _, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
         external = [("one two", "one two three"), ("four five", "four five six")]
-        out = augment_open_domain(candidates, external, 10, vocab, D_LEN)
+        out = augment_open_domain(candidates, external, 10, vocab)
         assert len(out) == len(candidates) + 2
         new_ids = {c.id for c in out[len(candidates):]}
         assert not new_ids & {c.id for c in candidates}
@@ -162,14 +186,15 @@ class TestAugment:
 
     def test_duplicate_of_gold_kept_distinct(self, small_toy):
         store, entries, vocab = small_toy
-        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
+        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
         gold = candidates[examples[0].gold_id]
         passage = store.passage(gold.passage_id)
         dup = (passage.sentences[gold.sentence_index].text, passage.text)
-        out = augment_open_domain(candidates, [dup], 5, vocab, D_LEN)
+        out = augment_open_domain(candidates, [dup], 5, vocab)
         clone = out[-1]
         assert clone.id != gold.id
-        assert clone.tower_tokens == gold.tower_tokens
+        assert clone.sentence_tokens == gold.sentence_tokens
+        assert clone.passage_tokens == gold.passage_tokens
 
     def test_distractor_sampling_excludes_referenced(self, small_toy):
         store, entries, vocab = small_toy
@@ -234,17 +259,20 @@ class TestExperiment:
     def test_task_spec_parsing(self):
         assert parse_task_spec("none") is None
         assert parse_task_spec("mlm") is None
-        assert set(parse_task_spec("ict+bfs+wlp").weights) == {"ict", "bfs", "wlp"}
-        assert set(parse_task_spec("ict").weights) == {"ict"}
+        assert parse_task_spec("ict+bfs+wlp") == ("ict", "bfs", "wlp")
+        assert parse_task_spec("ict") == ("ict",)
         with pytest.raises(ValueError):
             parse_task_spec("ict+nope")
+        with pytest.raises(ValueError, match="ict more than once"):
+            parse_task_spec("ict+ict")
 
-    @pytest.mark.parametrize("grid", [
-        {"tasks": ["ict+bfs+wlp", "ict+nope"]},
-        {"encoders": ["transformer", "nope"]},
+    @pytest.mark.parametrize("grid,match", [
+        ({"tasks": ["ict+bfs+wlp", "ict+nope"]}, "nope"),
+        ({"tasks": ["ict+bfs+ict"]}, "ict more than once"),
+        ({"encoders": ["transformer", "nope"]}, "nope"),
     ])
-    def test_config_rejects_unknown_task_or_arch(self, grid):
-        with pytest.raises(ValueError, match="nope"):
+    def test_config_rejects_unknown_task_or_arch(self, grid, match):
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig(**grid)
 
     def test_single_cell_grid(self):
@@ -298,10 +326,10 @@ class TestExperiment:
         # With a fixed scoring function, growing the candidate set can only
         # push the gold down (fresh ids lose score ties to existing ones).
         store, entries, vocab = small_toy
-        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN, D_LEN)
+        examples, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
         referenced = {e.passage_id for e in entries}
         distractors = sample_distractors(store, referenced, 40, seed=2)
-        augmented = augment_open_domain(candidates, distractors, 40, vocab, D_LEN)
+        augmented = augment_open_domain(candidates, distractors, 40, vocab)
 
         from twotower.encoders import EncoderConfig, TwoTower, init_params
         from twotower.retrieval import build_dense_index, dense_topk
@@ -317,9 +345,9 @@ class TestExperiment:
             init_params(enc_cfg, subrng(44), enc_cfg.doc_max_len),
         )
         base_index = build_dense_index(model, [c.id for c in candidates],
-                                       [c.tower_tokens for c in candidates])
+                                       [c.doc_input(D_LEN) for c in candidates])
         aug_index = build_dense_index(model, [c.id for c in augmented],
-                                      [c.tower_tokens for c in augmented])
+                                      [c.doc_input(D_LEN) for c in augmented])
         for ex in examples[:25]:
             q_emb = model.encode_queries([ex.question_tokens])[0]
             base_rank = dense_topk(base_index, q_emb, len(candidates)).ids.index(ex.gold_id)

@@ -59,6 +59,7 @@ class TestDispatch:
         ("finetune", "--correction", "log_frequency"),
         ("eval", "--query-max-len", "12"),  # the checkpoint fixes the max lengths
         ("eval", "--doc-max-len", "40"),
+        ("bm25-eval", "--doc-max-len", "40"),  # BM25 matches whole candidates
         ("vocab", "--seed", "3"),  # draws no random numbers
         ("vocab", "--threads", "2"),  # read by nothing
         ("vocab", "--deterministic", None),
@@ -270,7 +271,7 @@ class TestTrainEvalCommands:
         assert run(*argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tasks", ["none", "ict+nope"])
+    @pytest.mark.parametrize("tasks", ["none", "ict+nope", "ict+ict"])
     def test_pretrain_bad_tasks_rejected_before_loading(self, tmp_path, tasks, capsys):
         # The corpus does not exist: loading it first would be a runtime error.
         missing = str(tmp_path / "missing.jsonl")

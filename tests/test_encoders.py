@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from twotower import util
 from twotower.corpus import NUM_SPECIALS, PAD_ID
 from twotower.encoders import (
     ARCH_BOW_MLP,
     ARCH_TRANSFORMER,
+    LN_EPSILON,
     EncoderConfig,
     EncoderError,
     TwoTower,
@@ -48,7 +50,7 @@ def scalar_transformer_forward(params, cfg, token_ids):
     nh = cfg.num_heads
     dh = h // nh
     scale = 1.0 / math.sqrt(dh)
-    eps = cfg.ln_epsilon
+    eps = LN_EPSILON
 
     def ln(row, gain, bias):
         mu = sum(row) / h
@@ -386,6 +388,16 @@ class TestCheckpoint:
         assert loaded.query is loaded.doc
         for name in shared:
             np.testing.assert_array_equal(loaded.query[name], shared[name])
+
+    def test_earlier_format_is_encoder_error(self, tmp_path):
+        # A v1 manifest still carries the `ln_epsilon` config key; the format
+        # check rejects it before the config is built.
+        cfg = tiny_config(share_towers=True)
+        meta = {"format": "twotower-checkpoint-v1", "config": {**cfg.to_dict(), "ln_epsilon": 1e-12}}
+        prefix = str(tmp_path / "v1")
+        util.save_tensors(prefix, {"tower/emb/token": np.zeros((24, 8))}, meta)
+        with pytest.raises(EncoderError, match="not a checkpoint"):
+            load_checkpoint(prefix)
 
     def test_shared_flag_requires_single_tower(self, tmp_path):
         cfg = tiny_config(share_towers=True)

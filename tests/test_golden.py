@@ -70,7 +70,7 @@ def digests(tmp_path_factory):
         out = root / f"eval-{ckpt}.json"
         _run("eval", *bench, "--ckpt", str(root / ckpt), "--augment", "20", "--out", str(out))
         outputs[out.name] = out
-    _run("bm25-eval", *bench, "--augment", "20", "--query-max-len", "12", "--doc-max-len", "32",
+    _run("bm25-eval", *bench, "--augment", "20", "--query-max-len", "12",
          "--out", str(root / "bm25.json"))
     outputs["bm25.json"] = root / "bm25.json"
 

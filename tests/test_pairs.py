@@ -6,12 +6,12 @@ import pytest
 from twotower.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, tokenize_corpus
 from twotower.corpus import build_vocab, parse_corpus
 from twotower.pairs import (
+    PRETRAIN_TASKS,
     DegenerateIctPair,
     MlmExample,
     NoInboundLink,
     NotEnoughPassages,
     NotEnoughSentences,
-    TaskMixture,
     _contains_subseq,
     gen_bfs,
     gen_ict,
@@ -38,8 +38,7 @@ def micro(micro_store, small_toy):
 class TestIct:
     def test_two_sentence_passage_forced_complement(self, micro):
         passage = micro.passage(0)  # "The stone shines. It sits in the river."
-        title = micro.title_token_ids[1]
-        pair = gen_ict(passage, title, subrng(0, "ict"), Q_LEN, D_LEN)
+        pair = gen_ict(micro, 0, subrng(0, "ict"), Q_LEN, D_LEN)
         i = pair.source[2]
         other = passage.sentences[1 - i].token_ids
         assert pair.query_content() == passage.sentences[i].token_ids[: Q_LEN - 1]
@@ -50,22 +49,20 @@ class TestIct:
             "id": 9, "title": "t",
             "sections": [{"heading": "", "passages": [{"text": "Only one sentence here."}]}],
         })])
-        passage = single.passage(0)
-        passage.sentences[0].token_ids = [7, 8, 9]
+        single.passage(0).sentences[0].token_ids = [7, 8, 9]
         with pytest.raises(NotEnoughSentences):
-            gen_ict(passage, [], subrng(0), Q_LEN, D_LEN)
+            gen_ict(single, 0, subrng(0), Q_LEN, D_LEN)
 
     def test_seeded_draw_deterministic_and_uniform(self, small_toy):
         store, _, _ = small_toy
-        passage = next(p for p in store.passages.values() if len(p.sentences) == 5)
-        title = store.title_token_ids[passage.article_id]
-        first = gen_ict(passage, title, subrng(42, "u"), Q_LEN, D_LEN)
-        again = gen_ict(passage, title, subrng(42, "u"), Q_LEN, D_LEN)
+        pid = next(p.id for p in store.passages.values() if len(p.sentences) == 5)
+        first = gen_ict(store, pid, subrng(42, "u"), Q_LEN, D_LEN)
+        again = gen_ict(store, pid, subrng(42, "u"), Q_LEN, D_LEN)
         assert first.query == again.query and first.doc == again.doc
         rng = subrng(42, "uniform")
         counts = np.zeros(5, dtype=int)
         for _ in range(10_000):
-            counts[gen_ict(passage, title, rng, Q_LEN, D_LEN).source[2]] += 1
+            counts[gen_ict(store, pid, rng, Q_LEN, D_LEN).source[2]] += 1
         # chi-square style 3-sigma band per bucket for p=1/5
         sigma = np.sqrt(10_000 * 0.2 * 0.8)
         assert np.all(np.abs(counts - 2000) <= 3 * sigma)
@@ -81,43 +78,41 @@ class TestIct:
         twin.sentences[0].token_ids = list(ids)
         twin.sentences[1].token_ids = list(ids)
         with pytest.raises(DegenerateIctPair):
-            gen_ict(twin, [], subrng(1), Q_LEN, D_LEN)
+            gen_ict(clone, 0, subrng(1), Q_LEN, D_LEN)
 
 
 class TestBfs:
     def test_forced_choice(self, micro):
         article = micro.article(1)  # lead passage A, body passage B
-        pair = gen_bfs(article, subrng(0, "bfs"), Q_LEN, D_LEN, micro.title_token_ids[1])
+        pair = gen_bfs(micro, 1, subrng(0, "bfs"), Q_LEN, D_LEN)
         assert pair.source[1] == article.sections[1].passages[0].id
         assert micro.passage(pair.query_passage_id).section_index == 0
 
     def test_single_passage_article_rejected(self, micro):
-        article = micro.article(2)
         with pytest.raises(NotEnoughPassages):
-            gen_bfs(article, subrng(0), Q_LEN, D_LEN, [])
+            gen_bfs(micro, 2, subrng(0), Q_LEN, D_LEN)
 
     def test_fixed_seed_identical_and_lead_query(self, small_toy):
         store, _, _ = small_toy
-        article = store.article(3)
-        a = gen_bfs(article, subrng(5, "b"), Q_LEN, D_LEN, store.title_token_ids[3])
-        b = gen_bfs(article, subrng(5, "b"), Q_LEN, D_LEN, store.title_token_ids[3])
+        a = gen_bfs(store, 3, subrng(5, "b"), Q_LEN, D_LEN)
+        b = gen_bfs(store, 3, subrng(5, "b"), Q_LEN, D_LEN)
         assert a.query == b.query and a.doc == b.doc
         for seed in range(20):
-            pair = gen_bfs(article, subrng(seed, "lead"), Q_LEN, D_LEN, [])
+            pair = gen_bfs(store, 3, subrng(seed, "lead"), Q_LEN, D_LEN)
             assert store.passage(pair.query_passage_id).section_index == 0
 
 
 class TestWlp:
     def test_forced_choice(self, micro):
         # Exactly passage 0 of article 1 links to article 2.
-        pair = gen_wlp(micro.article(2), micro, subrng(0, "wlp"), Q_LEN, D_LEN)
+        pair = gen_wlp(micro, 2, subrng(0, "wlp"), Q_LEN, D_LEN)
         assert pair.source[1] == 0
         assert micro.passage(0).article_id == 1
         assert 2 in micro.passage(0).outgoing_links
 
     def test_no_inbound_links_rejected(self, micro):
         with pytest.raises(NoInboundLink):
-            gen_wlp(micro.article(1), micro, subrng(0), Q_LEN, D_LEN)
+            gen_wlp(micro, 1, subrng(0), Q_LEN, D_LEN)
 
     def test_two_candidates_near_even(self, small_toy):
         records = [
@@ -131,12 +126,11 @@ class TestWlp:
         store = parse_corpus([json.dumps(r) for r in records])
         _, _, vocab = small_toy
         tokenize_corpus(store, vocab)
-        target = store.article(1)
         assert len(store.inbound[1]) == 2
         counts = {}
         rng = subrng(11, "wlp-even")
         for _ in range(10_000):
-            pair = gen_wlp(target, store, rng, Q_LEN, D_LEN)
+            pair = gen_wlp(store, 1, rng, Q_LEN, D_LEN)
             counts[pair.source[1]] = counts.get(pair.source[1], 0) + 1
         sigma = np.sqrt(10_000 * 0.25)
         for pid in store.inbound[1]:
@@ -144,15 +138,18 @@ class TestWlp:
 
 
 class TestMlm:
-    def test_full_mask_limit_case(self):
+    def test_full_mask_limit_case(self, monkeypatch):
+        monkeypatch.setattr("twotower.pairs.MASK_RATE", 0.999999)
+        monkeypatch.setattr("twotower.pairs.MLM_REPLACEMENT", (1.0, 0.0, 0.0))
         tokens = [CLS_ID, 7, 8, 9, SEP_ID, 10]
-        example = gen_mlm(tokens, subrng(0), 0.999999, vocab_size=20, replacement=(1.0, 0.0, 0.0))
+        example = gen_mlm(tokens, subrng(0), vocab_size=20)
         assert example.input == [CLS_ID, MASK_ID, MASK_ID, MASK_ID, SEP_ID, MASK_ID]
         assert sorted(p for p, _ in example.labels) == [1, 2, 3, 5]
 
-    def test_specials_never_selected(self):
+    def test_specials_never_selected(self, monkeypatch):
+        monkeypatch.setattr("twotower.pairs.MASK_RATE", 0.999999)
         tokens = [CLS_ID, SEP_ID, CLS_ID]
-        example = gen_mlm(tokens, subrng(0), 0.999999, vocab_size=20)
+        example = gen_mlm(tokens, subrng(0), vocab_size=20)
         assert example.labels == []
         assert example.input == tokens
 
@@ -162,34 +159,31 @@ class TestMlm:
         total = 0
         for _ in range(100):
             tokens = [CLS_ID] + [9] * 100
-            example = gen_mlm(tokens, rng, 0.15, vocab_size=20)
+            example = gen_mlm(tokens, rng, vocab_size=20)
             selected += len(example.labels)
             total += 100
         sigma = np.sqrt(total * 0.15 * 0.85)
         assert abs(selected - 0.15 * total) <= 3 * sigma
 
-    def test_labels_record_originals(self):
+    def test_labels_record_originals(self, monkeypatch):
+        monkeypatch.setattr("twotower.pairs.MASK_RATE", 0.999999)
         tokens = [CLS_ID, 7, 8, 9]
-        example = gen_mlm(tokens, subrng(1), 0.999999, vocab_size=50)
+        example = gen_mlm(tokens, subrng(1), vocab_size=50)
         for pos, original in example.labels:
             assert original == tokens[pos]
-
-    def test_mask_rate_validated(self):
-        with pytest.raises(ValueError):
-            gen_mlm([7], subrng(0), 1.5, vocab_size=20)
 
 
 class TestMixture:
     def test_degenerate_mixture(self, small_toy):
         store, _, _ = small_toy
-        out = list(sample_mixture(store, TaskMixture({"ict": 1.0}), 10, subrng(0), Q_LEN, D_LEN))
+        out = list(sample_mixture(store, ("ict",), 10, subrng(0), Q_LEN, D_LEN))
         assert len(out) == 10
         assert all(p.task == "ict" for p in out)
 
     def test_uniform_counts_within_three_sigma(self, small_toy):
         store, _, _ = small_toy
         counts = {"ict": 0, "bfs": 0, "wlp": 0}
-        for pair in sample_mixture(store, TaskMixture.uniform(), 30_000, subrng(1), Q_LEN, D_LEN):
+        for pair in sample_mixture(store, PRETRAIN_TASKS, 30_000, subrng(1), Q_LEN, D_LEN):
             counts[pair.task] += 1
         sigma = np.sqrt(30_000 * (1 / 3) * (2 / 3))
         for task in counts:
@@ -206,29 +200,21 @@ class TestMixture:
         _, _, vocab = small_toy
         tokenize_corpus(store, vocab)
         with pytest.raises(ValueError, match="wlp"):
-            list(sample_mixture(store, TaskMixture.uniform(), 5, subrng(0), Q_LEN, D_LEN))
+            list(sample_mixture(store, PRETRAIN_TASKS, 5, subrng(0), Q_LEN, D_LEN))
 
     def test_byte_identical_streams_for_same_seed(self, small_toy):
         store, _, _ = small_toy
         def stream(seed):
-            pairs = sample_mixture(store, TaskMixture.uniform(), 200, subrng(seed), Q_LEN, D_LEN)
+            pairs = sample_mixture(store, PRETRAIN_TASKS, 200, subrng(seed), Q_LEN, D_LEN)
             return [(p.task, p.query, p.doc, p.source) for p in pairs]
         assert stream(9) == stream(9)
         assert stream(9) != stream(10)
-
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            TaskMixture({"ict": 0.5, "bfs": 0.2})
-        with pytest.raises(ValueError):
-            TaskMixture({"ict": -1.0, "bfs": 2.0})
-        with pytest.raises(ValueError):
-            TaskMixture({"nope": 1.0})
 
 
 @pytest.fixture(scope="module")
 def sampled(small_toy):
     store, _, _ = small_toy
-    return store, list(sample_mixture(store, TaskMixture.uniform(), 600, subrng(2), Q_LEN, D_LEN))
+    return store, list(sample_mixture(store, PRETRAIN_TASKS, 600, subrng(2), Q_LEN, D_LEN))
 
 
 class TestPairInvariants:
@@ -269,7 +255,7 @@ class TestPairInvariants:
 class TestPairStats:
     def test_toy_corpus_ict_docs_longer_than_bfs_queries(self, small_toy):
         store, _, _ = small_toy
-        pairs = list(sample_mixture(store, TaskMixture.uniform(), 900, subrng(4), Q_LEN, D_LEN))
+        pairs = list(sample_mixture(store, PRETRAIN_TASKS, 900, subrng(4), Q_LEN, D_LEN))
         ict_docs = [len(p.doc) for p in pairs if p.task == "ict"]
         bfs_queries = [len(p.query) for p in pairs if p.task == "bfs"]
         assert np.mean(ict_docs) > np.mean(bfs_queries)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from twotower.benchmark import build_reqa, finetune_pairs, make_split
+from twotower.benchmark import build_reqa, dense_candidates, finetune_pairs, make_split
 from twotower.corpus import NUM_SPECIALS
 from twotower.encoders import EncoderConfig, TwoTower, hidden_states, init_params, save_checkpoint
-from twotower.pairs import TaskMixture, gen_mlm, sample_mixture
+from twotower.pairs import PRETRAIN_TASKS, gen_mlm, sample_mixture
 from twotower.training import (
-    MASK_RATE,
     OptimizerState,
     TrainRunConfig,
     _mlm_step,
@@ -210,7 +209,7 @@ class TestPretrain:
         store, _, _, enc_cfg = toy_setup
         cfg = TrainRunConfig(batch_size=32, total_steps=200, seed=6)
         stream = sample_mixture(
-            store, TaskMixture.uniform(), cfg.batch_size * cfg.total_steps,
+            store, PRETRAIN_TASKS, cfg.batch_size * cfg.total_steps,
             subrng(6, "pairs"), enc_cfg.query_max_len, enc_cfg.doc_max_len,
         )
         _, history = pretrain(cfg, enc_cfg, stream)
@@ -225,7 +224,7 @@ class TestPretrain:
         def run(prefix):
             cfg = TrainRunConfig(batch_size=8, total_steps=6, seed=9)
             stream = sample_mixture(
-                store, TaskMixture.uniform(), 48, subrng(9, "pairs"),
+                store, PRETRAIN_TASKS, 48, subrng(9, "pairs"),
                 enc_cfg.query_max_len, enc_cfg.doc_max_len,
             )
             model, _ = pretrain(cfg, enc_cfg, stream)
@@ -245,7 +244,7 @@ class TestPretrain:
         enc_cfg = EncoderConfig(**{**base_cfg.to_dict(), "share_towers": True})
         cfg = TrainRunConfig(batch_size=8, total_steps=3, seed=3)
         stream = sample_mixture(
-            store, TaskMixture.uniform(), 24, subrng(3, "pairs"),
+            store, PRETRAIN_TASKS, 24, subrng(3, "pairs"),
             enc_cfg.query_max_len, enc_cfg.doc_max_len,
         )
         model, _ = pretrain(cfg, enc_cfg, stream)
@@ -300,7 +299,7 @@ class TestMlmStep:
         # The loss is the mean full-softmax NLL over the masked positions; the
         # head's bias joins the logits as one more coordinate.
         masking = mask_rng()
-        examples = [gen_mlm(seq, masking, MASK_RATE, cfg.vocab_size) for seq in batch]
+        examples = [gen_mlm(seq, masking, cfg.vocab_size) for seq in batch]
         hidden, _ = hidden_states(params, cfg, [e.input for e in examples])
         head = np.hstack([params["emb/token"], params["mlm/bias"][:, None]])
         nlls = [
@@ -332,10 +331,10 @@ class TestMlmStep:
 def finetune_setup(small_toy):
     store, entries, vocab = small_toy
     enc_cfg = small_enc_config(len(vocab))
-    examples, candidates, _ = build_reqa(entries, store, vocab, 16, 48)
+    examples, candidates, _ = build_reqa(entries, store, vocab, 16)
     split = make_split(examples, (80, 20), seed=1)
-    pairs = finetune_pairs(split.train, candidates)
-    cand_seqs = [(c.id, c.tower_tokens) for c in candidates]
+    pairs = finetune_pairs(split.train, candidates, enc_cfg.doc_max_len)
+    cand_seqs = dense_candidates(candidates, enc_cfg.doc_max_len)
     val_queries = [ex.question_tokens for ex in split.validation]
     val_gold = [ex.gold_id for ex in split.validation]
     return enc_cfg, pairs, val_queries, val_gold, cand_seqs
