@@ -4,13 +4,16 @@ Opt-in: Tier-1 collects `tests/` only, so this suite runs only when named.
 It times embedding, LayerNorm, QKV, attention softmax, FFN matmul and GELU,
 each forward and backward, at the default encoder shapes in float32, on a
 query batch (32 x 16), a doc batch (32 x 48) and an index batch (512 x 48).
+It also times a whole tower: `encode` of an index batch (`tower.forward`)
+and a training step's `encode_with_cache` plus `backward_from_cache` on a
+query and a doc batch (`tower.train`).
 Run it once per source tree and join the two runs into a BENCH file:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=<parent>/src python -m pytest opbench \\
         -q -p no:cacheprovider --benchmark-json=parent.json
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest opbench \\
         -q -p no:cacheprovider --benchmark-json=change.json
-    python opbench/columns.py parent.json change.json --out BENCH_8.json
+    python opbench/columns.py parent.json change.json --out BENCH_<n>.json
 
 Each op calls the encoder's own helper where the module has one
 (`_layernorm`, `_layernorm_backward`, `_affine`, `_weight_grad`,
@@ -170,3 +173,30 @@ def test_op(benchmark, inputs, op, direction):
     benchmark.group = f"{op}.{direction}"
     benchmark(OPS[op][direction == "backward"], inputs)
 
+
+def tower_batch(batch, length):
+    """Token id lists of one batch shape; half the rows are half length."""
+    ids = subrng(0, "opbench", batch, length).integers(NUM_SPECIALS, CONFIG.vocab_size, size=(batch, length))
+    return [row[: length if i < batch // 2 else length // 2].tolist() for i, row in enumerate(ids)]
+
+
+def tower_train(params, batch, grad_out):
+    _, cache = encoders.encode_with_cache(params, CONFIG, batch)
+    return encoders.backward_from_cache(params, CONFIG, cache, grad_out)
+
+
+@pytest.mark.parametrize("op,direction,inputs", [
+    ("tower", "forward", "512x48"),
+    ("tower", "train", "32x16"),
+    ("tower", "train", "32x48"),
+])
+def test_tower(benchmark, op, direction, inputs):
+    size, length = SHAPES[inputs]
+    params = encoders.init_params(CONFIG, subrng(0, "opbench"), length)
+    batch = tower_batch(size, length)
+    benchmark.group = f"{op}.{direction}"
+    if direction == "forward":
+        benchmark(encoders.encode, params, CONFIG, batch)
+    else:
+        grad_out = subrng(1, "opbench", size).normal(size=(size, CONFIG.emb_dim)).astype(CONFIG.np_dtype())
+        benchmark(tower_train, params, batch, grad_out)
