@@ -5,6 +5,10 @@ exact and checkable against finite differences. The forward pass keeps each
 layer's activations only when a backward pass follows: `encode` keeps none.
 A training cache holds the GELU's normal CDF, from which the backward pass
 rebuilds GELU(u) and its derivative without a second erf. A tower's
+embedding is its CLS row, so in `encode` and in training the last layer
+computes only that row past the attention scores (keys and values still
+cover every position), and the backward pass runs that layer on B rows, not
+B x L. `hidden_states` keeps every row, because MLM reads them all. A tower's
 parameters are a plain dict of named arrays; the module functions take one
 such dict, the config and a batch of token id lists. A transformer tower's
 length is the row count of its `emb/pos` table: a longer sequence is an
@@ -60,6 +64,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.arch not in (ARCH_BOW_MLP, ARCH_TRANSFORMER):
             raise EncoderError(f"unknown arch: {self.arch!r}")
+        if self.arch == ARCH_TRANSFORMER and self.num_layers < 1:
+            # With no layer the CLS state would not depend on the other tokens.
+            raise EncoderError("a transformer needs num_layers >= 1")
         if self.hidden_dim % self.num_heads != 0:
             raise EncoderError("hidden_dim must be divisible by num_heads")
         if self.emb_dim < 1:
@@ -155,11 +162,15 @@ def _layernorm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
     return xhat * gain + bias, (xhat, ivar, gain)
 
 
+def _lead_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last, as a bias gradient takes it."""
+    return x.sum(axis=tuple(range(x.ndim - 1)))
+
+
 def _layernorm_backward(dy: np.ndarray, cache):
     xhat, ivar, gain = cache
-    axes = tuple(range(dy.ndim - 1))
-    dgain = (dy * xhat).sum(axis=axes)
-    dbias = dy.sum(axis=axes)
+    dgain = _lead_sum(dy * xhat)
+    dbias = _lead_sum(dy)
     dxhat = dy * gain
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -210,13 +221,18 @@ def _gelu_cdf(u: np.ndarray) -> np.ndarray:
 
 
 def _forward_body(
-    params: Params, config: EncoderConfig, ids: np.ndarray, mask: np.ndarray, backward: bool = True
+    params: Params,
+    config: EncoderConfig,
+    ids: np.ndarray,
+    mask: np.ndarray,
+    backward: bool = True,
+    cls_only: bool = False,
 ):
     """Run the transformer body through the final LayerNorm.
 
-    Returns hidden states [B, L, h] and, when `backward` is set, a cache for
-    the backward pass; without it no activations are kept and the cache is
-    None.
+    Returns hidden states [B, L, h], or with `cls_only` the CLS states [B, h],
+    and, when `backward` is set, a cache for the backward pass; without it no
+    activations are kept and the cache is None.
     """
     eps = LN_EPSILON
     nh = config.num_heads
@@ -231,8 +247,15 @@ def _forward_body(
         k = _affine(xn1, params[f"{p}/attn/wk"], params[f"{p}/attn/bk"])
         v = _affine(xn1, params[f"{p}/attn/wv"], params[f"{p}/attn/bv"])
         qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
-        probs = _masked_softmax(qh @ kh.transpose(0, 1, 3, 2), scale, pad)
-        ctx = _merge_heads(probs @ vh)
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        if cls_only and i == config.num_layers - 1:
+            # Only the CLS row leaves the body, so from the scores on the last
+            # layer computes row 0 alone; it still attends to every key. Q and
+            # the scores stay full-width: a one-row matmul takes BLAS's gemv
+            # path, which rounds differently from the gemm of the full batch.
+            qh, scores, x = qh[:, :, :1], scores[:, :, :1].copy(), x[:, 0]
+        probs = _masked_softmax(scores, scale, pad)
+        ctx = _merge_heads(probs @ vh).reshape(x.shape)
         a = _affine(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
         a += x
         xn2, ln2_cache = _layernorm(a, params[f"{p}/ln2/gain"], params[f"{p}/ln2/bias"], eps)
@@ -258,7 +281,8 @@ def _forward_body(
 
 
 def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.ndarray) -> Params:
-    """Gradients of sum(d_hidden * hidden) w.r.t. the body parameters."""
+    """Gradients of sum(d_hidden * hidden) w.r.t. the body parameters;
+    `d_hidden` has the shape of the forward's hidden states."""
     nh = config.num_heads
     scale = cache["scale"]
     ids = cache["ids"]
@@ -271,15 +295,17 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
     for i in reversed(range(config.num_layers)):
         p = f"layer{i}"
         xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, cdf = cache["layers"][i]
+        # The query rows this layer computed: all L, or only the CLS row.
+        rows = qh.shape[2]
         # ffn sublayer: out = a + gelu(xn2 @ w1 + b1) @ w2 + b2
         da = dx.copy()
         df = dx
         grads[f"{p}/ffn/w2"] += _weight_grad(u * cdf, df)
-        grads[f"{p}/ffn/b2"] += df.sum(axis=(0, 1))
+        grads[f"{p}/ffn/b2"] += _lead_sum(df)
         # gelu'(u) = cdf(u) + u * pdf(u)
         du = (df @ params[f"{p}/ffn/w2"].T) * (cdf + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI)
         grads[f"{p}/ffn/w1"] += _weight_grad(xn2, du)
-        grads[f"{p}/ffn/b1"] += du.sum(axis=(0, 1))
+        grads[f"{p}/ffn/b1"] += _lead_sum(du)
         dxn2 = du @ params[f"{p}/ffn/w1"].T
         dx2, dg, db = _layernorm_backward(dxn2, ln2_cache)
         grads[f"{p}/ln2/gain"] += dg
@@ -288,28 +314,28 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
         # attention sublayer: a = x + (merge(P @ V) @ wo + bo)
         dattn = da
         grads[f"{p}/attn/wo"] += _weight_grad(ctx, dattn)
-        grads[f"{p}/attn/bo"] += dattn.sum(axis=(0, 1))
-        dctx = _split_heads(dattn @ params[f"{p}/attn/wo"].T, nh)
+        grads[f"{p}/attn/bo"] += _lead_sum(dattn)
+        dctx = _split_heads((dattn @ params[f"{p}/attn/wo"].T).reshape(len(ids), rows, -1), nh)
         dprobs = dctx @ vh.transpose(0, 1, 3, 2)
         dvh = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         dqh = (dscores @ kh) * scale
         dkh = (dscores.transpose(0, 1, 3, 2) @ qh) * scale
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-        dxn1 = (
-            dq @ params[f"{p}/attn/wq"].T
-            + dk @ params[f"{p}/attn/wk"].T
-            + dv @ params[f"{p}/attn/wv"].T
-        )
-        for name, grad in (("wq", dq), ("wk", dk), ("wv", dv)):
-            grads[f"{p}/attn/{name}"] += _weight_grad(xn1, grad)
-        grads[f"{p}/attn/bq"] += dq.sum(axis=(0, 1))
-        grads[f"{p}/attn/bk"] += dk.sum(axis=(0, 1))
-        grads[f"{p}/attn/bv"] += dv.sum(axis=(0, 1))
-        dx1, dg, db = _layernorm_backward(dxn1, ln1_cache)
+        # Q, and the residual `da`, reach only the query rows of xn1 and x.
+        dxn1 = dk @ params[f"{p}/attn/wk"].T
+        dxn1[:, :rows] += dq @ params[f"{p}/attn/wq"].T
+        dxn1 += dv @ params[f"{p}/attn/wv"].T
+        grads[f"{p}/attn/wq"] += _weight_grad(xn1[:, :rows], dq)
+        grads[f"{p}/attn/wk"] += _weight_grad(xn1, dk)
+        grads[f"{p}/attn/wv"] += _weight_grad(xn1, dv)
+        grads[f"{p}/attn/bq"] += _lead_sum(dq)
+        grads[f"{p}/attn/bk"] += _lead_sum(dk)
+        grads[f"{p}/attn/bv"] += _lead_sum(dv)
+        dx, dg, db = _layernorm_backward(dxn1, ln1_cache)
         grads[f"{p}/ln1/gain"] += dg
         grads[f"{p}/ln1/bias"] += db
-        dx = da + dx1
+        dx[:, :rows] += da.reshape(len(ids), rows, -1)
 
     flat_ids = ids.reshape(-1)
     np.add.at(grads["emb/token"], flat_ids, dx.reshape(-1, dx.shape[-1]))
@@ -350,8 +376,7 @@ def encode_with_cache(params: Params, config: EncoderConfig, batch: Batch, backw
         out, cache = _forward_bow(params, *_pad_batch(batch))
         return out, cache if backward else None
     ids, mask = _pad_batch(batch, len(params["emb/pos"]))
-    hidden, cache = _forward_body(params, config, ids, mask, backward)
-    cls = hidden[:, 0, :]
+    cls, cache = _forward_body(params, config, ids, mask, backward, cls_only=True)
     if backward:
         cache["cls"] = cls
     return cls @ params["out/w"] + params["out/b"], cache
@@ -369,9 +394,7 @@ def backward_from_cache(params: Params, config: EncoderConfig, cache, grad_out: 
         return _backward_bow(params, cache, grad_out)
     if grad_out.shape != (cache["ids"].shape[0], config.emb_dim):
         raise EncoderError(f"grad_out shape {grad_out.shape} does not match batch")
-    d_hidden = np.zeros(cache["ids"].shape + (config.hidden_dim,), dtype=grad_out.dtype)
-    d_hidden[:, 0, :] = grad_out @ params["out/w"].T
-    grads = _backward_body(params, config, cache, d_hidden)
+    grads = _backward_body(params, config, cache, grad_out @ params["out/w"].T)
     grads["out/w"] += cache["cls"].T @ grad_out
     grads["out/b"] += grad_out.sum(axis=0)
     return grads

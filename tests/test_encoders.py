@@ -16,6 +16,8 @@ from twotower.encoders import (
     backward_from_cache,
     encode,
     encode_with_cache,
+    hidden_backward,
+    hidden_states,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -145,6 +147,8 @@ class TestInitParams:
             tiny_config(emb_dim=0)
         with pytest.raises(EncoderError):
             tiny_config(vocab_size=2)
+        with pytest.raises(EncoderError, match="num_layers"):
+            tiny_config(num_layers=0)
 
 
 class TestBowMlp:
@@ -299,20 +303,30 @@ class TestEncodeKeepsNoActivations:
         assert cache is None
         assert out.tobytes() == encode_with_cache(params, cfg, [[2, 7, 9]])[0].tobytes()
 
-    def test_index_batch_peak_memory(self):
+    @staticmethod
+    def _peak_bytes(forward):
         # One 512 x 48 doc batch, as `build_dense_index` encodes it, at the
-        # default shapes in float32. The same forward keeping every layer's
-        # activations for a backward pass peaks at about 270 MB.
+        # default shapes in float32.
         cfg = EncoderConfig(vocab_size=3000, dtype="float32")
         params = init_params(cfg, subrng(6), cfg.doc_max_len)
         batch = subrng(7).integers(NUM_SPECIALS, cfg.vocab_size, size=(512, cfg.doc_max_len)).tolist()
         tracemalloc.start()
         try:
-            encode(params, cfg, batch)
+            forward(params, cfg, batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 250 * 2**20
+        return peak
+
+    def test_index_batch_peak_memory(self):
+        # About 156 MB. The same forward keeping every layer's activations for
+        # a backward pass peaks at about 175 MB (next test).
+        assert self._peak_bytes(encode) < 250 * 2**20
+
+    def test_cached_forward_peak_memory(self):
+        # About 175 MB. The last layer computes only the CLS row; run on every
+        # row it would hold B x L activations and peak at about 270 MB.
+        assert self._peak_bytes(encode_with_cache) < 200 * 2**20
 
 
 class TestBackward:
@@ -325,13 +339,20 @@ class TestBackward:
             for name, grad in grads.items():
                 assert np.all(grad == 0.0), name
 
-    @pytest.mark.parametrize("arch", [ARCH_TRANSFORMER, ARCH_BOW_MLP])
-    def test_finite_difference_oracle(self, arch):
-        cfg = tiny_config(arch=arch)
+    # With one layer, the layer that computes only the CLS row is also the
+    # one the embeddings feed.
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    @pytest.mark.parametrize("arch,num_layers", [
+        (ARCH_TRANSFORMER, 1),
+        (ARCH_TRANSFORMER, 2),
+        (ARCH_BOW_MLP, 2),
+    ])
+    def test_finite_difference_oracle(self, arch, num_layers, batch_size):
+        cfg = tiny_config(arch=arch, num_layers=num_layers)
         rng = subrng(12, arch)
         params = init_params(cfg, rng, cfg.doc_max_len)
-        batch = [[2, 7, 9, 11], [2, 5, 6]]
-        grad_out = rng.normal(size=(2, cfg.emb_dim))
+        batch = [[2, 7, 9, 11], [2, 5, 6]][:batch_size]
+        grad_out = rng.normal(size=(batch_size, cfg.emb_dim))
 
         def objective():
             return float((encode(params, cfg, batch) * grad_out).sum())
@@ -359,6 +380,40 @@ class TestBackward:
             worst = max(worst, abs(numeric - analytic) / denom)
             checked += 1
         assert worst < 1e-4
+
+
+class TestClsOnlyLastLayer:
+    """`encode` and training run the last layer on the CLS row alone; the full
+    body that `hidden_states` runs for MLM must give the same embeddings and,
+    fed a gradient on row 0 only, the same parameter gradients."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("batch", [
+        [[2, 7, 9]],
+        [[2, 7, 9, 11, 13], [2, 5], [2, 6, 8, PAD_ID]],
+    ], ids=["one", "padded-three"])
+    def test_matches_the_full_body(self, num_layers, share, batch):
+        cfg = tiny_config(num_layers=num_layers, share_towers=share)
+        model = TwoTower.init(cfg, seed=9)
+        rng = subrng(10, "cls")
+        for params in (model.query,) if share else (model.query, model.doc):
+            hidden, full_cache = hidden_states(params, cfg, batch)
+            cls = hidden[:, 0]
+            np.testing.assert_allclose(
+                encode(params, cfg, batch), cls @ params["out/w"] + params["out/b"], rtol=0, atol=1e-12
+            )
+            grad_out = rng.normal(size=(len(batch), cfg.emb_dim))
+            d_hidden = np.zeros_like(hidden)
+            d_hidden[:, 0] = grad_out @ params["out/w"].T
+            full = hidden_backward(params, cfg, full_cache, d_hidden)
+            full["out/w"] += cls.T @ grad_out
+            full["out/b"] += grad_out.sum(axis=0)
+            _, cache = encode_with_cache(params, cfg, batch)
+            pruned = backward_from_cache(params, cfg, cache, grad_out)
+            assert set(pruned) == set(full)
+            for name, grad in pruned.items():
+                np.testing.assert_allclose(grad, full[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestCheckpoint:

@@ -21,11 +21,11 @@ TINY_ENCODER = ["--layers", "1", "--hidden-dim", "16", "--heads", "2", "--ff-dim
 PRETRAIN = ["--steps", "4", "--batch", "4", "--seed", "5", *TINY_ENCODER]
 
 GOLDEN = {
-    "ict-bfs-wlp.bin": "9f69ddae389646fe3e7fd2bef8470593dbb534087cc716e58a8c920a318d1042",
+    "ict-bfs-wlp.bin": "53583e3ab4e25add45be4cc3503e653801666f57ff6eb547b670f932f5ffb718",
     "mlm-shared.bin": "d2d46dc0d9540e764f9afbd4b24096a6a19c81a4ee4f7bf6d3403746fa615306",
-    "ict-shared.bin": "8bc3a2dade42156ab087e0d1237dd6476225743672a4dd175518b0544f8bd7d0",
+    "ict-shared.bin": "a28c2d11a6e18578cc4aa2919f220df990c50739770477e1b0b07442b8e60c0d",
     "bow.bin": "92dd6d51acc92c23973f0916389c9ce0fab1310af41ab9faabea642b2c775bc6",
-    "tuned.bin": "49df5be79a74d3cb6d46d9d431f8a88338293323d5a13189ebea1ca5de5a51b5",
+    "tuned.bin": "cb452441c73b02024e50e60bcfea70a94dc64846b56a494f182a473ac3a2e1d7",
     "eval-tuned.json": "7e3f18543b31b565d23684b3da9d64e64508395c6a64b0e8a436a81a6cdddc6e",
     "eval-ict-shared.json": "0071ff5faee2537e6193408fdcce0d71681abe50a7aebd2721eaf031112c1cfd",
     "eval-bow.json": "e9d9197856b823bd3cf83c774bfe18ae87548444c13c523ac57b0b1ac8985ba7",
