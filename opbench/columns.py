@@ -1,14 +1,16 @@
-"""Join two `--benchmark-json` runs of opbench/test_ops.py into one BENCH file.
+"""Join `--benchmark-json` runs of opbench/test_ops.py into one BENCH file.
 
-    python opbench/columns.py parent.json change.json --out BENCH_8.json
+    python opbench/columns.py --parent parent-*.json --change change-*.json --out BENCH_11.json
 
 Each row is one op, direction and batch shape, keyed like
-`gelu.forward[512x48]`, with the median milliseconds per call of the parent
-and of the change, their ratio and the change's rounds.
+`gelu.forward[512x48]`. A side's figure is the median, over that side's runs,
+of each run's median milliseconds per call; the row also gives their ratio,
+the change's runs and its rounds summed over them.
 """
 
 import argparse
 import json
+import statistics
 
 
 def medians(path):
@@ -22,26 +24,43 @@ def medians(path):
     return rows, run["machine_info"]
 
 
+def side(paths):
+    """(key -> (median over runs of the per-run median ms, runs, rounds)), and
+    the machine of the first run."""
+    runs = [medians(path) for path in paths]
+    keys = set.intersection(*(set(rows) for rows, _ in runs))
+    return {
+        key: (
+            statistics.median(rows[key][0] for rows, _ in runs),
+            len(runs),
+            sum(rows[key][1] for rows, _ in runs),
+        )
+        for key in keys
+    }, runs[0][1]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
+    parser.add_argument("--parent", nargs="+", required=True)
+    parser.add_argument("--change", nargs="+", required=True)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    parent, _ = medians(args.parent)
-    change, machine = medians(args.change)
+    parent, _ = side(args.parent)
+    change, machine = side(args.change)
     ops = {
         key: {
             "parent_ms": round(parent[key][0], 4),
             "change_ms": round(change[key][0], 4),
             "change_over_parent": round(change[key][0] / parent[key][0], 3),
-            "rounds": change[key][1],
+            "runs": change[key][1],
+            "rounds": change[key][2],
         }
-        for key in sorted(change)
+        for key in sorted(set(change) & set(parent))
     }
     bench = {
         "what": "median ms per call of each encoder op (opbench/test_ops.py), float32, "
-                "default encoder shapes, one BLAS thread",
+                "default encoder shapes, one BLAS thread; each side the median of its runs, "
+                "which alternated parent and change",
         "machine": {
             "cpu": machine["cpu"].get("brand_raw"),
             "cores": machine["cpu"].get("count"),

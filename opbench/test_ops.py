@@ -4,16 +4,20 @@ Opt-in: Tier-1 collects `tests/` only, so this suite runs only when named.
 It times embedding, LayerNorm, QKV, attention softmax, FFN matmul and GELU,
 each forward and backward, at the default encoder shapes in float32, on a
 query batch (32 x 16), a doc batch (32 x 48) and an index batch (512 x 48).
-It also times a whole tower: `encode` of an index batch (`tower.forward`)
-and a training step's `encode_with_cache` plus `backward_from_cache` on a
-query and a doc batch (`tower.train`).
-Run it once per source tree and join the two runs into a BENCH file:
+It also times a whole tower: `encode` of an index batch (`tower.forward`),
+a training step's `encode_with_cache` plus `backward_from_cache` on a query
+and a doc batch (`tower.train`) and a masked-token step, `training._mlm_step`,
+on the same two batches (`tower.mlm`).
+Run it on the parent and the changed source tree in turn, three rounds with
+the side that goes first alternating, so that load drift on a shared machine
+reaches both sides alike, and join the runs into a BENCH file:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<parent>/src python -m pytest opbench \\
-        -q -p no:cacheprovider --benchmark-json=parent.json
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest opbench \\
-        -q -p no:cacheprovider --benchmark-json=change.json
-    python opbench/columns.py parent.json change.json --out BENCH_<n>.json
+    run() { OPENBLAS_NUM_THREADS=1 PYTHONPATH=$1 python -m pytest opbench \\
+                -q -p no:cacheprovider --benchmark-json=$2; }
+    run <parent>/src parent-1.json; run src change-1.json
+    run src change-2.json; run <parent>/src parent-2.json
+    run <parent>/src parent-3.json; run src change-3.json
+    python opbench/columns.py --parent parent-*.json --change change-*.json --out BENCH_<n>.json
 
 Each op calls the encoder's own helper where the module has one
 (`_layernorm`, `_layernorm_backward`, `_affine`, `_weight_grad`,
@@ -29,7 +33,7 @@ import math
 import numpy as np
 import pytest
 
-from twotower import encoders
+from twotower import encoders, training
 from twotower.corpus import NUM_SPECIALS
 from twotower.util import subrng
 
@@ -185,10 +189,17 @@ def tower_train(params, batch, grad_out):
     return encoders.backward_from_cache(params, CONFIG, cache, grad_out)
 
 
+def tower_mlm(params, batch):
+    # The same masks on every call: each call draws from a fresh generator.
+    return training._mlm_step(params, CONFIG, batch, subrng(2, "opbench"))
+
+
 @pytest.mark.parametrize("op,direction,inputs", [
     ("tower", "forward", "512x48"),
     ("tower", "train", "32x16"),
     ("tower", "train", "32x48"),
+    ("tower", "mlm", "32x16"),
+    ("tower", "mlm", "32x48"),
 ])
 def test_tower(benchmark, op, direction, inputs):
     size, length = SHAPES[inputs]
@@ -197,6 +208,9 @@ def test_tower(benchmark, op, direction, inputs):
     benchmark.group = f"{op}.{direction}"
     if direction == "forward":
         benchmark(encoders.encode, params, CONFIG, batch)
+    elif direction == "mlm":
+        params["mlm/bias"] = np.zeros(CONFIG.vocab_size, dtype=CONFIG.np_dtype())
+        benchmark(tower_mlm, params, batch)
     else:
         grad_out = subrng(1, "opbench", size).normal(size=(size, CONFIG.emb_dim)).astype(CONFIG.np_dtype())
         benchmark(tower_train, params, batch, grad_out)

@@ -3,10 +3,10 @@ experiment.
 
 Each command declares its options once, in `_COMMANDS`, as name -> default; a
 default of None marks a required path. Option values resolve as CLI flag >
-TWOTOWER_<NAME> env var > --config JSON > default, and each must have the type
-of its default. The --config file is read once, and a key in it that the
-command does not declare is a usage error (`experiment` also takes the
-`ExperimentConfig` fields there, each of the type of its default). `pretrain`
+--config JSON > default, and each must have the type of its default. The
+--config file is read once, and a key in it that the command does not declare
+is a usage error (`experiment` also takes the `ExperimentConfig` fields
+there, each of the type of its default). `pretrain`
 writes the model, one `TwoTower` value, as a checkpoint; `finetune` and `eval`
 read one and take every encoder setting from it, the max lengths included;
 the doc tower's length is read only where candidates are fed to it.
@@ -37,8 +37,6 @@ from .corpus import NUM_SPECIALS, Vocabulary, build_vocab, parse_corpus, tokeniz
 from .encoders import EncoderConfig, load_checkpoint, save_checkpoint
 from .training import TrainRunConfig
 
-ENV_PREFIX = "TWOTOWER_"
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
@@ -57,31 +55,20 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-_ENV_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-              "0": False, "false": False, "no": False, "off": False}
-
-
-def _typed(name: str, value, default, env: bool):
-    """An env var's text or a --config JSON value as the type of the option's
-    or `ExperimentConfig` field's default (a string for a required path). Env
-    text is parsed, booleans from 1/0/true/false/yes/no/on/off; a --config
+def _typed(name: str, value, default):
+    """A --config JSON value checked against the type of the option's or
+    `ExperimentConfig` field's default (a string for a required path): the
     value must already have the type, an integer passing for a float, and each
     element of a list the type of the default's first element. Anything else
     is a usage error."""
     kind = str if default is None else type(default)
-    if env:
-        try:
-            return _ENV_BOOLS[value.lower()] if kind is bool else kind(value)
-        except (KeyError, ValueError):
-            pass
-    elif isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         if kind is list and default:
-            return [_typed(name, item, default[0], env) for item in value]
+            return [_typed(name, item, default[0]) for item in value]
         return value
-    elif kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    source = ENV_PREFIX + name.replace("-", "_").upper() if env else f"--config key {name!r}"
-    raise UsageError(f"{source}: expected {kind.__name__}, got {value!r}")
+    raise UsageError(f"--config key {name!r}: expected {kind.__name__}, got {value!r}")
 
 
 def _load_config(path: Optional[str], allowed: Iterable[str]) -> Dict[str, object]:
@@ -100,23 +87,17 @@ def _load_config(path: Optional[str], allowed: Iterable[str]) -> Dict[str, objec
 def resolve_options(
     args: argparse.Namespace, defaults: Dict[str, object], file_cfg: Dict[str, object]
 ) -> Dict[str, object]:
-    """Merge CLI flags over env vars over the --config file over defaults,
-    each value checked against the type of its default."""
+    """Merge CLI flags over the --config file over defaults, each --config
+    value checked against the type of its default."""
     resolved = {}
     for name, default in defaults.items():
-        attr = name.replace("-", "_")
-        cli_value = getattr(args, attr, None)
+        cli_value = getattr(args, name.replace("-", "_"), None)
         if cli_value is not None:
             resolved[name] = cli_value
-            continue
-        env_value = os.environ.get(ENV_PREFIX + attr.upper())
-        if env_value is not None:
-            resolved[name] = _typed(name, env_value, default, env=True)
-            continue
-        if name in file_cfg:
-            resolved[name] = _typed(name, file_cfg[name], default, env=False)
-            continue
-        resolved[name] = default
+        elif name in file_cfg:
+            resolved[name] = _typed(name, file_cfg[name], default)
+        else:
+            resolved[name] = default
     return resolved
 
 
@@ -417,7 +398,7 @@ def _cmd_experiment(args, o) -> int:
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")
     grid = {
-        k: _typed(k, v, _EXPERIMENT_DEFAULTS[k], env=False)
+        k: _typed(k, v, _EXPERIMENT_DEFAULTS[k])
         for k, v in args.config_values.items()
         if k in _EXPERIMENT_DEFAULTS
     }

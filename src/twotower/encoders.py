@@ -4,18 +4,17 @@ Forward and backward passes are written directly in numpy so gradients are
 exact and checkable against finite differences. The forward pass keeps each
 layer's activations only when a backward pass follows: `encode` keeps none.
 A training cache holds the GELU's normal CDF, from which the backward pass
-rebuilds GELU(u) and its derivative without a second erf. A tower's
-embedding is its CLS row, so in `encode` and in training the last layer
-computes only that row past the attention scores (keys and values still
-cover every position), and the backward pass runs that layer on B rows, not
-B x L. `hidden_states` keeps every row, because MLM reads them all. A tower's
-parameters are a plain dict of named arrays; the module functions take one
-such dict, the config and a batch of token id lists. A transformer tower's
-length is the row count of its `emb/pos` table: a longer sequence is an
-`EncoderError`. A bag-of-words tower has no position table and takes any
-length. The retriever itself is a `TwoTower` value: one config, a query
-tower of `query_max_len` positions and a doc tower of `doc_max_len`, or one
-tower of the larger length when the towers are shared.
+rebuilds GELU(u) and its derivative without a second erf. Past the
+attention scores the last layer, forward and backward, runs only the rows
+its caller selects: row 0 in `encode` and training, as a tower's embedding is
+its CLS row, and the masked positions in MLM. A tower's parameters are a
+plain dict of named arrays; the module functions take one such dict, the
+config and a batch of token id lists. A transformer tower's length is the
+row count of its `emb/pos` table: a longer sequence is an `EncoderError`. A
+bag-of-words tower has no position table and takes any length. The
+retriever itself is a `TwoTower` value: one config, a query tower of
+`query_max_len` positions and a doc tower of `doc_max_len`, or one tower of
+the larger length when the towers are shared.
 """
 
 from __future__ import annotations
@@ -225,20 +224,21 @@ def _forward_body(
     config: EncoderConfig,
     ids: np.ndarray,
     mask: np.ndarray,
+    rows: np.ndarray,
     backward: bool = True,
-    cls_only: bool = False,
 ):
     """Run the transformer body through the final LayerNorm.
 
-    Returns hidden states [B, L, h], or with `cls_only` the CLS states [B, h],
-    and, when `backward` is set, a cache for the backward pass; without it no
-    activations are kept and the cache is None.
+    Returns the hidden states [B, m, h] at the positions `rows` [B, m] of each
+    sequence (a position may repeat) and, when `backward` is set, a cache for
+    the backward pass; without it no activations are kept and the cache is None.
     """
     eps = LN_EPSILON
     nh = config.num_heads
     scale = 1.0 / math.sqrt(config.hidden_dim // nh)
     x = params["emb/token"][ids] + params["emb/pos"][: ids.shape[1]]
     pad = ~mask[:, None, None, :]
+    at = (np.arange(len(ids))[:, None], rows)  # (sequence, position) of each selected row
     layers = []
     for i in range(config.num_layers):
         p = f"layer{i}"
@@ -248,12 +248,14 @@ def _forward_body(
         v = _affine(xn1, params[f"{p}/attn/wv"], params[f"{p}/attn/bv"])
         qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
         scores = qh @ kh.transpose(0, 1, 3, 2)
-        if cls_only and i == config.num_layers - 1:
-            # Only the CLS row leaves the body, so from the scores on the last
-            # layer computes row 0 alone; it still attends to every key. Q and
-            # the scores stay full-width: a one-row matmul takes BLAS's gemv
-            # path, which rounds differently from the gemm of the full batch.
-            qh, scores, x = qh[:, :, :1], scores[:, :, :1].copy(), x[:, 0]
+        if i == config.num_layers - 1:
+            # From the scores on, the last layer runs on the [B * m, h] selected
+            # rows; they still attend to every key. Q and the scores stay full
+            # width: a one-row matmul takes BLAS's gemv path, which rounds
+            # differently from the gemm of the full batch.
+            by_head = (at[0][:, None], np.arange(nh)[:, None], rows[:, None])
+            qh, scores = qh[by_head], scores[by_head]
+            x = x[at].reshape(-1, x.shape[-1])
         probs = _masked_softmax(scores, scale, pad)
         ctx = _merge_heads(probs @ vh).reshape(x.shape)
         a = _affine(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
@@ -268,11 +270,13 @@ def _forward_body(
         if backward:
             layers.append((xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, cdf))
     hidden, final_cache = _layernorm(x, params["final_ln/gain"], params["final_ln/bias"], eps)
+    hidden = hidden.reshape(rows.shape + hidden.shape[-1:])
     if not backward:
         return hidden, None
     cache = {
         "ids": ids,
         "mask": mask,
+        "at": at,
         "layers": layers,
         "final_cache": final_cache,
         "scale": scale,
@@ -282,21 +286,21 @@ def _forward_body(
 
 def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.ndarray) -> Params:
     """Gradients of sum(d_hidden * hidden) w.r.t. the body parameters;
-    `d_hidden` has the shape of the forward's hidden states."""
+    `d_hidden` has the shape of the forward's hidden states [B, m, h]."""
     nh = config.num_heads
     scale = cache["scale"]
     ids = cache["ids"]
+    at = cache["at"]
     grads: Params = {name: np.zeros_like(arr) for name, arr in params.items()}
 
-    dx, dg, db = _layernorm_backward(d_hidden, cache["final_cache"])
+    dx, dg, db = _layernorm_backward(d_hidden.reshape(-1, d_hidden.shape[-1]), cache["final_cache"])
     grads["final_ln/gain"] += dg
     grads["final_ln/bias"] += db
 
     for i in reversed(range(config.num_layers)):
         p = f"layer{i}"
         xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, cdf = cache["layers"][i]
-        # The query rows this layer computed: all L, or only the CLS row.
-        rows = qh.shape[2]
+        last = i == config.num_layers - 1
         # ffn sublayer: out = a + gelu(xn2 @ w1 + b1) @ w2 + b2
         da = dx.copy()
         df = dx
@@ -315,18 +319,21 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
         dattn = da
         grads[f"{p}/attn/wo"] += _weight_grad(ctx, dattn)
         grads[f"{p}/attn/bo"] += _lead_sum(dattn)
-        dctx = _split_heads((dattn @ params[f"{p}/attn/wo"].T).reshape(len(ids), rows, -1), nh)
+        dctx = _split_heads((dattn @ params[f"{p}/attn/wo"].T).reshape(len(ids), -1, xn1.shape[-1]), nh)
         dprobs = dctx @ vh.transpose(0, 1, 3, 2)
         dvh = probs.transpose(0, 1, 3, 2) @ dctx
         dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
         dqh = (dscores @ kh) * scale
         dkh = (dscores.transpose(0, 1, 3, 2) @ qh) * scale
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
-        # Q, and the residual `da`, reach only the query rows of xn1 and x.
+        # In the last layer Q, and the residual `da`, reach only the selected rows.
         dxn1 = dk @ params[f"{p}/attn/wk"].T
-        dxn1[:, :rows] += dq @ params[f"{p}/attn/wq"].T
+        if last:
+            np.add.at(dxn1, at, dq @ params[f"{p}/attn/wq"].T)
+        else:
+            dxn1 += dq @ params[f"{p}/attn/wq"].T
         dxn1 += dv @ params[f"{p}/attn/wv"].T
-        grads[f"{p}/attn/wq"] += _weight_grad(xn1[:, :rows], dq)
+        grads[f"{p}/attn/wq"] += _weight_grad(xn1[at] if last else xn1, dq)
         grads[f"{p}/attn/wk"] += _weight_grad(xn1, dk)
         grads[f"{p}/attn/wv"] += _weight_grad(xn1, dv)
         grads[f"{p}/attn/bq"] += _lead_sum(dq)
@@ -335,7 +342,10 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
         dx, dg, db = _layernorm_backward(dxn1, ln1_cache)
         grads[f"{p}/ln1/gain"] += dg
         grads[f"{p}/ln1/bias"] += db
-        dx[:, :rows] += da.reshape(len(ids), rows, -1)
+        if last:
+            np.add.at(dx, at, da.reshape(dq.shape))
+        else:
+            dx += da
 
     flat_ids = ids.reshape(-1)
     np.add.at(grads["emb/token"], flat_ids, dx.reshape(-1, dx.shape[-1]))
@@ -376,7 +386,8 @@ def encode_with_cache(params: Params, config: EncoderConfig, batch: Batch, backw
         out, cache = _forward_bow(params, *_pad_batch(batch))
         return out, cache if backward else None
     ids, mask = _pad_batch(batch, len(params["emb/pos"]))
-    cls, cache = _forward_body(params, config, ids, mask, backward, cls_only=True)
+    hidden, cache = _forward_body(params, config, ids, mask, np.zeros((len(ids), 1), np.intp), backward)
+    cls = hidden[:, 0]
     if backward:
         cache["cls"] = cls
     return cls @ params["out/w"] + params["out/b"], cache
@@ -400,11 +411,17 @@ def backward_from_cache(params: Params, config: EncoderConfig, cache, grad_out: 
     return grads
 
 
-def hidden_states(params: Params, config: EncoderConfig, batch: Batch):
-    """Per-position hidden states after the final LayerNorm (transformer only)."""
+def hidden_states(params: Params, config: EncoderConfig, batch: Batch, rows: np.ndarray):
+    """Hidden states [B, m, h] after the final LayerNorm at the positions
+    `rows` [B, m] of each sequence, and the cache for `hidden_backward`
+    (transformer only)."""
     if config.arch != ARCH_TRANSFORMER:
         raise EncoderError("per-position hidden states require the transformer arch")
-    return _forward_body(params, config, *_pad_batch(batch, len(params["emb/pos"])))
+    ids, mask = _pad_batch(batch, len(params["emb/pos"]))
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2 or len(rows) != len(ids) or not ((rows >= 0) & (rows < ids.shape[1])).all():
+        raise EncoderError(f"rows must be [{len(ids)}, m] positions below {ids.shape[1]}")
+    return _forward_body(params, config, ids, mask, rows)
 
 
 def hidden_backward(params: Params, config: EncoderConfig, cache, d_hidden: np.ndarray) -> Params:

@@ -257,21 +257,22 @@ def _mlm_step(
     The vocabulary head ties the token embedding matrix plus a bias.
     """
     examples = [gen_mlm(seq, rng, enc_cfg.vocab_size) for seq in batch]
-    hidden, cache = hidden_states(params, enc_cfg, [e.input for e in examples])
-    rows, cols, targets = [], [], []
-    for i, example in enumerate(examples):
-        for pos, original in example.labels:
-            rows.append(i)
-            cols.append(pos)
-            targets.append(original)
-    if not targets:
+    counts = np.array([len(e.labels) for e in examples])
+    if not counts.any():
         return 0.0, 0.0, {k: np.zeros_like(a) for k, a in params.items()}
-    backing = hidden[rows, cols]
+    # Each sequence's masked positions, padded with position 0 to the largest
+    # count; `valid` marks the real ones, in batch-major label order.
+    valid = np.arange(counts.max()) < counts[:, None]
+    labels = np.array([label for e in examples for label in e.labels])
+    rows = np.zeros(valid.shape, dtype=np.intp)
+    rows[valid] = labels[:, 0]
+    hidden, cache = hidden_states(params, enc_cfg, [e.input for e in examples], rows)
+    backing = hidden[valid]
     emb = params["emb/token"]
     logits = backing @ emb.T + params["mlm/bias"]
-    loss, acc, dlogits = _softmax_xent(logits, np.array(targets))
+    loss, acc, dlogits = _softmax_xent(logits, labels[:, 1])
     d_hidden = np.zeros_like(hidden)
-    d_hidden[rows, cols] = dlogits @ emb
+    d_hidden[valid] = dlogits @ emb
     grads = hidden_backward(params, enc_cfg, cache, d_hidden)
     grads["emb/token"] += dlogits.T @ backing
     grads["mlm/bias"] = dlogits.sum(axis=0)

@@ -83,41 +83,27 @@ class TestDispatch:
         assert run(command, "--config", cfg_path) == EXIT_USAGE
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("env, file_cfg, source", [
-        ({"TWOTOWER_SHARE_TOWERS": "nope"}, {}, "TWOTOWER_SHARE_TOWERS"),
-        ({"TWOTOWER_STEPS": "2.5"}, {}, "TWOTOWER_STEPS"),
-        ({"TWOTOWER_LR": "fast"}, {}, "TWOTOWER_LR"),
-        ({}, {"share-towers": "false"}, "'share-towers'"),
-        ({}, {"steps": "abc"}, "'steps'"),
-        ({}, {"steps": True}, "'steps'"),
-        ({}, {"steps": 2.0}, "'steps'"),
-        ({}, {"lr": "0.1"}, "'lr'"),
-        ({}, {"corpus": 5}, "'corpus'"),
+    @pytest.mark.parametrize("file_cfg, source", [
+        ({"share-towers": "false"}, "'share-towers'"),
+        ({"steps": "abc"}, "'steps'"),
+        ({"steps": True}, "'steps'"),
+        ({"steps": 2.0}, "'steps'"),
+        ({"lr": "0.1"}, "'lr'"),
+        ({"corpus": 5}, "'corpus'"),
     ])
-    def test_mistyped_env_or_config_value_is_usage_error(
-        self, env, file_cfg, source, tmp_path, monkeypatch, capsys
-    ):
+    def test_mistyped_config_value_is_usage_error(self, file_cfg, source, tmp_path, capsys):
         # The corpus does not exist: a value checked after loading would exit 2.
         missing = str(tmp_path / "missing.jsonl")
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         cfg_path = str(tmp_path / "cfg.json")
         util.dump_json(cfg_path, {"corpus": missing, "vocab": missing, **file_cfg})
         assert run("pretrain", "--config", cfg_path, "--out", str(tmp_path / "m")) == EXIT_USAGE
         assert source in capsys.readouterr().err
 
-    @pytest.mark.parametrize("env, file_cfg, name, value", [
-        ({"TWOTOWER_SHARE_TOWERS": "Off"}, {"share-towers": True}, "share-towers", False),
-        ({"TWOTOWER_SHARE_TOWERS": "YES"}, {}, "share-towers", True),
-        ({}, {"share-towers": True}, "share-towers", True),
-        ({}, {"lr": 1}, "lr", 1.0),
-        ({"TWOTOWER_LR": "2e-3"}, {}, "lr", 2e-3),
+    @pytest.mark.parametrize("file_cfg, name, value", [
+        ({"share-towers": True}, "share-towers", True),
+        ({"lr": 1}, "lr", 1.0),
     ])
-    def test_env_and_config_values_take_the_type_of_the_default(
-        self, env, file_cfg, name, value, monkeypatch
-    ):
-        for var, text in env.items():
-            monkeypatch.setenv(var, text)
+    def test_config_values_take_the_type_of_the_default(self, file_cfg, name, value):
         args = cli._build_parser().parse_args(["pretrain"])
         resolved = cli.resolve_options(args, cli._options("pretrain"), file_cfg)
         assert resolved[name] == value and type(resolved[name]) is type(value)
@@ -153,14 +139,6 @@ class TestPipelineCommands:
         assert run("vocab", "--corpus", corpus, "--out", b) == EXIT_OK
         records = [json.loads(l) for l in open(tmp_path / "manifests.jsonl")]
         assert len(records) == 2
-
-    def test_env_override(self, workdir, tmp_path, monkeypatch):
-        _, corpus, _, _ = workdir
-        out = str(tmp_path / "env-vocab.txt")
-        monkeypatch.setenv("TWOTOWER_MAX_SIZE", "200")
-        assert run("vocab", "--corpus", corpus, "--out", out) == EXIT_OK
-        # 200-token cap respected (5 specials + chars + merges)
-        assert len(open(out).read().splitlines()) <= 200
 
     @pytest.mark.parametrize("articles, topics", [(60, 100), (5, 0), (1, 1)])
     def test_synth_needs_an_article_per_topic(self, tmp_path, articles, topics, capsys):

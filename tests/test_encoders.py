@@ -382,31 +382,41 @@ class TestBackward:
         assert worst < 1e-4
 
 
-class TestClsOnlyLastLayer:
-    """`encode` and training run the last layer on the CLS row alone; the full
-    body that `hidden_states` runs for MLM must give the same embeddings and,
-    fed a gradient on row 0 only, the same parameter gradients."""
+class TestRowSelector:
+    """Past the attention scores the last layer computes only the rows its
+    caller selects. Selecting every position is the reference: a CLS
+    selection, as `encode` and training make, and a ragged one, as MLM makes,
+    must give the same states at their rows and, fed gradients on those rows,
+    the same parameter gradients."""
+
+    BATCH = [[2, 7, 9, 11, 13], [2, 5], [2, 6, 8, PAD_ID]]
+
+    def reference(self, params, cfg, batch, rows, d_rows):
+        """The states at `rows` and the gradients of sum(d_rows * states),
+        from the body run with every position selected."""
+        width = max(len(seq) for seq in batch)
+        hidden, cache = hidden_states(params, cfg, batch, np.tile(np.arange(width), (len(batch), 1)))
+        at = (np.arange(len(batch))[:, None], rows)
+        d_hidden = np.zeros_like(hidden)
+        np.add.at(d_hidden, at, d_rows)
+        return hidden[at], hidden_backward(params, cfg, cache, d_hidden)
 
     @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("share", [False, True])
-    @pytest.mark.parametrize("batch", [
-        [[2, 7, 9]],
-        [[2, 7, 9, 11, 13], [2, 5], [2, 6, 8, PAD_ID]],
-    ], ids=["one", "padded-three"])
-    def test_matches_the_full_body(self, num_layers, share, batch):
+    @pytest.mark.parametrize("batch", [[[2, 7, 9]], BATCH], ids=["one", "padded-three"])
+    def test_cls_selection_of_encode(self, num_layers, share, batch):
         cfg = tiny_config(num_layers=num_layers, share_towers=share)
         model = TwoTower.init(cfg, seed=9)
         rng = subrng(10, "cls")
         for params in (model.query,) if share else (model.query, model.doc):
-            hidden, full_cache = hidden_states(params, cfg, batch)
-            cls = hidden[:, 0]
+            grad_out = rng.normal(size=(len(batch), cfg.emb_dim))
+            cls, full = self.reference(
+                params, cfg, batch, np.zeros((len(batch), 1), int), (grad_out @ params["out/w"].T)[:, None]
+            )
+            cls = cls[:, 0]
             np.testing.assert_allclose(
                 encode(params, cfg, batch), cls @ params["out/w"] + params["out/b"], rtol=0, atol=1e-12
             )
-            grad_out = rng.normal(size=(len(batch), cfg.emb_dim))
-            d_hidden = np.zeros_like(hidden)
-            d_hidden[:, 0] = grad_out @ params["out/w"].T
-            full = hidden_backward(params, cfg, full_cache, d_hidden)
             full["out/w"] += cls.T @ grad_out
             full["out/b"] += grad_out.sum(axis=0)
             _, cache = encode_with_cache(params, cfg, batch)
@@ -414,6 +424,32 @@ class TestClsOnlyLastLayer:
             assert set(pruned) == set(full)
             for name, grad in pruned.items():
                 np.testing.assert_allclose(grad, full[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_ragged_selection(self, num_layers):
+        # The second sequence selects no row: its three slots are padding. The
+        # third selects two rows and pads with a repeat of its position 2.
+        # Padding slots carry zero gradient.
+        cfg = tiny_config(num_layers=num_layers)
+        params = init_params(cfg, subrng(11, "ragged"), cfg.doc_max_len)
+        rows = np.array([[4, 0, 2], [0, 0, 0], [2, 1, 2]])
+        valid = np.array([[True, True, True], [False, False, False], [True, True, False]])
+        d_rows = subrng(12, "ragged").normal(size=rows.shape + (cfg.hidden_dim,)) * valid[..., None]
+        states, cache = hidden_states(params, cfg, self.BATCH, rows)
+        assert states.shape == rows.shape + (cfg.hidden_dim,)
+        ref_states, ref_grads = self.reference(params, cfg, self.BATCH, rows, d_rows)
+        np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
+        grads = hidden_backward(params, cfg, cache, d_rows)
+        assert set(grads) == set(ref_grads)
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("rows", [[[0], [1]], [[0, 5], [1, 1], [0, 0]], [[-1], [0], [0]], [0, 0, 0]])
+    def test_rows_outside_the_batch_are_encoder_error(self, rows):
+        cfg = tiny_config()
+        params = init_params(cfg, subrng(13, "rows"), cfg.doc_max_len)
+        with pytest.raises(EncoderError, match="rows"):
+            hidden_states(params, cfg, self.BATCH, np.array(rows))
 
 
 class TestCheckpoint:

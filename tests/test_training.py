@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twotower.benchmark import build_reqa, dense_candidates, finetune_pairs, make_split
-from twotower.corpus import NUM_SPECIALS
+from twotower.corpus import NUM_SPECIALS, UNK_ID
 from twotower.encoders import EncoderConfig, TwoTower, hidden_states, init_params, save_checkpoint
 from twotower.pairs import PRETRAIN_TASKS, gen_mlm, sample_mixture
 from twotower.training import (
@@ -280,7 +280,8 @@ class TestMlmPretrain:
 
 
 class TestMlmStep:
-    def test_loss_and_gradients_match_oracles(self):
+    @pytest.mark.parametrize("unk_row", [None, 1], ids=["all-maskable", "one-all-unk"])
+    def test_loss_and_gradients_match_oracles(self, unk_row):
         # float64 weights drawn at std 0.5, so that the gradients stand well
         # above finite-difference round-off; each evaluation re-seeds the masking.
         cfg = small_enc_config(
@@ -290,6 +291,10 @@ class TestMlmStep:
         params = {k: rng.normal(scale=0.5, size=a.shape) for k, a in init_params(cfg, rng, cfg.doc_max_len).items()}
         params["mlm/bias"] = rng.normal(scale=0.5, size=cfg.vocab_size)
         batch = [list(rng.integers(NUM_SPECIALS, cfg.vocab_size, size=n)) for n in (8, 6, 7)]
+        if unk_row is not None:
+            # A sequence with no maskable token gets no masked position, as a
+            # short query sentence often does.
+            batch[unk_row] = [UNK_ID] * len(batch[unk_row])
 
         def mask_rng():
             return subrng(32, "mask")
@@ -300,7 +305,11 @@ class TestMlmStep:
         # head's bias joins the logits as one more coordinate.
         masking = mask_rng()
         examples = [gen_mlm(seq, masking, cfg.vocab_size) for seq in batch]
-        hidden, _ = hidden_states(params, cfg, [e.input for e in examples])
+        if unk_row is not None:
+            assert not examples[unk_row].labels
+        # The oracle reads the hidden states at every position.
+        every = np.tile(np.arange(max(len(e.input) for e in examples)), (len(batch), 1))
+        hidden, _ = hidden_states(params, cfg, [e.input for e in examples], every)
         head = np.hstack([params["emb/token"], params["mlm/bias"][:, None]])
         nlls = [
             full_softmax_loss(np.append(hidden[i, pos], 1.0), head, original)
