@@ -316,12 +316,15 @@ class ExperimentConfig:
         for ratio in self.ratios:
             check_ratio(ratio)
         check_ks(self.ks)
+        if self.augment_limit < 0:
+            raise ValueError("augment_limit must be >= 0")
         for task in self.tasks:
             parse_task_spec(task)
         for arch in self.encoders:
             self.encoder_config(arch, NUM_SPECIALS)
         self.pretrain_config(self.seeds[0])
         self.finetune_config(self.seeds[0])
+        self.bm25_params()
         if not self.include_bm25 and not any(
             _has_cell(arch, task) for arch in self.encoders for task in self.tasks
         ):
@@ -360,6 +363,9 @@ class ExperimentConfig:
             eval_every=self.eval_every,
             patience=self.patience,
         )
+
+    def bm25_params(self) -> retrieval.BM25Params:
+        return retrieval.BM25Params(k1=self.bm25_k1, b=self.bm25_b)
 
 
 def _has_cell(arch: str, task: str) -> bool:
@@ -514,7 +520,7 @@ def run_experiment(
     tokenize_corpus(store, vocab)
     examples, candidates, dropped = build_reqa(entries, store, vocab, cfg.query_max_len)
     log(f"benchmark: {len(examples)} examples, {len(candidates)} candidates, {dropped} dropped")
-    bm25_params = retrieval.BM25Params(k1=cfg.bm25_k1, b=cfg.bm25_b)
+    bm25_params = cfg.bm25_params()
     pools = [(False, candidates)]
     if cfg.augment_limit > 0:
         augmented = with_distractors(store, entries, candidates, cfg.augment_limit, cfg.seeds[0], vocab)

@@ -2,11 +2,10 @@
 experiment.
 
 Each command declares its options once, in `_COMMANDS`, as name -> default; a
-default of None marks a required path. Option values resolve as CLI flag >
---config JSON > default, and each must have the type of its default. The
---config file is read once, and a key in it that the command does not declare
-is a usage error (`experiment` also takes the `ExperimentConfig` fields
-there, each of the type of its default). `pretrain`
+default of None marks a required path. An option's value is its flag's, or
+else its default, of the default's type. `experiment --config` names the grid
+file: a JSON object of `ExperimentConfig` fields, each of the type of the
+field's default; a key that is not a field is a usage error. `pretrain`
 writes the model, one `TwoTower` value, as a checkpoint; `finetune` and `eval`
 read one and take every encoder setting from it, the max lengths included;
 the doc tower's length is read only where candidates are fed to it.
@@ -30,7 +29,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import benchmark, retrieval, synth, util
 from .corpus import NUM_SPECIALS, Vocabulary, build_vocab, parse_corpus, tokenize_corpus
@@ -56,12 +55,11 @@ def _log(message: str) -> None:
 
 
 def _typed(name: str, value, default):
-    """A --config JSON value checked against the type of the option's or
-    `ExperimentConfig` field's default (a string for a required path): the
-    value must already have the type, an integer passing for a float, and each
-    element of a list the type of the default's first element. Anything else
-    is a usage error."""
-    kind = str if default is None else type(default)
+    """A grid value checked against the type of the `ExperimentConfig` field's
+    default: the value must already have the type, an integer passing for a
+    float, and each element of a list the type of the default's first element.
+    Anything else is a usage error."""
+    kind = type(default)
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         if kind is list and default:
             return [_typed(name, item, default[0]) for item in value]
@@ -71,34 +69,22 @@ def _typed(name: str, value, default):
     raise UsageError(f"--config key {name!r}: expected {kind.__name__}, got {value!r}")
 
 
-def _load_config(path: Optional[str], allowed: Iterable[str]) -> Dict[str, object]:
-    """The --config JSON object; a key outside `allowed` is a usage error."""
-    if not path:
-        return {}
-    file_cfg = util.load_json(path)
-    if not isinstance(file_cfg, dict):
+def _load_grid(path: str) -> benchmark.ExperimentConfig:
+    """The `ExperimentConfig` of the --config grid file, the default grid
+    without one. A key that is not a field, a value not of its default's type
+    and a grid `ExperimentConfig` rejects are usage errors."""
+    grid = util.load_json(path) if path else {}
+    if not isinstance(grid, dict):
         raise UsageError(f"--config {path} must hold a JSON object")
-    unknown = sorted(set(file_cfg) - set(allowed))
+    unknown = sorted(set(grid) - set(_EXPERIMENT_DEFAULTS))
     if unknown:
-        raise UsageError(f"--config {path}: keys the command does not take: {unknown}")
-    return file_cfg
-
-
-def resolve_options(
-    args: argparse.Namespace, defaults: Dict[str, object], file_cfg: Dict[str, object]
-) -> Dict[str, object]:
-    """Merge CLI flags over the --config file over defaults, each --config
-    value checked against the type of its default."""
-    resolved = {}
-    for name, default in defaults.items():
-        cli_value = getattr(args, name.replace("-", "_"), None)
-        if cli_value is not None:
-            resolved[name] = cli_value
-        elif name in file_cfg:
-            resolved[name] = _typed(name, file_cfg[name], default)
-        else:
-            resolved[name] = default
-    return resolved
+        raise UsageError(f"--config {path}: keys that are not grid fields: {unknown}")
+    try:
+        return benchmark.ExperimentConfig(
+            **{k: _typed(k, v, _EXPERIMENT_DEFAULTS[k]) for k, v in grid.items()}
+        )
+    except ValueError as exc:
+        raise UsageError(f"--config {path}: {exc}") from exc
 
 
 def _check_outputs(paths: Sequence[str], force: bool) -> None:
@@ -159,15 +145,11 @@ def _metrics_file(o: Dict[str, object]):
 
 def _add_options(sub: argparse.ArgumentParser, defaults: Dict[str, object]) -> None:
     for name, default in defaults.items():
-        flag = "--" + name
         if isinstance(default, bool):
-            sub.add_argument(flag, action="store_const", const=True, default=None)
-        elif isinstance(default, int):
-            sub.add_argument(flag, type=int, default=None)
-        elif isinstance(default, float):
-            sub.add_argument(flag, type=float, default=None)
+            sub.add_argument("--" + name, dest=name, action="store_true")
         else:
-            sub.add_argument(flag, type=str, default=None)
+            kind = str if default is None else type(default)
+            sub.add_argument("--" + name, dest=name, type=kind, default=default)
 
 
 def _parse_ratio(o: Dict[str, object]) -> Tuple[int, int]:
@@ -195,7 +177,7 @@ def _ckpt_files(o: Dict[str, object]) -> List[str]:
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_synth(args, o) -> int:
+def _cmd_synth(o) -> int:
     try:
         cfg = synth.SynthConfig(
             n_articles=int(o["articles"]),
@@ -218,7 +200,7 @@ def _cmd_synth(args, o) -> int:
     return EXIT_OK
 
 
-def _cmd_vocab(args, o) -> int:
+def _cmd_vocab(o) -> int:
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
@@ -257,7 +239,7 @@ def _train_config(o: Dict[str, object], **fields) -> TrainRunConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _cmd_pretrain(args, o) -> int:
+def _cmd_pretrain(o) -> int:
     _parse_tasks(o)
     # The vocabulary size is not known yet, so the smallest valid one stands in.
     try:
@@ -294,7 +276,7 @@ def _cmd_pretrain(args, o) -> int:
     return EXIT_OK
 
 
-def _cmd_finetune(args, o) -> int:
+def _cmd_finetune(o) -> int:
     ratio = _parse_ratio(o)
     train_cfg = _train_config(o, eval_every=int(o["eval-every"]), patience=int(o["patience"]))
     prefix = str(o["out"])
@@ -325,6 +307,19 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     if part_name not in ("train", "validation", "test"):
         raise UsageError("--split-part must be train/validation/test")
     ratio, ks = _parse_ratio(o), _parse_ks(o)
+    augment = int(o["augment"])
+    if augment < 0:
+        raise UsageError(f"--augment {augment}: must be >= 0")
+    if not dense:
+        # The bound `EncoderConfig` puts on a dense tower's query length.
+        query_max_len = int(o["query-max-len"])
+        if query_max_len < 2:
+            raise UsageError(f"--query-max-len {query_max_len}: must be >= 2")
+        try:
+            system = retrieval.BM25Params(float(o["bm25-k1"]), float(o["bm25-b"]))
+        except ValueError as exc:
+            raise UsageError(f"--bm25-k1/--bm25-b: {exc}") from exc
+        label = "bm25"
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
@@ -333,14 +328,10 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
         system, _ = load_checkpoint(str(o["ckpt"]))
         query_max_len = system.config.query_max_len
         label = f"dense:{system.config.arch}"
-    else:
-        system = retrieval.BM25Params(float(o["bm25-k1"]), float(o["bm25-b"]))
-        query_max_len = int(o["query-max-len"])
-        label = "bm25"
     entries, examples, candidates, dropped = _build_benchmark(o, store, vocab, query_max_len)
     seed = int(o["seed"])
     split = benchmark.make_split(examples, ratio, seed)
-    pool = benchmark.with_distractors(store, entries, candidates, int(o["augment"]), seed, vocab)
+    pool = benchmark.with_distractors(store, entries, candidates, augment, seed, vocab)
     report = benchmark.evaluate_system(system, pool, getattr(split, part_name), ks)
     payload = {
         "system": label,
@@ -360,11 +351,11 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args, o) -> int:
+def _cmd_eval(o) -> int:
     return _eval_common(o, dense=True)
 
 
-def _cmd_bm25_eval(args, o) -> int:
+def _cmd_bm25_eval(o) -> int:
     return _eval_common(o, dense=False)
 
 
@@ -393,20 +384,11 @@ def render_report(report: dict) -> str:
     return "\n".join(blocks) + "\n"
 
 
-def _cmd_experiment(args, o) -> int:
+def _cmd_experiment(o) -> int:
     out_dir = str(o["out"])
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")
-    grid = {
-        k: _typed(k, v, _EXPERIMENT_DEFAULTS[k])
-        for k, v in args.config_values.items()
-        if k in _EXPERIMENT_DEFAULTS
-    }
-    grid.setdefault("seeds", [int(o["seed"])])
-    try:
-        exp_cfg = benchmark.ExperimentConfig(**grid)
-    except ValueError as exc:
-        raise UsageError(f"--config {args.config}: {exc}") from exc
+    exp_cfg = _load_grid(str(o["config"]))
     _check_outputs([report_json, report_txt], bool(o["force"]))
     start = time.time()
     store = _load_corpus(str(o["corpus"]))
@@ -419,7 +401,7 @@ def _cmd_experiment(args, o) -> int:
     print(text, end="")
     _write_manifest(
         "experiment", o,
-        [str(o["corpus"]), str(o["qa"])] + ([args.config] if args.config else []),
+        [str(o["corpus"]), str(o["qa"])] + ([str(o["config"])] if o["config"] else []),
         [report_json, report_txt], time.time() - start,
     )
     return EXIT_OK
@@ -448,7 +430,7 @@ _SPLIT_EVAL_OPTIONS = {
     "seed": 7,
 }
 
-# The `ExperimentConfig` fields an `experiment --config` file may set, with
+# The `ExperimentConfig` fields an `experiment --config` grid may set, with
 # the defaults their values are type-checked against.
 _EXPERIMENT_DEFAULTS = dataclasses.asdict(benchmark.ExperimentConfig())
 
@@ -456,7 +438,7 @@ _INPUTS = {"corpus": None, "vocab": None}
 _BENCHMARK_INPUTS = {**_INPUTS, "qa": None}
 
 # Every command's options as name -> default; None marks a required path.
-# --force and --config are common to all.
+# --force is common to all.
 _COMMANDS = {
     "synth": (
         _cmd_synth,
@@ -503,7 +485,7 @@ _COMMANDS = {
             "query-max-len": 16,
         },
     ),
-    "experiment": (_cmd_experiment, {"corpus": None, "qa": None, "out": None, "seed": 7}),
+    "experiment": (_cmd_experiment, {"corpus": None, "qa": None, "out": None, "config": ""}),
 }
 
 
@@ -517,7 +499,6 @@ def _build_parser() -> _Parser:
     for name in _COMMANDS:
         sub = subparsers.add_parser(name)
         _add_options(sub, _options(name))
-        sub.add_argument("--config", type=str, default=None)
     return parser
 
 
@@ -529,14 +510,12 @@ def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         options = _options(args.command)
-        extra = _EXPERIMENT_DEFAULTS if args.command == "experiment" else ()
-        args.config_values = _load_config(args.config, [*options, *extra])
-        resolved = resolve_options(args, options, args.config_values)
+        resolved = {name: getattr(args, name) for name in options}
         for name, default in options.items():
             if default is None and resolved[name] in (None, ""):
                 raise UsageError(f"missing required --{name}")
         handler, _ = _COMMANDS[args.command]
-        return handler(args, resolved)
+        return handler(resolved)
     except SystemExit as exc:  # --help prints and exits 0
         return int(exc.code or 0)
     except UsageError as exc:

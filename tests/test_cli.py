@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from twotower import cli, util
+from twotower import benchmark, cli, util
 from twotower.encoders import load_checkpoint
 from twotower.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cmd_dispatch, render_report
 
@@ -63,6 +63,10 @@ class TestDispatch:
         ("vocab", "--seed", "3"),  # draws no random numbers
         ("vocab", "--threads", "2"),  # read by nothing
         ("vocab", "--deterministic", None),
+        # --config is the experiment grid alone; a stage takes its options as flags.
+        *[(command, "--config", "x.json")
+          for command in ("synth", "vocab", "pretrain", "finetune", "eval", "bm25-eval")],
+        ("experiment", "--seed", "3"),  # the grid's `seeds` are the one source
     ])
     def test_flag_the_command_does_not_use_is_usage_error(self, command, flag, value, capsys):
         argv = [command, flag] + ([value] if value is not None else [])
@@ -70,43 +74,22 @@ class TestDispatch:
         assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, key", [
-        ("vocab", "max-sise"),
-        ("pretrain", "hiden-dim"),
         ("experiment", "pretrain_stepz"),  # neither an option nor an ExperimentConfig field
         ("experiment", "max-size"),  # another command's option
+        ("experiment", "seed"),  # an option of the stage commands; the grid sets `seeds`
     ])
     def test_config_key_the_command_does_not_declare_is_usage_error(
-        self, command, key, tmp_path, capsys
+        self, workdir, command, key, tmp_path, capsys
     ):
+        _, corpus, qa, _ = workdir
         cfg_path = str(tmp_path / "cfg.json")
         util.dump_json(cfg_path, {key: 8})
-        assert run(command, "--config", cfg_path) == EXIT_USAGE
+        out_dir = tmp_path / "run"
+        assert run(
+            command, "--corpus", corpus, "--qa", qa, "--out", str(out_dir), "--config", cfg_path,
+        ) == EXIT_USAGE
         assert key in capsys.readouterr().err
-
-    @pytest.mark.parametrize("file_cfg, source", [
-        ({"share-towers": "false"}, "'share-towers'"),
-        ({"steps": "abc"}, "'steps'"),
-        ({"steps": True}, "'steps'"),
-        ({"steps": 2.0}, "'steps'"),
-        ({"lr": "0.1"}, "'lr'"),
-        ({"corpus": 5}, "'corpus'"),
-    ])
-    def test_mistyped_config_value_is_usage_error(self, file_cfg, source, tmp_path, capsys):
-        # The corpus does not exist: a value checked after loading would exit 2.
-        missing = str(tmp_path / "missing.jsonl")
-        cfg_path = str(tmp_path / "cfg.json")
-        util.dump_json(cfg_path, {"corpus": missing, "vocab": missing, **file_cfg})
-        assert run("pretrain", "--config", cfg_path, "--out", str(tmp_path / "m")) == EXIT_USAGE
-        assert source in capsys.readouterr().err
-
-    @pytest.mark.parametrize("file_cfg, name, value", [
-        ({"share-towers": True}, "share-towers", True),
-        ({"lr": 1}, "lr", 1.0),
-    ])
-    def test_config_values_take_the_type_of_the_default(self, file_cfg, name, value):
-        args = cli._build_parser().parse_args(["pretrain"])
-        resolved = cli.resolve_options(args, cli._options("pretrain"), file_cfg)
-        assert resolved[name] == value and type(resolved[name]) is type(value)
+        assert not out_dir.exists()
 
 
 class TestPipelineCommands:
@@ -148,14 +131,6 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert f"{topics} topics" in err and f"{articles} articles" in err
         assert not out.exists()
-
-    def test_config_file_supplies_flags(self, workdir, tmp_path):
-        _, corpus, _, _ = workdir
-        cfg_path = str(tmp_path / "cfg.json")
-        out = str(tmp_path / "cfg-vocab.txt")
-        util.dump_json(cfg_path, {"corpus": corpus, "max-size": 300})
-        assert run("vocab", "--config", cfg_path, "--out", out) == EXIT_OK
-        assert len(open(out).read().splitlines()) <= 300
 
 
 @pytest.fixture(scope="module")
@@ -215,19 +190,30 @@ class TestTrainEvalCommands:
         ) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, value", [
-        (command, flag, value)
+    @pytest.mark.parametrize("command, flag, value, message", [
+        (command, flag, value, f"{flag} {value!r}")
         for command in ("eval", "bm25-eval")
         for flag, value in [("--k", "0"), ("--k", "x"), ("--k", "5,,10"), ("--ratio", "60/50")]
-    ] + [("finetune", "--ratio", "60/50"), ("finetune", "--ratio", "60-40")])
-    def test_bad_k_or_ratio_rejected_before_loading(self, tmp_path, command, flag, value, capsys):
+    ] + [
+        ("finetune", "--ratio", "60/50", "--ratio '60/50'"),
+        ("finetune", "--ratio", "60-40", "--ratio '60-40'"),
+        ("eval", "--augment", "-5", "--augment -5: must be >= 0"),
+        ("bm25-eval", "--augment", "-1", "--augment -1: must be >= 0"),
+        ("bm25-eval", "--query-max-len", "0", "--query-max-len 0: must be >= 2"),
+        ("bm25-eval", "--query-max-len", "1", "--query-max-len 1: must be >= 2"),
+        ("bm25-eval", "--bm25-k1", "-1", "k1 must be >= 0"),
+        ("bm25-eval", "--bm25-b", "2", "b must lie in [0, 1]"),
+    ])
+    def test_bad_k_or_ratio_rejected_before_loading(
+        self, tmp_path, command, flag, value, message, capsys
+    ):
         missing = str(tmp_path / "missing.jsonl")
         argv = [command, "--corpus", missing, "--vocab", missing, "--qa", missing,
                 "--out", str(tmp_path / "out"), flag, value]
         if command != "bm25-eval":
             argv += ["--ckpt", missing]
         assert run(*argv) == EXIT_USAGE
-        assert f"{flag} {value!r}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("pretrain", "--batch", "1", "batch_size"),
@@ -334,8 +320,7 @@ class TestExperimentCommand:
         for name in ("run1", "run2"):
             out_dir = str(tmp_path / name)
             assert run(
-                "experiment", "--corpus", corpus, "--qa", qa,
-                "--config", cfg_path, "--seed", "7", "--out", out_dir,
+                "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", out_dir,
             ) == EXIT_OK
             outs.append(out_dir)
         for filename in ("report.json", "report.txt"):
@@ -370,6 +355,11 @@ class TestExperimentCommand:
             ({"tasks": [5]}, "'tasks'"),
             ({"seeds": ["a"]}, "'seeds'"),
             ({"seeds": [True]}, "'seeds'"),
+            ({"include_bm25": 1}, "'include_bm25'"),
+            ({"pretrain_lr": "0.1"}, "'pretrain_lr'"),
+            ({"augment_limit": -4}, "augment_limit"),
+            ({"bm25_k1": -1}, "k1 must be >= 0"),
+            ({"bm25_b": 2}, "b must lie in [0, 1]"),
         ])
     ])
     def test_bad_grid_rejected_before_work(self, workdir, tmp_path, grid, message, capsys):
@@ -383,13 +373,24 @@ class TestExperimentCommand:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_grid_value_takes_the_type_of_its_default(self, workdir, tmp_path):
+        # An integer passes for a float field; the report holds the float.
+        _, corpus, qa, _ = workdir
+        cfg_path = str(tmp_path / "grid.json")
+        util.dump_json(cfg_path, {"tasks": [], "finetune_lr": 1, "vocab_max_size": 4096})
+        out_dir = tmp_path / "run"
+        assert run(
+            "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", str(out_dir),
+        ) == EXIT_OK
+        config = util.load_json(str(out_dir / "report.json"))["config"]
+        assert config["finetune_lr"] == 1.0 and type(config["finetune_lr"]) is float
+
     def test_report_rendering(self, workdir, tmp_path, capsys):
         _, corpus, qa, _ = workdir
         cfg_path = self._config(tmp_path)
         out_dir = str(tmp_path / "run")
         assert run(
-            "experiment", "--corpus", corpus, "--qa", qa,
-            "--config", cfg_path, "--seed", "7", "--out", out_dir,
+            "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", out_dir,
         ) == EXIT_OK
         table = open(os.path.join(out_dir, "report.txt")).read()
         assert capsys.readouterr().out == table
@@ -401,6 +402,41 @@ class TestExperimentCommand:
 
 
 class TestOnePipeline:
+    def test_command_defaults_are_the_default_grid(self):
+        # A chain of commands run on their defaults computes a cell of the
+        # default grid: each default equals the matching `ExperimentConfig` one.
+        grid = benchmark.ExperimentConfig()
+        split_eval = {
+            "ratio": "/".join(map(str, grid.ratios[0])),
+            "seed": grid.seeds[0],
+            "k": ",".join(map(str, grid.ks)),
+            "augment": grid.augment_limit,
+        }
+        expected = {
+            "vocab": {"max-size": grid.vocab_max_size, "min-freq": grid.vocab_min_freq},
+            "pretrain": {
+                "arch": grid.encoders[0], "layers": grid.num_layers, "hidden-dim": grid.hidden_dim,
+                "heads": grid.num_heads, "ff-dim": grid.ff_dim, "emb-dim": grid.emb_dim,
+                "query-max-len": grid.query_max_len, "doc-max-len": grid.doc_max_len,
+                "dtype": grid.dtype, "steps": grid.pretrain_steps, "batch": grid.batch_size,
+                "lr": grid.pretrain_lr, "warmup": grid.warmup_fraction, "seed": grid.seeds[0],
+            },
+            "finetune": {
+                "steps": grid.finetune_steps, "batch": grid.batch_size, "lr": grid.finetune_lr,
+                "warmup": grid.warmup_fraction, "eval-every": grid.eval_every,
+                "patience": grid.patience, "ratio": split_eval["ratio"], "seed": grid.seeds[0],
+            },
+            "eval": split_eval,
+            "bm25-eval": {
+                **split_eval, "bm25-k1": grid.bm25_k1, "bm25-b": grid.bm25_b,
+                "query-max-len": grid.query_max_len,
+            },
+        }
+        for command, values in expected.items():
+            options = cli._options(command)
+            assert {name: options[name] for name in values} == values, command
+        assert cli._options("pretrain")["tasks"] in grid.tasks
+
     def test_commands_reproduce_experiment_cells(self, workdir, tmp_path):
         # pretrain -> finetune -> eval and bm25-eval, given the experiment's
         # settings, give the recalls of the matching experiment cells, with and

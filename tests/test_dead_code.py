@@ -3,6 +3,7 @@ from collections import Counter
 from pathlib import Path
 
 import twotower
+from twotower import cli
 
 SOURCE_DIR = Path(twotower.__file__).parent
 
@@ -32,3 +33,21 @@ def test_every_top_level_definition_is_used_in_the_package():
         and f"{module}.{node.name}" not in TEST_ONLY
     ]
     assert unused == []
+
+
+def test_every_cli_option_is_read():
+    """Each option a command declares is read as `o["<name>"]` somewhere in
+    cli.py, so a flag nothing reads fails here as an unread function does."""
+    from twotower import cli
+
+    tree = ast.parse((SOURCE_DIR / "cli.py").read_text())
+    read = {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "o"
+        and isinstance(node.slice, ast.Constant)
+    }
+    declared = {name for command in cli._COMMANDS for name in cli._options(command)}
+    assert sorted(declared - read) == []
