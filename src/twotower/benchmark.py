@@ -317,7 +317,7 @@ class ExperimentConfig:
             check_ratio(ratio)
         check_ks(self.ks)
         if self.augment_limit < 0:
-            raise ValueError("augment_limit must be >= 0")
+            raise ValueError(f"augment_limit must be >= 0, got {self.augment_limit}")
         for task in self.tasks:
             parse_task_spec(task)
         for arch in self.encoders:
@@ -510,13 +510,11 @@ def run_experiment(
     store: CorpusStore,
     entries: Sequence[QaEntry],
     cfg: ExperimentConfig,
-    vocab: Optional[Vocabulary] = None,
     log: Callable[[str], None] = lambda msg: print(msg, file=sys.stderr),
 ) -> dict:
     """Execute the (split ratio x encoder x pre-training task) grid and
     return the full report as a JSON-serializable dict."""
-    if vocab is None:
-        vocab = build_vocab(store, cfg.vocab_max_size, cfg.vocab_min_freq)
+    vocab = build_vocab(store, cfg.vocab_max_size, cfg.vocab_min_freq)
     tokenize_corpus(store, vocab)
     examples, candidates, dropped = build_reqa(entries, store, vocab, cfg.query_max_len)
     log(f"benchmark: {len(examples)} examples, {len(candidates)} candidates, {dropped} dropped")

@@ -10,11 +10,16 @@ writes the model, one `TwoTower` value, as a checkpoint; `finetune` and `eval`
 read one and take every encoder setting from it, the max lengths included;
 the doc tower's length is read only where candidates are fed to it.
 `bm25-eval` cuts questions to --query-max-len and matches whole candidates,
-so it takes no doc length. Every option is checked before any input is read:
-a bad value is a usage error. `pretrain`, `finetune`, `eval` and `bm25-eval`
-run the stage functions of `benchmark` (`pretrain_model`, `finetune_model`,
-`with_distractors`, `evaluate_system`) that `experiment` runs for each cell of
-its grid. Every run appends one manifest record (resolved config, input/output
+so it takes no doc length. `pretrain`, `finetune`, `eval` and `bm25-eval`
+each recompute one cell of the default grid with the stage functions of
+`benchmark` (`pretrain_model`, `finetune_model`, `with_distractors`,
+`evaluate_system`) that `experiment` runs for each cell. Stage defaults and
+checks come from the default grid: an option that sets an `ExperimentConfig`
+field defaults to that field's value, and a stage command reads its encoder,
+training and BM25 configs from a copy of the grid with its flags set, through
+the checks `experiment` makes. `synth`'s defaults are `SynthConfig`'s. Every
+option is checked before any input is read: a bad value is a usage error.
+Every run appends one manifest record (resolved config, input/output
 hashes, timing) to manifests.jsonl beside its primary output.
 Progress goes to stderr; machine-readable results go to files or stdout.
 """
@@ -31,10 +36,9 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import benchmark, retrieval, synth, util
-from .corpus import NUM_SPECIALS, Vocabulary, build_vocab, parse_corpus, tokenize_corpus
-from .encoders import EncoderConfig, load_checkpoint, save_checkpoint
-from .training import TrainRunConfig
+from . import benchmark, synth, util
+from .corpus import Vocabulary, build_vocab, parse_corpus, tokenize_corpus
+from .encoders import load_checkpoint, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,6 +89,15 @@ def _load_grid(path: str) -> benchmark.ExperimentConfig:
         )
     except ValueError as exc:
         raise UsageError(f"--config {path}: {exc}") from exc
+
+
+def _cell(**fields) -> benchmark.ExperimentConfig:
+    """The default grid with the fields a stage command's flags set: the one
+    cell the command recomputes. A value the grid rejects is a usage error."""
+    try:
+        return dataclasses.replace(_GRID, **fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _check_outputs(paths: Sequence[str], force: bool) -> None:
@@ -223,51 +236,29 @@ def _parse_tasks(o: Dict[str, object]):
         raise UsageError(f"--tasks: {exc}") from exc
 
 
-def _train_config(o: Dict[str, object], **fields) -> TrainRunConfig:
-    """The `TrainRunConfig` of --batch, --steps, --seed, --lr, --warmup and the
-    given fields; a value it rejects is a usage error."""
-    try:
-        return TrainRunConfig(
-            batch_size=int(o["batch"]),
-            total_steps=int(o["steps"]),
-            seed=int(o["seed"]),
-            lr_peak=float(o["lr"]),
-            warmup_fraction=float(o["warmup"]),
-            **fields,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_pretrain(o) -> int:
     _parse_tasks(o)
-    # The vocabulary size is not known yet, so the smallest valid one stands in.
-    try:
-        enc_cfg = EncoderConfig(
-            arch=str(o["arch"]),
-            num_layers=int(o["layers"]),
-            hidden_dim=int(o["hidden-dim"]),
-            num_heads=int(o["heads"]),
-            ff_dim=int(o["ff-dim"]),
-            emb_dim=int(o["emb-dim"]),
-            vocab_size=NUM_SPECIALS,
-            query_max_len=int(o["query-max-len"]),
-            doc_max_len=int(o["doc-max-len"]),
-            share_towers=bool(o["share-towers"]),
-            dtype=str(o["dtype"]),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    train_cfg = _train_config(o)
+    arch = str(o["arch"])
+    cell = _cell(
+        encoders=[arch], num_layers=o["layers"], hidden_dim=o["hidden-dim"],
+        num_heads=o["heads"], ff_dim=o["ff-dim"], emb_dim=o["emb-dim"],
+        query_max_len=o["query-max-len"], doc_max_len=o["doc-max-len"], dtype=o["dtype"],
+        pretrain_steps=o["steps"], pretrain_lr=o["lr"], batch_size=o["batch"],
+        warmup_fraction=o["warmup"],
+    )
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     store, vocab = _load_tokenized(o)
-    enc_cfg = dataclasses.replace(enc_cfg, vocab_size=len(vocab))
+    enc_cfg = dataclasses.replace(
+        cell.encoder_config(arch, len(vocab)), share_towers=bool(o["share-towers"])
+    )
     task_spec = str(o["tasks"])
     with _metrics_file(o) as metrics_out:
-        model = benchmark.pretrain_model(task_spec, enc_cfg, train_cfg, store, metrics_out)
+        model = benchmark.pretrain_model(
+            task_spec, enc_cfg, cell.pretrain_config(int(o["seed"])), store, metrics_out
+        )
     fingerprint = save_checkpoint(prefix, model, {"stage": "pretrain", "tasks": task_spec})
     _log(f"checkpoint {prefix} ({fingerprint[:12]})")
     _write_manifest(
@@ -278,7 +269,11 @@ def _cmd_pretrain(o) -> int:
 
 def _cmd_finetune(o) -> int:
     ratio = _parse_ratio(o)
-    train_cfg = _train_config(o, eval_every=int(o["eval-every"]), patience=int(o["patience"]))
+    cell = _cell(
+        finetune_steps=o["steps"], finetune_lr=o["lr"], batch_size=o["batch"],
+        warmup_fraction=o["warmup"], eval_every=o["eval-every"], patience=o["patience"],
+    )
+    train_cfg = cell.finetune_config(int(o["seed"]))
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
@@ -307,19 +302,14 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     if part_name not in ("train", "validation", "test"):
         raise UsageError("--split-part must be train/validation/test")
     ratio, ks = _parse_ratio(o), _parse_ks(o)
-    augment = int(o["augment"])
-    if augment < 0:
-        raise UsageError(f"--augment {augment}: must be >= 0")
-    if not dense:
-        # The bound `EncoderConfig` puts on a dense tower's query length.
-        query_max_len = int(o["query-max-len"])
-        if query_max_len < 2:
-            raise UsageError(f"--query-max-len {query_max_len}: must be >= 2")
-        try:
-            system = retrieval.BM25Params(float(o["bm25-k1"]), float(o["bm25-b"]))
-        except ValueError as exc:
-            raise UsageError(f"--bm25-k1/--bm25-b: {exc}") from exc
-        label = "bm25"
+    if dense:
+        cell = _cell(augment_limit=o["augment"])
+    else:
+        cell = _cell(
+            augment_limit=o["augment"], query_max_len=o["query-max-len"],
+            bm25_k1=o["bm25-k1"], bm25_b=o["bm25-b"],
+        )
+        system, query_max_len, label = cell.bm25_params(), cell.query_max_len, "bm25"
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
@@ -331,7 +321,7 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     entries, examples, candidates, dropped = _build_benchmark(o, store, vocab, query_max_len)
     seed = int(o["seed"])
     split = benchmark.make_split(examples, ratio, seed)
-    pool = benchmark.with_distractors(store, entries, candidates, augment, seed, vocab)
+    pool = benchmark.with_distractors(store, entries, candidates, cell.augment_limit, seed, vocab)
     report = benchmark.evaluate_system(system, pool, getattr(split, part_name), ks)
     payload = {
         "system": label,
@@ -407,32 +397,42 @@ def _cmd_experiment(o) -> int:
     return EXIT_OK
 
 
+# The default grid. A stage option that sets one of its fields takes that
+# field's value as its default; `_cell` sets the fields from the flags.
+_GRID = benchmark.ExperimentConfig()
+_SYNTH = synth.SynthConfig()
+
 _ENCODER_OPTIONS = {
-    "arch": "transformer",
-    "layers": 2,
-    "hidden-dim": 64,
-    "heads": 4,
-    "ff-dim": 256,
-    "emb-dim": 32,
-    "query-max-len": 16,
-    "doc-max-len": 48,
+    "arch": _GRID.encoders[0],
+    "layers": _GRID.num_layers,
+    "hidden-dim": _GRID.hidden_dim,
+    "heads": _GRID.num_heads,
+    "ff-dim": _GRID.ff_dim,
+    "emb-dim": _GRID.emb_dim,
+    "query-max-len": _GRID.query_max_len,
+    "doc-max-len": _GRID.doc_max_len,
     "share-towers": False,
-    "dtype": "float32",
+    "dtype": _GRID.dtype,
 }
 
-_TRAIN_OPTIONS = {"steps": 800, "batch": 32, "lr": 1e-3, "warmup": 0.1}
+_TRAIN_OPTIONS = {
+    "steps": _GRID.pretrain_steps,
+    "batch": _GRID.batch_size,
+    "lr": _GRID.pretrain_lr,
+    "warmup": _GRID.warmup_fraction,
+}
 
 _SPLIT_EVAL_OPTIONS = {
-    "ratio": "80/20",
-    "k": "1,5,10,50,100",
+    "ratio": "/".join(map(str, _GRID.ratios[0])),
+    "k": ",".join(map(str, _GRID.ks)),
     "split-part": "test",
-    "augment": 0,
-    "seed": 7,
+    "augment": _GRID.augment_limit,
+    "seed": _GRID.seeds[0],
 }
 
 # The `ExperimentConfig` fields an `experiment --config` grid may set, with
 # the defaults their values are type-checked against.
-_EXPERIMENT_DEFAULTS = dataclasses.asdict(benchmark.ExperimentConfig())
+_EXPERIMENT_DEFAULTS = dataclasses.asdict(_GRID)
 
 _INPUTS = {"corpus": None, "vocab": None}
 _BENCHMARK_INPUTS = {**_INPUTS, "qa": None}
@@ -442,17 +442,22 @@ _BENCHMARK_INPUTS = {**_INPUTS, "qa": None}
 _COMMANDS = {
     "synth": (
         _cmd_synth,
-        {"out": None, "qa": None, "articles": 500, "topics": 100, "qa-count": 1000, "seed": 13},
+        {"out": None, "qa": None, "articles": _SYNTH.n_articles, "topics": _SYNTH.n_topics,
+         "qa-count": _SYNTH.n_qa, "seed": _SYNTH.seed},
     ),
-    "vocab": (_cmd_vocab, {"corpus": None, "out": None, "max-size": 8192, "min-freq": 1}),
+    "vocab": (
+        _cmd_vocab,
+        {"corpus": None, "out": None, "max-size": _GRID.vocab_max_size,
+         "min-freq": _GRID.vocab_min_freq},
+    ),
     "pretrain": (
         _cmd_pretrain,
         {
             **_INPUTS,
             "out": None,
             "metrics": "",
-            "tasks": "ict+bfs+wlp",
-            "seed": 7,
+            "tasks": _GRID.tasks[-1],  # the paper's pair mixture
+            "seed": _GRID.seeds[0],
             **_ENCODER_OPTIONS,
             **_TRAIN_OPTIONS,
         },
@@ -464,13 +469,13 @@ _COMMANDS = {
             "ckpt": None,
             "out": None,
             "metrics": "",
-            "ratio": "80/20",
-            "seed": 7,
+            "ratio": _SPLIT_EVAL_OPTIONS["ratio"],
+            "seed": _GRID.seeds[0],
             **_TRAIN_OPTIONS,
-            "steps": 300,
-            "lr": 5e-4,
-            "eval-every": 50,
-            "patience": 5,
+            "steps": _GRID.finetune_steps,
+            "lr": _GRID.finetune_lr,
+            "eval-every": _GRID.eval_every,
+            "patience": _GRID.patience,
         },
     ),
     "eval": (_cmd_eval, {**_BENCHMARK_INPUTS, "out": None, "ckpt": None, **_SPLIT_EVAL_OPTIONS}),
@@ -480,9 +485,9 @@ _COMMANDS = {
             **_BENCHMARK_INPUTS,
             "out": None,
             **_SPLIT_EVAL_OPTIONS,
-            "bm25-k1": 1.2,
-            "bm25-b": 0.75,
-            "query-max-len": 16,
+            "bm25-k1": _GRID.bm25_k1,
+            "bm25-b": _GRID.bm25_b,
+            "query-max-len": _GRID.query_max_len,
         },
     ),
     "experiment": (_cmd_experiment, {"corpus": None, "qa": None, "out": None, "config": ""}),

@@ -71,7 +71,9 @@ class EncoderConfig:
         if self.emb_dim < 1:
             raise EncoderError("emb_dim must be >= 1")
         if self.query_max_len < 2 or self.doc_max_len < 2:
-            raise EncoderError("max lengths must be >= 2")
+            raise EncoderError(
+                f"max lengths must be >= 2, got query {self.query_max_len} and doc {self.doc_max_len}"
+            )
         if self.vocab_size < NUM_SPECIALS:
             raise EncoderError("vocab_size must cover the special tokens")
 
@@ -452,18 +454,6 @@ class TwoTower:
             init_params(config, util.subrng(seed, "init", "query"), config.query_max_len),
             init_params(config, util.subrng(seed, "init", "doc"), config.doc_max_len),
         )
-
-    def encode_queries(self, batch: Batch) -> np.ndarray:
-        return encode(self.query, self.config, batch)
-
-    def encode_docs(self, batch: Batch) -> np.ndarray:
-        return encode(self.doc, self.config, batch)
-
-    def encode_queries_with_cache(self, batch: Batch):
-        return encode_with_cache(self.query, self.config, batch)
-
-    def encode_docs_with_cache(self, batch: Batch):
-        return encode_with_cache(self.doc, self.config, batch)
 
     def params(self) -> Params:
         """Every array under one flat name, as the optimizer and the checkpoint

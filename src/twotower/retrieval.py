@@ -13,7 +13,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .encoders import TwoTower
+from .encoders import TwoTower, encode
 
 @dataclass
 class RankedList:
@@ -53,7 +53,7 @@ def build_dense_index(
     if len(candidate_ids) != len(candidates):
         raise ValueError("candidate_ids must align with candidates")
     rows = [
-        model.encode_docs(candidates[start : start + batch_size])
+        encode(model.doc, model.config, candidates[start : start + batch_size])
         for start in range(0, len(candidates), batch_size)
     ]
     return DenseIndex(candidate_ids=list(candidate_ids), embeddings=np.vstack(rows))
@@ -102,7 +102,7 @@ def rank_dense(
     )
     ranked = []
     for start in range(0, len(queries), batch_size):
-        for row in model.encode_queries(queries[start : start + batch_size]):
+        for row in encode(model.query, model.config, queries[start : start + batch_size]):
             ranked.append(dense_topk(index, row, k))
     return ranked
 

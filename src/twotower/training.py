@@ -25,6 +25,7 @@ from .encoders import (
     Params,
     TwoTower,
     backward_from_cache,
+    encode_with_cache,
     hidden_backward,
     hidden_states,
 )
@@ -148,7 +149,7 @@ class OptimizerState:
         return lr_peak * (total - t) / (total - warm)
 
 
-def adam_step(params: Params, grads: Params, state: OptimizerState) -> Tuple[Params, OptimizerState]:
+def adam_step(params: Params, grads: Params, state: OptimizerState) -> None:
     """One Adam update with bias correction; mutates params and state."""
     state.step += 1
     t = state.step
@@ -168,7 +169,6 @@ def adam_step(params: Params, grads: Params, state: OptimizerState) -> Tuple[Par
         if lr != 0.0:
             update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
             params[name] -= lr * update
-    return params, state
 
 
 def _emit(metrics_out, record: dict) -> dict:
@@ -219,8 +219,8 @@ def _contrastive_step(model: TwoTower) -> Callable:
     caches = [None, None]  # the query and doc activations of the latest step
 
     def step(batch: Sequence[PretrainPair]):
-        q_embs, caches[0] = model.encode_queries_with_cache([p.query for p in batch])
-        d_embs, caches[1] = model.encode_docs_with_cache([p.doc for p in batch])
+        q_embs, caches[0] = encode_with_cache(model.query, model.config, [p.query for p in batch])
+        d_embs, caches[1] = encode_with_cache(model.doc, model.config, [p.doc for p in batch])
         out = in_batch_softmax_loss(q_embs, d_embs)
         grads_q = backward_from_cache(model.query, model.config, caches[0], out.grad_q)
         grads_d = backward_from_cache(model.doc, model.config, caches[1], out.grad_d)
@@ -335,8 +335,10 @@ def recall_at_k(
 ) -> float:
     """Fraction of queries whose gold candidate lands in the dense top-k.
 
-    Encodes 256 at a time: the batch shape decides the float rounding of the
-    validation recalls, and so which checkpoint `finetune` keeps."""
+    Encodes 256 at a time. Another batch size gives the same embeddings bit
+    for bit unless it leaves a final batch of one row: BLAS multiplies that
+    row on its matrix-vector path, which rounds differently, and so may move
+    the validation recalls and the checkpoint `finetune` keeps."""
     ranked = retrieval.rank_dense(model, queries, candidates, k, batch_size=256)
     return sum(gold in r.ids for r, gold in zip(ranked, gold_ids)) / len(queries)
 

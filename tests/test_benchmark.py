@@ -331,7 +331,7 @@ class TestExperiment:
         distractors = sample_distractors(store, referenced, 40, seed=2)
         augmented = augment_open_domain(candidates, distractors, 40, vocab)
 
-        from twotower.encoders import EncoderConfig, TwoTower, init_params
+        from twotower.encoders import EncoderConfig, TwoTower, encode, init_params
         from twotower.retrieval import build_dense_index, dense_topk
 
         enc_cfg = EncoderConfig(
@@ -349,7 +349,7 @@ class TestExperiment:
         aug_index = build_dense_index(model, [c.id for c in augmented],
                                       [c.doc_input(D_LEN) for c in augmented])
         for ex in examples[:25]:
-            q_emb = model.encode_queries([ex.question_tokens])[0]
+            q_emb = encode(model.query, enc_cfg, [ex.question_tokens])[0]
             base_rank = dense_topk(base_index, q_emb, len(candidates)).ids.index(ex.gold_id)
             aug_rank = dense_topk(aug_index, q_emb, len(augmented)).ids.index(ex.gold_id)
             assert aug_rank >= base_rank

@@ -197,10 +197,10 @@ class TestTrainEvalCommands:
     ] + [
         ("finetune", "--ratio", "60/50", "--ratio '60/50'"),
         ("finetune", "--ratio", "60-40", "--ratio '60-40'"),
-        ("eval", "--augment", "-5", "--augment -5: must be >= 0"),
-        ("bm25-eval", "--augment", "-1", "--augment -1: must be >= 0"),
-        ("bm25-eval", "--query-max-len", "0", "--query-max-len 0: must be >= 2"),
-        ("bm25-eval", "--query-max-len", "1", "--query-max-len 1: must be >= 2"),
+        ("eval", "--augment", "-5", "augment_limit must be >= 0, got -5"),
+        ("bm25-eval", "--augment", "-1", "augment_limit must be >= 0, got -1"),
+        ("bm25-eval", "--query-max-len", "0", "max lengths must be >= 2, got query 0 and doc 48"),
+        ("bm25-eval", "--query-max-len", "1", "max lengths must be >= 2, got query 1 and doc 48"),
         ("bm25-eval", "--bm25-k1", "-1", "k1 must be >= 0"),
         ("bm25-eval", "--bm25-b", "2", "b must lie in [0, 1]"),
     ])
@@ -436,6 +436,42 @@ class TestOnePipeline:
             options = cli._options(command)
             assert {name: options[name] for name in values} == values, command
         assert cli._options("pretrain")["tasks"] in grid.tasks
+
+    @pytest.mark.parametrize("command, flag, key, value", [
+        ("eval", "--augment", "augment_limit", "-3"),
+        ("bm25-eval", "--augment", "augment_limit", "-3"),
+        ("bm25-eval", "--query-max-len", "query_max_len", "1"),
+        ("pretrain", "--query-max-len", "query_max_len", "1"),
+        ("bm25-eval", "--bm25-k1", "bm25_k1", "-0.5"),
+        ("bm25-eval", "--bm25-b", "bm25_b", "1.5"),
+        ("pretrain", "--batch", "batch_size", "1"),
+        ("finetune", "--batch", "batch_size", "1"),
+        ("pretrain", "--warmup", "warmup_fraction", "1.5"),
+        ("finetune", "--warmup", "warmup_fraction", "1.5"),
+    ])
+    def test_stage_flag_and_grid_key_get_one_check(
+        self, tmp_path, command, flag, key, value, capsys
+    ):
+        # A stage command's flag and the grid field it sets are checked once,
+        # by the grid: the same bad value gives the same message both ways.
+        missing = str(tmp_path / "missing.jsonl")
+        argv = [command, "--corpus", missing, "--vocab", missing, "--out", str(tmp_path / "out"),
+                flag, value]
+        if command != "pretrain":
+            argv += ["--qa", missing]
+        if command in ("finetune", "eval"):
+            argv += ["--ckpt", missing]
+        assert run(*argv) == EXIT_USAGE
+        stage = capsys.readouterr().err.splitlines()[0]
+        cfg_path = str(tmp_path / "grid.json")
+        util.dump_json(cfg_path, {key: json.loads(value)})
+        assert run(
+            "experiment", "--corpus", missing, "--qa", missing, "--config", cfg_path,
+            "--out", str(tmp_path / "exp"),
+        ) == EXIT_USAGE
+        grid = capsys.readouterr().err.splitlines()[0]
+        assert stage.startswith("error: ")
+        assert grid == f"error: --config {cfg_path}: " + stage[len("error: "):]
 
     def test_commands_reproduce_experiment_cells(self, workdir, tmp_path):
         # pretrain -> finetune -> eval and bm25-eval, given the experiment's

@@ -178,8 +178,8 @@ class TestBowMlp:
         # No position table, so no length limit.
         cfg = tiny_config(arch=ARCH_BOW_MLP)
         model = TwoTower.init(cfg, seed=5)
-        out = model.encode_queries([[7] * (cfg.doc_max_len + 5)])
-        np.testing.assert_allclose(out, model.encode_queries([[7]]), atol=1e-15)
+        out = encode(model.query, cfg, [[7] * (cfg.doc_max_len + 5)])
+        np.testing.assert_allclose(out, encode(model.query, cfg, [[7]]), atol=1e-15)
 
     def test_token_embedding_gradient_sparsity(self):
         cfg = tiny_config(arch=ARCH_BOW_MLP)
@@ -287,10 +287,8 @@ class TestEncodeKeepsNoActivations:
         rng = subrng(4, "bits")
         queries = self._batch(rng, cfg.query_max_len, cfg.vocab_size)
         docs = self._batch(rng, cfg.doc_max_len, cfg.vocab_size)
-        for plain, cached in (
-            (model.encode_queries(queries), model.encode_queries_with_cache(queries)),
-            (model.encode_docs(docs), model.encode_docs_with_cache(docs)),
-        ):
+        for tower, batch in ((model.query, queries), (model.doc, docs)):
+            plain, cached = encode(tower, cfg, batch), encode_with_cache(tower, cfg, batch)
             assert cached[1] is not None
             assert plain.dtype == cached[0].dtype == np.dtype(dtype)
             assert plain.tobytes() == cached[0].tobytes()

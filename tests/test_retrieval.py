@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from twotower import retrieval
 from twotower.encoders import EncoderConfig, EncoderError, TwoTower, encode
 from twotower.retrieval import (
     BM25Params,
@@ -108,14 +110,9 @@ class TestDenseTopk:
             dense_topk(DenseIndex([0], np.ones((1, 2))), np.ones(2), 0)
 
 
-class _TableModel(TwoTower):
-    """Embeds the one-token sequence [i] as row i of a fixed table."""
-
-    def encode_queries(self, batch):
-        return self.query["table"][[seq[0] for seq in batch]]
-
-    def encode_docs(self, batch):
-        return self.doc["table"][[seq[0] for seq in batch]]
+def _table_encode(params, config, batch):
+    """Embeds the one-token sequence [i] as row i of the tower's fixed table."""
+    return params["table"][[seq[0] for seq in batch]]
 
 
 class TestRankDense:
@@ -132,9 +129,10 @@ class TestRankDense:
         k = data.draw(st.integers(1, n_docs + 3))
         batch_size = data.draw(st.integers(1, 5))
         cfg = EncoderConfig(vocab_size=30, dtype="float64")
-        model = _TableModel(cfg, {"table": queries}, {"table": docs})
+        model = TwoTower(cfg, {"table": queries}, {"table": docs})
         candidates = [(cid, [row]) for row, cid in enumerate(ids)]
-        ranked = rank_dense(model, [[i] for i in range(n_queries)], candidates, k, batch_size)
+        with mock.patch.object(retrieval, "encode", _table_encode):
+            ranked = rank_dense(model, [[i] for i in range(n_queries)], candidates, k, batch_size)
         assert len(ranked) == n_queries
         for q, got in zip(queries, ranked):
             scores = [float(d @ q) for d in docs]
