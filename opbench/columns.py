@@ -5,7 +5,9 @@
 Each row is one op, direction and batch shape, keyed like
 `gelu.forward[512x48]`. A side's figure is the median, over that side's runs,
 of each run's median milliseconds per call; the row also gives their ratio,
-the change's runs and its rounds summed over them.
+the change's runs and its rounds summed over them. A row whose runs recorded
+a peak allocation (`extra_info["peak_mb"]`, the `tower` rows) gives each
+side's median of it as `parent_peak_mb` and `change_peak_mb`.
 """
 
 import argparse
@@ -20,23 +22,26 @@ def medians(path):
     for bench in run["benchmarks"]:
         params = bench["params"]
         key = f"{params['op']}.{params['direction']}[{params['inputs']}]"
-        rows[key] = (bench["stats"]["median"] * 1e3, bench["stats"]["rounds"])
+        peak = bench.get("extra_info", {}).get("peak_mb")
+        rows[key] = (bench["stats"]["median"] * 1e3, bench["stats"]["rounds"], peak)
     return rows, run["machine_info"]
 
 
 def side(paths):
-    """(key -> (median over runs of the per-run median ms, runs, rounds)), and
-    the machine of the first run."""
+    """(key -> (median over runs of the per-run median ms, runs, rounds, median
+    peak MB or None)), and the machine of the first run."""
     runs = [medians(path) for path in paths]
     keys = set.intersection(*(set(rows) for rows, _ in runs))
-    return {
-        key: (
+    figures = {}
+    for key in keys:
+        peaks = [rows[key][2] for rows, _ in runs if rows[key][2] is not None]
+        figures[key] = (
             statistics.median(rows[key][0] for rows, _ in runs),
             len(runs),
             sum(rows[key][1] for rows, _ in runs),
+            statistics.median(peaks) if peaks else None,
         )
-        for key in keys
-    }, runs[0][1]
+    return figures, runs[0][1]
 
 
 def main(argv=None):
@@ -47,20 +52,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     parent, _ = side(args.parent)
     change, machine = side(args.change)
-    ops = {
-        key: {
+    ops = {}
+    for key in sorted(set(change) & set(parent)):
+        ops[key] = {
             "parent_ms": round(parent[key][0], 4),
             "change_ms": round(change[key][0], 4),
             "change_over_parent": round(change[key][0] / parent[key][0], 3),
             "runs": change[key][1],
             "rounds": change[key][2],
         }
-        for key in sorted(set(change) & set(parent))
-    }
+        if parent[key][3] is not None and change[key][3] is not None:
+            ops[key]["parent_peak_mb"] = parent[key][3]
+            ops[key]["change_peak_mb"] = change[key][3]
     bench = {
         "what": "median ms per call of each encoder op (opbench/test_ops.py), float32, "
                 "default encoder shapes, one BLAS thread; each side the median of its runs, "
-                "which alternated parent and change",
+                "which alternated parent and change; peak_mb is the tracemalloc peak of one call",
         "machine": {
             "cpu": machine["cpu"].get("brand_raw"),
             "cores": machine["cpu"].get("count"),

@@ -7,7 +7,8 @@ query batch (32 x 16), a doc batch (32 x 48) and an index batch (512 x 48).
 It also times a whole tower: `encode` of an index batch (`tower.forward`),
 a training step's `encode_with_cache` plus `backward_from_cache` on a query
 and a doc batch (`tower.train`) and a masked-token step, `training._mlm_step`,
-on the same two batches (`tower.mlm`).
+on the same two batches (`tower.mlm`). Each tower row also records, in
+`extra_info["peak_mb"]`, the tracemalloc peak of one untimed call.
 Run it on the parent and the changed source tree in turn, three rounds with
 the side that goes first alternating, so that load drift on a shared machine
 reaches both sides alike, and join the runs into a BENCH file:
@@ -29,6 +30,7 @@ suite times those expressions instead.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +191,17 @@ def tower_train(params, batch, grad_out):
     return encoders.backward_from_cache(params, CONFIG, cache, grad_out)
 
 
+def peak_mb(fn, *args):
+    """The tracemalloc peak of one call of fn, in MB; taken apart from the
+    timed calls, which run untraced."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
 def tower_mlm(params, batch):
     # The same masks on every call: each call draws from a fresh generator.
     return training._mlm_step(params, CONFIG, batch, subrng(2, "opbench"))
@@ -207,10 +220,12 @@ def test_tower(benchmark, op, direction, inputs):
     batch = tower_batch(size, length)
     benchmark.group = f"{op}.{direction}"
     if direction == "forward":
-        benchmark(encoders.encode, params, CONFIG, batch)
+        fn, args = encoders.encode, (params, CONFIG, batch)
     elif direction == "mlm":
         params["mlm/bias"] = np.zeros(CONFIG.vocab_size, dtype=CONFIG.np_dtype())
-        benchmark(tower_mlm, params, batch)
+        fn, args = tower_mlm, (params, batch)
     else:
         grad_out = subrng(1, "opbench", size).normal(size=(size, CONFIG.emb_dim)).astype(CONFIG.np_dtype())
-        benchmark(tower_train, params, batch, grad_out)
+        fn, args = tower_train, (params, batch, grad_out)
+    benchmark.extra_info["peak_mb"] = peak_mb(fn, *args)
+    benchmark(fn, *args)

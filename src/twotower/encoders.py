@@ -2,7 +2,10 @@
 
 Forward and backward passes are written directly in numpy so gradients are
 exact and checkable against finite differences. The forward pass keeps each
-layer's activations only when a backward pass follows: `encode` keeps none.
+layer's activations only when a backward pass follows. Without one, as in
+`encode`, it frees each intermediate once it is used and applies GELU in
+place, so its peak is about one sublayer's working set: 54 MB of numpy
+allocations for a 512 x 48 float32 batch at the default shapes.
 A training cache holds the GELU's normal CDF, from which the backward pass
 rebuilds GELU(u) and its derivative without a second erf. Past the
 attention scores the last layer, forward and backward, runs only the rows
@@ -221,6 +224,58 @@ def _gelu_cdf(u: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _keep_nothing(arrays) -> None:
+    """The `keep` of a forward pass that no backward pass follows."""
+
+
+def _normed_affines(params: Params, x: np.ndarray, ln: str, maps, keep) -> list:
+    """The affine maps `maps`, (weight, bias) name pairs, of LayerNorm `ln`
+    of x. The normalized x and the LayerNorm cache go to `keep`, so without a
+    backward pass they are freed on return."""
+    xn, ln_cache = _layernorm(x, params[f"{ln}/gain"], params[f"{ln}/bias"], LN_EPSILON)
+    keep((xn, ln_cache))
+    return [_affine(xn, params[w], params[b]) for w, b in maps]
+
+
+def _attention(params: Params, p: str, x: np.ndarray, pad, scale: float, nh: int, at, keep) -> np.ndarray:
+    """x plus the multi-head self-attention of layer `p` over LayerNorm(x).
+    With `at`, the (sequence, position) of each selected row, the rows past
+    the attention scores are only the selected ones [B * m, h]."""
+    maps = [(f"{p}/attn/w{n}", f"{p}/attn/b{n}") for n in "qkv"]
+    qh, kh, vh = (_split_heads(y, nh) for y in _normed_affines(params, x, f"{p}/ln1", maps, keep))
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    if at is not None:
+        # The selected rows still attend to every key. Q and the scores stay
+        # full width: a one-row matmul takes BLAS's gemv path, which rounds
+        # differently from the gemm of the full batch.
+        by_head = (at[0][:, None], np.arange(nh)[:, None], at[1][:, None])
+        qh, scores = qh[by_head], scores[by_head]
+        x = x[at].reshape(-1, x.shape[-1])
+    probs = _masked_softmax(scores, scale, pad)
+    ctx = _merge_heads(probs @ vh).reshape(x.shape)
+    keep((qh, kh, vh, probs, ctx))
+    a = _affine(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
+    a += x
+    return a
+
+
+def _ffn(params: Params, p: str, a: np.ndarray, keep, backward: bool) -> np.ndarray:
+    """a plus the GELU feed-forward map of layer `p` over LayerNorm(a)."""
+    (u,) = _normed_affines(params, a, f"{p}/ln2", [(f"{p}/ffn/w1", f"{p}/ffn/b1")], keep)
+    # GELU(u) = u * cdf. A backward pass keeps u and the CDF, so it takes no
+    # erf; without one, GELU is applied in place, the same multiply.
+    if backward:
+        cdf = _gelu_cdf(u)
+        keep((u, cdf))
+        u = u * cdf
+    else:
+        u *= _gelu_cdf(u)
+    x = u @ params[f"{p}/ffn/w2"]
+    x += a
+    x += params[f"{p}/ffn/b2"]
+    return x
+
+
 def _forward_body(
     params: Params,
     config: EncoderConfig,
@@ -233,9 +288,12 @@ def _forward_body(
 
     Returns the hidden states [B, m, h] at the positions `rows` [B, m] of each
     sequence (a position may repeat) and, when `backward` is set, a cache for
-    the backward pass; without it no activations are kept and the cache is None.
+    the backward pass. Without it the cache is None, and each intermediate is
+    released once it is used: a LayerNorm's output and cache after the
+    projections that read it, Q, K, V, the scores and the context when the
+    attention sublayer returns, the FFN input after its first matmul, and the
+    GELU's CDF after GELU is applied in place.
     """
-    eps = LN_EPSILON
     nh = config.num_heads
     scale = 1.0 / math.sqrt(config.hidden_dim // nh)
     x = params["emb/token"][ids] + params["emb/pos"][: ids.shape[1]]
@@ -244,34 +302,12 @@ def _forward_body(
     layers = []
     for i in range(config.num_layers):
         p = f"layer{i}"
-        xn1, ln1_cache = _layernorm(x, params[f"{p}/ln1/gain"], params[f"{p}/ln1/bias"], eps)
-        q = _affine(xn1, params[f"{p}/attn/wq"], params[f"{p}/attn/bq"])
-        k = _affine(xn1, params[f"{p}/attn/wk"], params[f"{p}/attn/bk"])
-        v = _affine(xn1, params[f"{p}/attn/wv"], params[f"{p}/attn/bv"])
-        qh, kh, vh = _split_heads(q, nh), _split_heads(k, nh), _split_heads(v, nh)
-        scores = qh @ kh.transpose(0, 1, 3, 2)
-        if i == config.num_layers - 1:
-            # From the scores on, the last layer runs on the [B * m, h] selected
-            # rows; they still attend to every key. Q and the scores stay full
-            # width: a one-row matmul takes BLAS's gemv path, which rounds
-            # differently from the gemm of the full batch.
-            by_head = (at[0][:, None], np.arange(nh)[:, None], rows[:, None])
-            qh, scores = qh[by_head], scores[by_head]
-            x = x[at].reshape(-1, x.shape[-1])
-        probs = _masked_softmax(scores, scale, pad)
-        ctx = _merge_heads(probs @ vh).reshape(x.shape)
-        a = _affine(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
-        a += x
-        xn2, ln2_cache = _layernorm(a, params[f"{p}/ln2/gain"], params[f"{p}/ln2/bias"], eps)
-        u = _affine(xn2, params[f"{p}/ffn/w1"], params[f"{p}/ffn/b1"])
-        # GELU(u) = u * cdf; the cache keeps the CDF, so backward takes no erf.
-        cdf = _gelu_cdf(u)
-        x = (u * cdf) @ params[f"{p}/ffn/w2"]
-        x += a
-        x += params[f"{p}/ffn/b2"]
-        if backward:
-            layers.append((xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, cdf))
-    hidden, final_cache = _layernorm(x, params["final_ln/gain"], params["final_ln/bias"], eps)
+        # A layer's cache, in the order the backward pass unpacks it.
+        layers.append([])
+        keep = layers[-1].extend if backward else _keep_nothing
+        x = _attention(params, p, x, pad, scale, nh, at if i == config.num_layers - 1 else None, keep)
+        x = _ffn(params, p, x, keep, backward)
+    hidden, final_cache = _layernorm(x, params["final_ln/gain"], params["final_ln/bias"], LN_EPSILON)
     hidden = hidden.reshape(rows.shape + hidden.shape[-1:])
     if not backward:
         return hidden, None
