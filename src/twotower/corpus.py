@@ -203,6 +203,8 @@ class Vocabulary:
         self.token_to_id: Dict[str, int] = {t: i for i, t in enumerate(tokens)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
+        # word -> its subword ids; `tokenize` fills it, one entry per distinct word.
+        self.word_pieces: Dict[str, Tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -292,11 +294,16 @@ def _tokenize_word(word: str, vocab: Vocabulary) -> List[int]:
 def tokenize(text: str, vocab: Vocabulary) -> List[int]:
     """Greedy longest-match-first subword tokenization of normalized text.
 
-    A word with no matching piece at any position becomes a single UNK.
+    A word with no matching piece at any position becomes a single UNK. Each
+    distinct word is split once per vocabulary; the returned list is new.
     """
     ids: List[int] = []
+    cache = vocab.word_pieces
     for word in normalize_text(text).split():
-        ids.extend(_tokenize_word(word, vocab))
+        pieces = cache.get(word)
+        if pieces is None:
+            pieces = cache[word] = tuple(_tokenize_word(word, vocab))
+        ids.extend(pieces)
     return ids
 
 

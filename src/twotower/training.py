@@ -126,14 +126,19 @@ class OptimizerState:
     m: Params
     v: Params
     cfg: TrainRunConfig
+    # Two byte buffers the size of the largest tensor: `adam_step` writes its
+    # temporaries into views of them.
+    scratch: Tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def for_params(cls, params: Params, cfg: TrainRunConfig) -> "OptimizerState":
+        nbytes = max((a.nbytes for a in params.values()), default=0)
         return cls(
             step=0,
             m={k: np.zeros_like(a) for k, a in params.items()},
             v={k: np.zeros_like(a) for k, a in params.items()},
             cfg=cfg,
+            scratch=(np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8)),
         )
 
     def learning_rate(self, step: Optional[int] = None) -> float:
@@ -158,17 +163,30 @@ def adam_step(params: Params, grads: Params, state: OptimizerState) -> None:
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for name, grad in grads.items():
-        if grad.shape != params[name].shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
+        param = params[name]
+        if grad.shape != param.shape or grad.dtype != param.dtype:
+            raise ValueError(f"gradient shape or dtype mismatch for {name}")
         m = state.m[name]
         v = state.v[name]
+        # The operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        # p -= lr * (m/bias1) / (sqrt(v/bias2) + eps), in that order, with
+        # every temporary written into a scratch view.
+        tmp, den = (buf[: grad.nbytes].view(grad.dtype).reshape(grad.shape) for buf in state.scratch)
         m *= b1
-        m += (1.0 - b1) * grad
+        np.multiply(1.0 - b1, grad, out=tmp)
+        m += tmp
         v *= b2
-        v += (1.0 - b2) * grad * grad
+        np.multiply(1.0 - b2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
         if lr != 0.0:
-            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
-            params[name] -= lr * update
+            np.divide(m, bias1, out=tmp)
+            np.divide(v, bias2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPSILON
+            tmp /= den
+            tmp *= lr
+            param -= tmp
 
 
 def _emit(metrics_out, record: dict) -> dict:

@@ -13,6 +13,7 @@ from twotower.corpus import (
     UNK_ID,
     CorpusError,
     Vocabulary,
+    _tokenize_word,
     build_vocab,
     normalize_text,
     parse_corpus,
@@ -176,6 +177,26 @@ class TestTokenize:
         store, _, _ = small_toy
         for sentence in store.sentences():
             assert sentence.token_ids
+
+    def test_cached_words_match_the_uncached_split(self, small_toy):
+        # A small vocabulary splits most words into several pieces; the
+        # unseen characters make some words a single UNK.
+        store, _, _ = small_toy
+        vocab = build_vocab(store, 120, 1)
+        texts = [s.text for s in store.sentences()] + ["qq zqz", "Alpha alpha ALPHA"]
+        for text in texts:
+            expected = [i for word in normalize_text(text).split() for i in _tokenize_word(word, vocab)]
+            assert tokenize(text, vocab) == expected
+        assert UNK_ID in tokenize("qq zqz", vocab)
+        assert len(vocab.word_pieces) < sum(len(normalize_text(t).split()) for t in texts)
+
+    def test_returned_list_is_new(self, small_toy):
+        _, _, vocab = small_toy
+        first = tokenize("alpha", vocab)
+        expected = list(first)
+        first.append(UNK_ID)
+        first[0] = PAD_ID
+        assert tokenize("alpha", vocab) == expected
 
     def test_normalization_lowercases_and_collapses(self):
         assert normalize_text("  The\t QUICK\n fox ") == "the quick fox"

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+import twotower
 from twotower import util
 from twotower.corpus import NUM_SPECIALS, PAD_ID
 from twotower.encoders import (
@@ -13,6 +20,8 @@ from twotower.encoders import (
     EncoderConfig,
     EncoderError,
     TwoTower,
+    _erf_inplace,
+    _gelu_cdf,
     backward_from_cache,
     encode,
     encode_with_cache,
@@ -262,6 +271,79 @@ class TestTransformerForward:
             params_q[name] = params_q[name] + 0.5
         after = encode(params_d, cfg, docs)
         np.testing.assert_array_equal(before, after)
+
+
+class TestGeluCdf:
+    """`_gelu_cdf` runs a numpy port of the Cephes erf that scipy.special.erf
+    runs; scipy is the oracle here and is not imported by the package."""
+
+    # Every 1039th float32 bit pattern in [+0, 8] (about 1M values), their
+    # negatives, the signed zeros and infinities, values around sqrt(2), where
+    # the erf argument leaves Cephes' first branch, values past 6, and NaN.
+    # scipy returns the default NaN for any NaN; the port keeps a NaN's sign
+    # and payload, so only the default NaN is compared bit for bit.
+    SWEEP = np.arange(0, np.float32(8.0).view(np.uint32) + 1, 1039, dtype=np.uint32).view(np.float32)
+    SPECIAL = np.array([0.0, np.inf, 1.0, 1.4142135, math.sqrt(2.0), 1.4142137, 6.0, 6.5, 8.5,
+                        9.0, 12.0, 1e30, 3.4e38], dtype=np.float32)
+    U = np.concatenate([SWEEP, -SWEEP, SPECIAL, -SPECIAL, [np.float32(np.nan)]])
+
+    @staticmethod
+    def _oracle(u):
+        return 0.5 * (1 + erf(u * (1.0 / math.sqrt(2.0))))
+
+    def test_float32_bits_equal_scipy(self):
+        assert _gelu_cdf(self.U).tobytes() == self._oracle(self.U).tobytes()
+        x = self.U.copy()
+        _erf_inplace(x)
+        assert x.tobytes() == erf(self.U).tobytes()
+        assert np.isnan(_gelu_cdf(-self.U[-1:])).all()
+
+    def test_float64_within_bound_of_scipy(self):
+        u = np.concatenate([self.U.astype(np.float64), subrng(8, "gelu").normal(0.0, 3.0, 100_000)])
+        cdf, ref = _gelu_cdf(u), self._oracle(u)
+        assert cdf.dtype == np.float64
+        assert np.array_equal(np.isnan(cdf), np.isnan(u))
+        finite = ~np.isnan(u)
+        assert np.abs(cdf[finite] - ref[finite]).max() <= 4.5e-16
+
+    def test_shape_kept_and_input_untouched(self):
+        u = subrng(9, "gelu").normal(size=(3, 5, 7)).astype(np.float32)
+        before = u.copy()
+        cdf = _gelu_cdf(u[:, ::2])
+        assert cdf.shape == (3, 3, 7)
+        assert cdf.tobytes() == self._oracle(before[:, ::2]).tobytes()
+        assert u.tobytes() == before.tobytes()
+
+    def test_cli_loads_no_scipy(self, tmp_path):
+        # The CLI imports the encoder in every command, so any scipy import
+        # under src/twotower shows up here, even in commands that run no GELU.
+        script = textwrap.dedent("""
+            import sys
+            from twotower import cli
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+            assert not scipy_modules(), scipy_modules()
+            root = sys.argv[1]
+            corpus, qa, vocab = root + "/corpus.jsonl", root + "/qa.jsonl", root + "/vocab.txt"
+            for argv in (
+                ["synth", "--out", corpus, "--qa", qa, "--articles", "12", "--topics", "4",
+                 "--qa-count", "24", "--seed", "3"],
+                ["vocab", "--corpus", corpus, "--out", vocab],
+                ["bm25-eval", "--corpus", corpus, "--vocab", vocab, "--qa", qa,
+                 "--out", root + "/bm25.json"],
+            ):
+                assert cli.main(argv) == cli.EXIT_OK, argv
+            assert not scipy_modules(), scipy_modules()
+        """)
+        src = str(Path(twotower.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "bm25.json").exists()
 
 
 class TestEncodeKeepsNoActivations:

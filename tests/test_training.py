@@ -8,6 +8,9 @@ from twotower.corpus import NUM_SPECIALS, UNK_ID
 from twotower.encoders import EncoderConfig, TwoTower, hidden_states, init_params, save_checkpoint
 from twotower.pairs import PRETRAIN_TASKS, gen_mlm, sample_mixture
 from twotower.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     OptimizerState,
     TrainRunConfig,
     _mlm_step,
@@ -179,12 +182,50 @@ class TestAdam:
         adam_step(params, {"w": np.array([0.5])}, state)
         np.testing.assert_array_equal(params["w"], frozen)
 
+    @staticmethod
+    def _allocating_adam_step(params, grads, state):
+        """Adam with a fresh temporary for every expression: the reference
+        the in-place `adam_step` must match bit for bit."""
+        state.step += 1
+        t = state.step
+        lr = state.learning_rate(t)
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        bias1, bias2 = 1.0 - b1**t, 1.0 - b2**t
+        for name, grad in grads.items():
+            m, v = state.m[name], state.v[name]
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            if lr != 0.0:
+                update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPSILON)
+                params[name] -= lr * update
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_in_place_bits_equal_the_allocating_update(self, dtype):
+        # Warmup, decay and two steps past the schedule's end, where lr is 0.
+        rng = np.random.default_rng(3)
+        shapes = {"emb": (40, 8), "w": (8, 8), "b": (8,), "s": ()}
+        params = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        ref = {k: a.copy() for k, a in params.items()}
+        state, ref_state = self._state(params, 6, 0.5), self._state(ref, 6, 0.5)
+        for _ in range(8):
+            grads = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+            adam_step(params, grads, state)
+            self._allocating_adam_step(ref, grads, ref_state)
+            for k in shapes:
+                for got, want in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+                    assert got[k].dtype == want[k].dtype
+                    assert got[k].tobytes() == want[k].tobytes(), k
+
     def test_gradient_shape_mismatch(self):
         params = {"w": np.zeros(3)}
         cfg = TrainRunConfig(batch_size=2, total_steps=2)
         state = OptimizerState.for_params(params, cfg)
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros(4)}, state)
+        with pytest.raises(ValueError):
+            adam_step(params, {"w": np.zeros(3, np.float32)}, state)
 
 
 @pytest.fixture(scope="module")
