@@ -20,8 +20,10 @@ from twotower.encoders import (
     EncoderConfig,
     EncoderError,
     TwoTower,
+    _ERF_BLOCK,
     _erf_inplace,
     _gelu_cdf,
+    _gelu_inplace,
     backward_from_cache,
     encode,
     encode_with_cache,
@@ -305,6 +307,16 @@ class TestGeluCdf:
         assert np.array_equal(np.isnan(cdf), np.isnan(u))
         finite = ~np.isnan(u)
         assert np.abs(cdf[finite] - ref[finite]).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_inplace_gelu_bits_equal_cdf_product(self, dtype):
+        # More than one erf block, a partial last block, and elements past
+        # the erf's first branch.
+        u = subrng(10, "gelu").normal(0.0, 3.0, (3, _ERF_BLOCK // 2 + 7)).astype(dtype)
+        u[0, :len(self.SPECIAL)] = self.SPECIAL
+        expected = u * _gelu_cdf(u)
+        _gelu_inplace(u)
+        assert u.tobytes() == expected.tobytes()
 
     def test_shape_kept_and_input_untouched(self):
         u = subrng(9, "gelu").normal(size=(3, 5, 7)).astype(np.float32)
