@@ -20,13 +20,12 @@ reaches both sides alike, and join the runs into a BENCH file:
     run <parent>/src parent-3.json; run src change-3.json
     python opbench/columns.py --parent parent-*.json --change change-*.json --out BENCH_<n>.json
 
-Each op calls the encoder's own helper where the module has one
-(`_layernorm`, `_layernorm_backward`, `_affine`, `_weight_grad`,
-`_masked_softmax`, `_gelu_cdf`). The remaining lines are the expressions of
-`encoders._forward_body` and `encoders._backward_body`, copied here. A tree
-from before those helpers existed ran its ops inline: einsum weight
-gradients, an allocating softmax and `gelu`/`gelu_grad`. For such a tree the
-suite times those expressions instead.
+Each op calls the encoder's own helper (`_layernorm`, `_layernorm_backward`,
+`_affine`, `_weight_grad`, `_masked_softmax`, `_gelu`). The remaining lines
+are the expressions of `encoders._forward_body` and `encoders._backward_body`,
+copied here. `gelu.forward` times training's GELU, which runs on a copy of
+its input and writes the CDF; a tree from before `_gelu` has `_gelu_cdf`,
+and the suite times `u * _gelu_cdf(u)` there instead.
 """
 
 import math
@@ -43,36 +42,24 @@ SHAPES = {"32x16": (32, 16), "32x48": (32, 48), "512x48": (512, 48)}
 CONFIG = encoders.EncoderConfig(vocab_size=3000, dtype="float32")
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-if hasattr(encoders, "_weight_grad"):
-    affine, weight_grad, softmax = encoders._affine, encoders._weight_grad, encoders._masked_softmax
+affine, weight_grad, softmax = encoders._affine, encoders._weight_grad, encoders._masked_softmax
+
+if hasattr(encoders, "_gelu"):
+
+    def gelu_forward(u):
+        gu, cdf = u.copy(), np.empty_like(u)
+        encoders._gelu(gu, cdf)
+        return gu, cdf
+
+else:  # a tree from before `_gelu`
 
     def gelu_forward(u):
         cdf = encoders._gelu_cdf(u)
         return u * cdf, cdf
 
-    def gelu_backward(dgu, u, cdf):
-        return u * cdf, dgu * (cdf + u * np.exp(-0.5 * u * u) * INV_SQRT_2PI)
 
-else:  # a tree with the ops inline in `_forward_body`/`_backward_body`
-
-    def affine(x, w, b):
-        return x @ w + b
-
-    def weight_grad(x, dy):
-        return np.einsum("blf,blh->fh", x, dy)
-
-    def softmax(scores, scale, pad):
-        scores = np.where(~pad, scores * scale, -np.inf)
-        scores = scores - scores.max(axis=-1, keepdims=True)
-        expd = np.exp(scores)
-        return expd / expd.sum(axis=-1, keepdims=True)
-
-    def gelu_forward(u):
-        gu = encoders.gelu(u)
-        return gu, gu
-
-    def gelu_backward(dgu, u, gu):
-        return gu, dgu * encoders.gelu_grad(u)
+def gelu_backward(dgu, u, cdf):
+    return u * cdf, dgu * (cdf + u * np.exp(-0.5 * u * u) * INV_SQRT_2PI)
 
 
 class Inputs:

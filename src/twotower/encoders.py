@@ -3,28 +3,28 @@
 Forward and backward passes are written directly in numpy so gradients are
 exact and checkable against finite differences. The forward pass keeps each
 layer's activations only when a backward pass follows. Without one, as in
-`encode`, it frees each intermediate once it is used and applies GELU in
-place, its CDF a block at a time, so its peak is about one sublayer's
-working set: 54 MB of numpy allocations for a 512 x 48 float32 batch at the
-default shapes, in the attention sublayer.
-A training cache holds the GELU's normal CDF, from which the backward pass
-rebuilds GELU(u) and its derivative without a second erf. That erf is a
-numpy port of the Cephes erf that SciPy's `special.erf` runs, with Cephes'
-coefficients, evaluated in float64 over 32768-element blocks and rounded
-into the caller's array. In float32 it gives SciPy's bits: all 2**32
-float32 bit patterns matched, the NaNs aside, which stay NaN. So the
-package imports no SciPy, which saves each CLI process about 0.2 s and 19 MB
-of start-up. Past the attention scores the last layer, forward and
-backward, runs only the rows its caller selects: row 0 in `encode` and
-training, as a tower's embedding is its CLS row, and the masked positions
-in MLM. A tower's parameters are a
-plain dict of named arrays; the module functions take one such dict, the
-config and a batch of token id lists. A transformer tower's length is the
-row count of its `emb/pos` table: a longer sequence is an `EncoderError`. A
-bag-of-words tower has no position table and takes any length. The
-retriever itself is a `TwoTower` value: one config, a query tower of
-`query_max_len` positions and a doc tower of `doc_max_len`, or one tower of
-the larger length when the towers are shared.
+`encode`, it frees each intermediate once it is used, so its peak is about
+one sublayer's working set: 54 MB of numpy allocations for a 512 x 48
+float32 batch at the default shapes, in the attention sublayer.
+GELU has one path, `_gelu`: it works in place, one 32768-element block at a
+time, and a training pass runs it on a copy of the FFN input and keeps that
+input and the normal CDF, from which the backward pass rebuilds GELU(u) and
+its derivative without a second erf. That erf is a numpy port of the Cephes
+erf that SciPy's `special.erf` runs, with Cephes' coefficients, evaluated in
+float64 and rounded into the caller's dtype. In float32 it gives SciPy's
+bits: all 2**32 float32 bit patterns matched, the NaNs aside, which stay
+NaN. So the package imports no SciPy, which saves each CLI process about
+0.2 s and 19 MB of start-up. Past the attention scores the last layer,
+forward and backward, runs only the rows its caller selects: row 0 in
+`encode` and training, as a tower's embedding is its CLS row, and the masked
+positions in MLM. A tower's parameters are a plain dict of named arrays; the
+module functions take one such dict, the config and a batch of token id
+lists. A transformer tower's length is the row count of its `emb/pos`
+table: a longer sequence is an `EncoderError`. A bag-of-words tower has no
+position table and takes any length. The retriever itself is a `TwoTower`
+value: one config, a query tower of `query_max_len` positions and a doc
+tower of `doc_max_len`, or one tower of the larger length when the towers
+are shared.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 
 # Coefficients of erf and erfc in the Cephes Math Library (S. L. Moshier,
 # ndtr.c), whose erf SciPy's `special.erf` runs, from the highest degree. U
-# and Q have a leading 1 that is left out, as Cephes' p1evl takes them.
+# and Q start with the leading 1 that Cephes' p1evl leaves implicit; x * 1.0
+# is exact, so `_polevl` over them gives p1evl's bits.
 _ERF_T = (
     9.60497373987051638749e0,
     9.00260197203842689217e1,
@@ -61,6 +62,7 @@ _ERF_T = (
     5.55923013010394962768e4,
 )
 _ERF_U = (
+    1.0,
     3.35617141647503099647e1,
     5.21357949780152679795e2,
     4.59432382970980127987e3,
@@ -79,6 +81,7 @@ _ERF_P = (
     5.57535335369399327526e2,
 )
 _ERF_Q = (
+    1.0,
     1.32281951154744992508e1,
     8.67072140885989742329e1,
     3.54937778887819891062e2,
@@ -91,9 +94,9 @@ _ERF_Q = (
 # Elements of one erf block: 256 KB a float64 scratch buffer, so the three
 # buffers stay in a core's L2 cache across the block's two dozen passes.
 _ERF_BLOCK = 1 << 15
-# The erf's three float64 blocks and a fourth for `_gelu_inplace`'s CDF
-# block, allocated once. Allocated per call, they landed between the
-# encoder's large arrays wherever the heap had room, and moved the
+# The erf's three float64 blocks and a fourth for the CDF block of a `_gelu`
+# call that keeps no CDF, allocated once. Allocated per call, they landed
+# between the encoder's large arrays wherever the heap had room, and moved the
 # `experiment` command's peak RSS by up to 22 MB from one input to the next.
 # The package runs on one thread, so one set serves every call.
 _ERF_SCRATCH = np.empty((4, _ERF_BLOCK))
@@ -127,7 +130,10 @@ class EncoderConfig:
             raise EncoderError("hidden_dim must be divisible by num_heads")
         if self.emb_dim < 1:
             raise EncoderError("emb_dim must be >= 1")
-        if self.query_max_len < 2 or self.doc_max_len < 2:
+        if self.doc_max_len < 3:
+            # `pairs.make_doc_input` keeps [CLS], [SEP] and one body token.
+            raise EncoderError(f"doc_max_len must be >= 3, got {self.doc_max_len}")
+        if self.query_max_len < 2:
             raise EncoderError(
                 f"max lengths must be >= 2, got query {self.query_max_len} and doc {self.doc_max_len}"
             )
@@ -280,16 +286,6 @@ def _polevl(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _p1evl(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
-    """x**n + coefs[0] * x**(n-1) + ... + coefs[n-1] into `out`, as Cephes'
-    p1evl takes a leading 1 that is left out."""
-    np.add(x, coefs[0], out=out)
-    for c in coefs[1:]:
-        out *= x
-        out += c
-    return out
-
-
 def _erf_tail(x: np.ndarray) -> np.ndarray:
     """erf(x) for |x| > 1: sign(x) * (1 - exp(-a*a) * P(a) / Q(a)), a = |x|.
     Past a = 6 erfc(a) < 2**-54, so 1 - erfc rounds to 1 in float64, as it
@@ -297,71 +293,57 @@ def _erf_tail(x: np.ndarray) -> np.ndarray:
     a = np.minimum(np.abs(x), 6.0)
     y = np.exp(-a * a)
     y *= _polevl(a, _ERF_P, np.empty_like(a))
-    y /= _p1evl(a, _ERF_Q, np.empty_like(a))
+    y /= _polevl(a, _ERF_Q, np.empty_like(a))
     return np.copysign(1.0 - y, x)
 
 
-def _erf_inplace(y: np.ndarray) -> None:
-    """Replace the C-contiguous float array `y` with erf(y), computed in
-    float64 over blocks of `_ERF_BLOCK` elements in `_ERF_SCRATCH`.
+def _erf(x: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """erf(x) into `out`, for 1-D float64 arrays of one size; `x` and `z` are
+    overwritten.
 
     As in Cephes, erf(x) is x * T(x*x) / U(x*x) for |x| <= 1, odd in x, and
     only the elements past 1 take `_erf_tail`. In float64 the first branch
     gives SciPy's bits as well; past 1 numpy's `exp` can differ from the C
     library's in the last bit, which no float32 result has shown.
     """
-    flat = y.reshape(-1)
-    x, z, out = _ERF_SCRATCH[:3]
     # Past |x| = 1 the first branch may overflow; `_erf_tail` replaces those.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, flat.size, _ERF_BLOCK):
-            block = flat[start : start + _ERF_BLOCK]
-            n = len(block)
-            xb, zb, ob = x[:n], z[:n], out[:n]
-            np.copyto(xb, block)
-            np.multiply(xb, xb, out=zb)
-            _polevl(zb, _ERF_T, ob)
-            ob *= xb
-            ob /= _p1evl(zb, _ERF_U, xb)
-            at = np.flatnonzero(zb > 1.0)
-            if at.size:
-                ob[at] = _erf_tail(block[at].astype(np.float64))
-            np.copyto(block, ob)
+        np.multiply(x, x, out=z)
+        at = np.flatnonzero(z > 1.0)
+        tail = x[at]
+        _polevl(z, _ERF_T, out)
+        out *= x
+        out /= _polevl(z, _ERF_U, x)
+        if at.size:
+            out[at] = _erf_tail(tail)
+    return out
 
 
-def _gelu_cdf(u: np.ndarray) -> np.ndarray:
-    """The standard normal CDF of `u`; GELU(u) = u * cdf.
+def _gelu(u: np.ndarray, cdf: Optional[np.ndarray] = None) -> None:
+    """Replace the C-contiguous float array `u` with GELU(u) = u * cdf, and
+    write the standard normal CDF of u into `cdf`, a C-contiguous array of
+    u's shape and dtype, when it is given.
 
-    It is 0.5 * (1 + erf(u / sqrt(2))) in the dtype of `u`, with the erf of
-    `_erf_inplace`. For float32 `u` that is the result with SciPy's
-    `special.erf`, bit for bit: the erf matched on all 2**32 float32 bit
-    patterns, and tests/test_encoders.py sweeps about 2M of them. A NaN stays
-    NaN with its own sign and payload, where SciPy returns the default NaN.
-    For float64 `u` it is within 4.5e-16 of the SciPy result.
-    """
-    cdf = np.multiply(u, _INV_SQRT_2, order="C")
-    _erf_inplace(cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf
-
-
-def _gelu_inplace(u: np.ndarray) -> None:
-    """Replace the C-contiguous float array `u` with GELU(u) = u * cdf.
-
-    The CDF is `_gelu_cdf`'s, with the same operations in the dtype of `u`,
-    so the bits are those of `u *= _gelu_cdf(u)`. It is taken one
-    `_ERF_BLOCK` at a time into `_ERF_SCRATCH`, so no array of u's size is
-    allocated: at a 512 x 48 index batch the feed-forward sublayer needs
-    25 MB less and stays below the attention sublayer's peak.
+    The CDF is 0.5 * (1 + erf(u / sqrt(2))) in the dtype of u, taken one
+    `_ERF_BLOCK` at a time, with the erf of `_erf` in float64 in
+    `_ERF_SCRATCH`, so without `cdf` no array of u's size is allocated. For
+    float32 u it is the result with SciPy's `special.erf`, bit for bit: the
+    erf matched on all 2**32 float32 bit patterns, and tests/test_encoders.py
+    sweeps about 2M of them. A NaN stays NaN with its own sign and payload,
+    where SciPy returns the default NaN. For float64 u the CDF is within
+    4.5e-16 of the SciPy result.
     """
     flat = u.reshape(-1)
-    cdf = _ERF_SCRATCH[3].view(u.dtype)
+    cdf_flat = None if cdf is None else cdf.reshape(-1)
+    x, z, out, spare = _ERF_SCRATCH
+    spare = spare.view(u.dtype)
     for start in range(0, flat.size, _ERF_BLOCK):
         block = flat[start : start + _ERF_BLOCK]
-        c = cdf[: len(block)]
+        n = len(block)
+        c = spare[:n] if cdf_flat is None else cdf_flat[start : start + n]
         np.multiply(block, _INV_SQRT_2, out=c)
-        _erf_inplace(c)
+        np.copyto(x[:n], c)
+        np.copyto(c, _erf(x[:n], z[:n], out[:n]))
         c += 1.0
         c *= 0.5
         block *= c
@@ -405,15 +387,13 @@ def _attention(params: Params, p: str, x: np.ndarray, pad, scale: float, nh: int
 def _ffn(params: Params, p: str, a: np.ndarray, keep, backward: bool) -> np.ndarray:
     """a plus the GELU feed-forward map of layer `p` over LayerNorm(a)."""
     (u,) = _normed_affines(params, a, f"{p}/ln2", [(f"{p}/ffn/w1", f"{p}/ffn/b1")], keep)
-    # GELU(u) = u * cdf. A backward pass keeps u and the CDF, so it takes no
-    # erf; without one, GELU is applied in place, block by block, with the
-    # same multiply.
+    # A backward pass keeps u and its CDF, so GELU runs on a copy of u.
+    cdf = None
     if backward:
-        cdf = _gelu_cdf(u)
+        cdf = np.empty_like(u)
         keep((u, cdf))
-        u = u * cdf
-    else:
-        _gelu_inplace(u)
+        u = u.copy()
+    _gelu(u, cdf)
     x = u @ params[f"{p}/ffn/w2"]
     x += a
     x += params[f"{p}/ffn/b2"]
@@ -436,7 +416,6 @@ def _forward_body(
     released once it is used: a LayerNorm's output and cache after the
     projections that read it, Q, K, V, the scores and the context when the
     attention sublayer returns, and the FFN input after its first matmul.
-    GELU is applied in place, its CDF a block at a time.
     """
     nh = config.num_heads
     scale = 1.0 / math.sqrt(config.hidden_dim // nh)

@@ -2,7 +2,8 @@
 
 Both rankers score the whole candidate pool as one vector and select from it
 with the one top-k, `_rank_with_ties`: descending score, then ascending
-candidate id.
+candidate id. The dense ranker encodes candidates and queries
+`ENCODE_BATCH` at a time, in index builds, evaluation and validation alike.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .encoders import TwoTower, encode
+
+# Rows per forward-only encode. Another batch size gives the same embeddings
+# bit for bit unless it leaves a final batch of one row: BLAS multiplies that
+# row on its matrix-vector path, which rounds differently, and so may move the
+# validation recalls and the checkpoint `training.finetune` keeps.
+ENCODE_BATCH = 256
+
 
 @dataclass
 class RankedList:
@@ -43,9 +51,8 @@ def build_dense_index(
     model: TwoTower,
     candidate_ids: Sequence[int],
     candidates: Sequence[Sequence[int]],
-    batch_size: int = 256,
 ) -> DenseIndex:
-    """Embed every candidate with the doc tower, `batch_size` at a time. A
+    """Embed every candidate with the doc tower, `ENCODE_BATCH` at a time. A
     candidate longer than the doc tower takes is an `EncoderError`; callers
     cut candidates with `pairs.make_doc_input`."""
     if not candidates:
@@ -53,8 +60,8 @@ def build_dense_index(
     if len(candidate_ids) != len(candidates):
         raise ValueError("candidate_ids must align with candidates")
     rows = [
-        encode(model.doc, model.config, candidates[start : start + batch_size])
-        for start in range(0, len(candidates), batch_size)
+        encode(model.doc, model.config, candidates[start : start + ENCODE_BATCH])
+        for start in range(0, len(candidates), ENCODE_BATCH)
     ]
     return DenseIndex(candidate_ids=list(candidate_ids), embeddings=np.vstack(rows))
 
@@ -90,19 +97,16 @@ def rank_dense(
     queries: Sequence[Sequence[int]],
     candidates: Sequence[Tuple[int, Sequence[int]]],
     k: int,
-    batch_size: int = 512,
 ) -> List[RankedList]:
     """The dense top-k of every query over the (id, tokens) candidates.
 
-    Queries and candidates are encoded `batch_size` at a time; each query row
-    is scored against the whole index with `dense_topk`.
+    Queries and candidates are encoded `ENCODE_BATCH` at a time; each query
+    row is scored against the whole index with `dense_topk`.
     """
-    index = build_dense_index(
-        model, [cid for cid, _ in candidates], [seq for _, seq in candidates], batch_size=batch_size
-    )
+    index = build_dense_index(model, [cid for cid, _ in candidates], [seq for _, seq in candidates])
     ranked = []
-    for start in range(0, len(queries), batch_size):
-        for row in encode(model.query, model.config, queries[start : start + batch_size]):
+    for start in range(0, len(queries), ENCODE_BATCH):
+        for row in encode(model.query, model.config, queries[start : start + ENCODE_BATCH]):
             ranked.append(dense_topk(index, row, k))
     return ranked
 

@@ -126,19 +126,14 @@ class OptimizerState:
     m: Params
     v: Params
     cfg: TrainRunConfig
-    # Two byte buffers the size of the largest tensor: `adam_step` writes its
-    # temporaries into views of them.
-    scratch: Tuple[np.ndarray, np.ndarray]
 
     @classmethod
     def for_params(cls, params: Params, cfg: TrainRunConfig) -> "OptimizerState":
-        nbytes = max((a.nbytes for a in params.values()), default=0)
         return cls(
             step=0,
             m={k: np.zeros_like(a) for k, a in params.items()},
             v={k: np.zeros_like(a) for k, a in params.items()},
             cfg=cfg,
-            scratch=(np.empty(nbytes, np.uint8), np.empty(nbytes, np.uint8)),
         )
 
     def learning_rate(self, step: Optional[int] = None) -> float:
@@ -168,25 +163,13 @@ def adam_step(params: Params, grads: Params, state: OptimizerState) -> None:
             raise ValueError(f"gradient shape or dtype mismatch for {name}")
         m = state.m[name]
         v = state.v[name]
-        # The operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-        # p -= lr * (m/bias1) / (sqrt(v/bias2) + eps), in that order, with
-        # every temporary written into a scratch view.
-        tmp, den = (buf[: grad.nbytes].view(grad.dtype).reshape(grad.shape) for buf in state.scratch)
         m *= b1
-        np.multiply(1.0 - b1, grad, out=tmp)
-        m += tmp
+        m += (1.0 - b1) * grad
         v *= b2
-        np.multiply(1.0 - b2, grad, out=tmp)
-        tmp *= grad
-        v += tmp
+        v += (1.0 - b2) * grad * grad
+        # At lr 0 the parameter stays as it is, signed zeros included.
         if lr != 0.0:
-            np.divide(m, bias1, out=tmp)
-            np.divide(v, bias2, out=den)
-            np.sqrt(den, out=den)
-            den += ADAM_EPSILON
-            tmp /= den
-            tmp *= lr
-            param -= tmp
+            param -= m / bias1 / (np.sqrt(v / bias2) + ADAM_EPSILON) * lr
 
 
 def _emit(metrics_out, record: dict) -> dict:
@@ -351,13 +334,8 @@ def recall_at_k(
     candidates: Sequence[Tuple[int, Sequence[int]]],
     k: int = 10,
 ) -> float:
-    """Fraction of queries whose gold candidate lands in the dense top-k.
-
-    Encodes 256 at a time. Another batch size gives the same embeddings bit
-    for bit unless it leaves a final batch of one row: BLAS multiplies that
-    row on its matrix-vector path, which rounds differently, and so may move
-    the validation recalls and the checkpoint `finetune` keeps."""
-    ranked = retrieval.rank_dense(model, queries, candidates, k, batch_size=256)
+    """Fraction of queries whose gold candidate lands in the dense top-k."""
+    ranked = retrieval.rank_dense(model, queries, candidates, k)
     return sum(gold in r.ids for r, gold in zip(ranked, gold_ids)) / len(queries)
 
 

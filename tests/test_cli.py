@@ -442,6 +442,7 @@ class TestOnePipeline:
         ("bm25-eval", "--augment", "augment_limit", "-3"),
         ("bm25-eval", "--query-max-len", "query_max_len", "1"),
         ("pretrain", "--query-max-len", "query_max_len", "1"),
+        ("pretrain", "--doc-max-len", "doc_max_len", "2"),
         ("bm25-eval", "--bm25-k1", "bm25_k1", "-0.5"),
         ("bm25-eval", "--bm25-b", "bm25_b", "1.5"),
         ("pretrain", "--batch", "batch_size", "1"),

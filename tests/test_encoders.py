@@ -21,9 +21,11 @@ from twotower.encoders import (
     EncoderError,
     TwoTower,
     _ERF_BLOCK,
-    _erf_inplace,
-    _gelu_cdf,
-    _gelu_inplace,
+    _affine,
+    _erf,
+    _ffn,
+    _gelu,
+    _keep_nothing,
     backward_from_cache,
     encode,
     encode_with_cache,
@@ -276,7 +278,7 @@ class TestTransformerForward:
 
 
 class TestGeluCdf:
-    """`_gelu_cdf` runs a numpy port of the Cephes erf that scipy.special.erf
+    """`_gelu` runs a numpy port of the Cephes erf that scipy.special.erf
     runs; scipy is the oracle here and is not imported by the package."""
 
     # Every 1039th float32 bit pattern in [+0, 8] (about 1M values), their
@@ -293,16 +295,25 @@ class TestGeluCdf:
     def _oracle(u):
         return 0.5 * (1 + erf(u * (1.0 / math.sqrt(2.0))))
 
+    @staticmethod
+    def _cdf(u):
+        """The CDF that `_gelu` writes for u, run on a copy of u; at u = -inf
+        the GELU product -inf * 0 is NaN, which is not under test here."""
+        cdf = np.empty_like(u)
+        with np.errstate(invalid="ignore"):
+            _gelu(u.copy(), cdf)
+        return cdf
+
     def test_float32_bits_equal_scipy(self):
-        assert _gelu_cdf(self.U).tobytes() == self._oracle(self.U).tobytes()
-        x = self.U.copy()
-        _erf_inplace(x)
-        assert x.tobytes() == erf(self.U).tobytes()
-        assert np.isnan(_gelu_cdf(-self.U[-1:])).all()
+        assert self._cdf(self.U).tobytes() == self._oracle(self.U).tobytes()
+        x = self.U.astype(np.float64)
+        erf_bits = _erf(x, np.empty_like(x), np.empty_like(x)).astype(np.float32).tobytes()
+        assert erf_bits == erf(self.U).tobytes()
+        assert np.isnan(self._cdf(-self.U[-1:])).all()
 
     def test_float64_within_bound_of_scipy(self):
         u = np.concatenate([self.U.astype(np.float64), subrng(8, "gelu").normal(0.0, 3.0, 100_000)])
-        cdf, ref = _gelu_cdf(u), self._oracle(u)
+        cdf, ref = self._cdf(u), self._oracle(u)
         assert cdf.dtype == np.float64
         assert np.array_equal(np.isnan(cdf), np.isnan(u))
         finite = ~np.isnan(u)
@@ -310,21 +321,29 @@ class TestGeluCdf:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_inplace_gelu_bits_equal_cdf_product(self, dtype):
-        # More than one erf block, a partial last block, and elements past
-        # the erf's first branch.
+        # Training's GELU, which writes the CDF, and encode's, which does not,
+        # give u * cdf, the product the backward pass rebuilds. More than one
+        # erf block, a partial last block, and elements past the erf's first
+        # branch.
         u = subrng(10, "gelu").normal(0.0, 3.0, (3, _ERF_BLOCK // 2 + 7)).astype(dtype)
         u[0, :len(self.SPECIAL)] = self.SPECIAL
-        expected = u * _gelu_cdf(u)
-        _gelu_inplace(u)
+        trained, cdf = u.copy(), np.empty_like(u)
+        _gelu(trained, cdf)
+        expected = u * cdf
+        _gelu(u)
         assert u.tobytes() == expected.tobytes()
+        assert trained.tobytes() == expected.tobytes()
 
-    def test_shape_kept_and_input_untouched(self):
-        u = subrng(9, "gelu").normal(size=(3, 5, 7)).astype(np.float32)
-        before = u.copy()
-        cdf = _gelu_cdf(u[:, ::2])
-        assert cdf.shape == (3, 3, 7)
-        assert cdf.tobytes() == self._oracle(before[:, ::2]).tobytes()
-        assert u.tobytes() == before.tobytes()
+    def test_training_keeps_the_ffn_input_untouched(self):
+        cfg = tiny_config(dtype="float32")
+        params = init_params(cfg, subrng(9, "gelu"), cfg.doc_max_len)
+        a = subrng(9, "gelu").normal(size=(3, 5, cfg.hidden_dim)).astype(np.float32)
+        kept = []
+        out = _ffn(params, "layer0", a, kept.extend, backward=True)
+        xn, _, u, cdf = kept
+        assert u.tobytes() == _affine(xn, params["layer0/ffn/w1"], params["layer0/ffn/b1"]).tobytes()
+        assert cdf.tobytes() == self._oracle(u).tobytes()
+        assert out.tobytes() == _ffn(params, "layer0", a, _keep_nothing, backward=False).tobytes()
 
     def test_cli_loads_no_scipy(self, tmp_path):
         # The CLI imports the encoder in every command, so any scipy import

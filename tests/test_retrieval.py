@@ -127,12 +127,15 @@ class TestRankDense:
         queries = data.draw(arrays(np.float64, (n_queries, dim), elements=small_ints))
         ids = data.draw(st.lists(st.integers(0, 500), min_size=n_docs, max_size=n_docs, unique=True))
         k = data.draw(st.integers(1, n_docs + 3))
-        batch_size = data.draw(st.integers(1, 5))
+        encode_batch = data.draw(st.integers(1, 5))
         cfg = EncoderConfig(vocab_size=30, dtype="float64")
         model = TwoTower(cfg, {"table": queries}, {"table": docs})
         candidates = [(cid, [row]) for row, cid in enumerate(ids)]
-        with mock.patch.object(retrieval, "encode", _table_encode):
-            ranked = rank_dense(model, [[i] for i in range(n_queries)], candidates, k, batch_size)
+        # Patched inside the body: hypothesis rejects a function-scoped
+        # monkeypatch fixture, which it would not reset between examples.
+        with mock.patch.object(retrieval, "encode", _table_encode), \
+                mock.patch.object(retrieval, "ENCODE_BATCH", encode_batch):
+            ranked = rank_dense(model, [[i] for i in range(n_queries)], candidates, k)
         assert len(ranked) == n_queries
         for q, got in zip(queries, ranked):
             scores = [float(d @ q) for d in docs]
