@@ -3,11 +3,12 @@
 Opt-in: Tier-1 collects `tests/` only, so this suite runs only when named.
 It times embedding, LayerNorm, QKV, attention softmax, FFN matmul and GELU,
 each forward and backward, at the default encoder shapes in float32, on a
-query batch (32 x 16), a doc batch (32 x 48) and an index batch (512 x 48).
-It also times a whole tower: `encode` of an index batch (`tower.forward`),
-a training step's `encode_with_cache` plus `backward_from_cache` on a query
-and a doc batch (`tower.train`) and a masked-token step, `training._mlm_step`,
-on the same two batches (`tower.mlm`). Each tower row also records, in
+query batch (32 x 16), a doc batch (32 x 48), which is also the shape of one
+index batch at `retrieval.ENCODE_BATCH`, and a 512 x 48 batch.
+It also times a whole tower: `encode` of one index batch and of a 512 x 48
+batch (`tower.forward`), a training step's `encode_with_cache` plus
+`backward_from_cache` on a query and a doc batch (`tower.train`) and a
+masked-token step, `training._mlm_step`, on the same two batches (`tower.mlm`). Each tower row also records, in
 `extra_info["peak_mb"]`, the tracemalloc peak of one untimed call.
 Run it on the parent and the changed source tree in turn, three rounds with
 the side that goes first alternating, so that load drift on a shared machine
@@ -195,6 +196,7 @@ def tower_mlm(params, batch):
 
 
 @pytest.mark.parametrize("op,direction,inputs", [
+    ("tower", "forward", "32x48"),
     ("tower", "forward", "512x48"),
     ("tower", "train", "32x16"),
     ("tower", "train", "32x48"),

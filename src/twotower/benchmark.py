@@ -452,9 +452,10 @@ def finetune_model(
     split: Split,
     candidates: Sequence[Candidate],
     metrics_out=None,
-) -> Tuple[TwoTower, List[dict]]:
+) -> Tuple[TwoTower, List[dict], retrieval.DenseIndex]:
     """Fine-tune on the split's training questions, selecting the checkpoint
-    by validation recall over the candidates; returns (model, history).
+    by validation recall over the candidates; returns (model, history, the
+    model's index of `dense_candidates(candidates, doc_max_len)`).
 
     The batch is at most the number of training questions (and at least 2):
     a larger one would hold some pairs twice."""
@@ -493,13 +494,18 @@ def evaluate_system(
     pool: Sequence[Candidate],
     part: Sequence[ReqaExample],
     ks: Sequence[int],
+    index: Optional[retrieval.DenseIndex] = None,
 ) -> EvalReport:
     """recall@k of the part's questions over the candidate pool, ranked by the
-    dense model or by BM25 with the given parameters."""
+    dense model or by BM25 with the given parameters. A dense model ranks
+    against `index`, its index of `dense_candidates(pool, doc_max_len)`, or
+    against one built here when that is None."""
     queries = [ex.question_tokens for ex in part]
     if isinstance(system, TwoTower):
-        docs = dense_candidates(pool, system.config.doc_max_len)
-        ranked = retrieval.rank_dense(system, queries, docs, max(ks))
+        if index is None:
+            docs = dense_candidates(pool, system.config.doc_max_len)
+            index = retrieval.build_dense_index(system, [cid for cid, _ in docs], [seq for _, seq in docs])
+        ranked = retrieval.rank_dense(system, index, queries, max(ks))
     else:
         index = retrieval.InvertedIndex([(c.id, c.sentence_tokens + c.passage_tokens) for c in pool])
         ranked = [retrieval.bm25_topk(index, q, max(ks), system) for q in queries]
@@ -527,9 +533,10 @@ def run_experiment(
 
     cells: List[dict] = []
 
-    def add_cells(split: Split, encoder: str, task: str, seed: int, system) -> None:
+    # `index` is a dense system's index of the un-augmented pool.
+    def add_cells(split: Split, encoder: str, task: str, seed: int, system, index=None) -> None:
         for augmented, pool in pools:
-            report = evaluate_system(system, pool, split.test, cfg.ks)
+            report = evaluate_system(system, pool, split.test, cfg.ks, None if augmented else index)
             labels = (split.ratio_label, encoder, task, seed, augmented)
             payload = canonical_json({"config": asdict(cfg), "cell": labels})
             cells.append(
@@ -558,8 +565,8 @@ def run_experiment(
                 pretrained = pretrain_model(task, enc_cfg, cfg.pretrain_config(seed), store)
                 for split in splits:
                     log(f"finetune[{seed}] {arch}/{task} @ {split.ratio_label}")
-                    best, _ = finetune_model(pretrained, cfg.finetune_config(seed), split, candidates)
-                    add_cells(split, arch, task, seed, best)
+                    best, _, index = finetune_model(pretrained, cfg.finetune_config(seed), split, candidates)
+                    add_cells(split, arch, task, seed, best, index)
         if cfg.include_bm25:
             for split in splits:
                 add_cells(split, "bm25", TASK_NONE, seed, bm25_params)

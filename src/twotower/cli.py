@@ -283,7 +283,7 @@ def _cmd_finetune(o) -> int:
     _, examples, candidates, _ = _build_benchmark(o, store, vocab, model.config.query_max_len)
     split = benchmark.make_split(examples, ratio, train_cfg.seed)
     with _metrics_file(o) as metrics_out:
-        best, history = benchmark.finetune_model(model, train_cfg, split, candidates, metrics_out)
+        best, history, _ = benchmark.finetune_model(model, train_cfg, split, candidates, metrics_out)
     best_recall = max(h["val_recall"] for h in history if "val_recall" in h)
     fingerprint = save_checkpoint(
         prefix, best,

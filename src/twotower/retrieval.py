@@ -3,7 +3,11 @@
 Both rankers score the whole candidate pool as one vector and select from it
 with the one top-k, `_rank_with_ties`: descending score, then ascending
 candidate id. The dense ranker encodes candidates and queries
-`ENCODE_BATCH` at a time, in index builds, evaluation and validation alike.
+`ENCODE_BATCH` rows at a time, in index builds, evaluation and validation
+alike. A one-row tail joins the batch before it, and every batch is padded to
+the longest sequence of the pool, so a row's embedding does not depend on the
+batch it falls in: an index that validation built for a checkpoint can rank
+that checkpoint's test questions.
 """
 
 from __future__ import annotations
@@ -14,13 +18,18 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .encoders import TwoTower, encode
+from .corpus import PAD_ID
+from .encoders import EncoderConfig, Params, TwoTower, encode
 
-# Rows per forward-only encode. Another batch size gives the same embeddings
-# bit for bit unless it leaves a final batch of one row: BLAS multiplies that
-# row on its matrix-vector path, which rounds differently, and so may move the
-# validation recalls and the checkpoint `training.finetune` keeps.
-ENCODE_BATCH = 256
+# Rows per forward-only encode: at 32 rows of 48 tokens the FFN activation,
+# 32 x 48 x 256 float32 values, is 1.5 MB and fits a 2 MB L2 cache, and the
+# encoder's temporaries stay small enough for glibc to reuse instead of
+# returning them to the OS and faulting them in again every batch. With
+# `_encode_all`'s padding any batch size gives the same embeddings bit for bit
+# as long as no batch is one row of several: BLAS multiplies a lone row on its
+# matrix-vector path, which rounds differently, so `_batches` merges a one-row
+# tail into the batch before it.
+ENCODE_BATCH = 32
 
 
 @dataclass
@@ -47,23 +56,40 @@ class BM25Params:
             raise ValueError("b must lie in [0, 1]")
 
 
+def _batches(n: int) -> List[slice]:
+    """Slices of `ENCODE_BATCH` rows over n rows; a one-row tail joins the
+    batch before it."""
+    starts = list(range(0, n, ENCODE_BATCH))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [n])]
+
+
+def _encode_all(params: Params, config: EncoderConfig, seqs: Sequence[Sequence[int]]) -> np.ndarray:
+    """Embeddings [n, k] of every sequence, encoded in `_batches`. Each batch
+    is padded to the longest of all the sequences: the masked softmax sums a
+    row's keys in an order that depends on the padded width, so a narrower
+    batch would move the bits of its rows."""
+    width = max(len(seq) for seq in seqs)
+    return np.vstack([
+        encode(params, config, [list(seq) + [PAD_ID] * (width - len(seq)) for seq in seqs[part]])
+        for part in _batches(len(seqs))
+    ])
+
+
 def build_dense_index(
     model: TwoTower,
     candidate_ids: Sequence[int],
     candidates: Sequence[Sequence[int]],
 ) -> DenseIndex:
-    """Embed every candidate with the doc tower, `ENCODE_BATCH` at a time. A
-    candidate longer than the doc tower takes is an `EncoderError`; callers
-    cut candidates with `pairs.make_doc_input`."""
+    """Embed every candidate with the doc tower, by `_encode_all`. A candidate
+    longer than the doc tower takes is an `EncoderError`; callers cut
+    candidates with `pairs.make_doc_input`."""
     if not candidates:
         raise ValueError("cannot index an empty candidate set")
     if len(candidate_ids) != len(candidates):
         raise ValueError("candidate_ids must align with candidates")
-    rows = [
-        encode(model.doc, model.config, candidates[start : start + ENCODE_BATCH])
-        for start in range(0, len(candidates), ENCODE_BATCH)
-    ]
-    return DenseIndex(candidate_ids=list(candidate_ids), embeddings=np.vstack(rows))
+    return DenseIndex(candidate_ids=list(candidate_ids), embeddings=_encode_all(model.doc, model.config, candidates))
 
 
 def _rank_with_ties(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -92,23 +118,10 @@ def dense_topk(index: DenseIndex, q_emb: np.ndarray, k: int) -> RankedList:
     return RankedList(ids=[int(i) for i in top_ids], scores=[float(s) for s in top_scores])
 
 
-def rank_dense(
-    model: TwoTower,
-    queries: Sequence[Sequence[int]],
-    candidates: Sequence[Tuple[int, Sequence[int]]],
-    k: int,
-) -> List[RankedList]:
-    """The dense top-k of every query over the (id, tokens) candidates.
-
-    Queries and candidates are encoded `ENCODE_BATCH` at a time; each query
-    row is scored against the whole index with `dense_topk`.
-    """
-    index = build_dense_index(model, [cid for cid, _ in candidates], [seq for _, seq in candidates])
-    ranked = []
-    for start in range(0, len(queries), ENCODE_BATCH):
-        for row in encode(model.query, model.config, queries[start : start + ENCODE_BATCH]):
-            ranked.append(dense_topk(index, row, k))
-    return ranked
+def rank_dense(model: TwoTower, index: DenseIndex, queries: Sequence[Sequence[int]], k: int) -> List[RankedList]:
+    """The dense top-k of every query over an index of the model's doc tower:
+    each row of `_encode_all` scored against the whole index by `dense_topk`."""
+    return [dense_topk(index, row, k) for row in _encode_all(model.query, model.config, queries)]
 
 
 class InvertedIndex:

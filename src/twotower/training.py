@@ -333,10 +333,12 @@ def recall_at_k(
     gold_ids: Sequence[int],
     candidates: Sequence[Tuple[int, Sequence[int]]],
     k: int = 10,
-) -> float:
-    """Fraction of queries whose gold candidate lands in the dense top-k."""
-    ranked = retrieval.rank_dense(model, queries, candidates, k)
-    return sum(gold in r.ids for r, gold in zip(ranked, gold_ids)) / len(queries)
+) -> Tuple[float, retrieval.DenseIndex]:
+    """Fraction of queries whose gold candidate lands in the dense top-k, and
+    the index of the (id, tokens) candidates it ranked them against."""
+    index = retrieval.build_dense_index(model, [cid for cid, _ in candidates], [seq for _, seq in candidates])
+    ranked = retrieval.rank_dense(model, index, queries, k)
+    return sum(gold in r.ids for r, gold in zip(ranked, gold_ids)) / len(queries), index
 
 
 def finetune(
@@ -347,10 +349,11 @@ def finetune(
     val_gold_ids: Sequence[int],
     candidates: Sequence[Tuple[int, Sequence[int]]],
     metrics_out=None,
-) -> Tuple[TwoTower, List[dict]]:
+) -> Tuple[TwoTower, List[dict], retrieval.DenseIndex]:
     """Fine-tune a copy of the model on downstream pairs, returning the
     checkpoint with the best validation recall@10 (the starting parameters
-    count as a candidate)."""
+    count as a candidate), the history, and the checkpoint's index of the
+    candidates, built by the validation check that selected it."""
     if not train_pairs:
         raise ValueError("empty fine-tuning set")
     if not val_queries:
@@ -359,14 +362,11 @@ def finetune(
     state = OptimizerState.for_params(model.params(), train_cfg)
     rng = subrng(train_cfg.seed, "finetune")
 
-    def evaluate() -> float:
-        return recall_at_k(model, val_queries, val_gold_ids, candidates)
-
     def shuffled_pairs() -> Iterator[PretrainPair]:
         while True:  # one fresh permutation per pass
             yield from (train_pairs[i] for i in rng.permutation(len(train_pairs)))
 
-    best_recall = evaluate()
+    best_recall, best_index = recall_at_k(model, val_queries, val_gold_ids, candidates)
     best = model.copy()
     stale = 0
     history: List[dict] = [{"step": 0, "loss": None, "acc": None, "val_recall": best_recall}]
@@ -374,10 +374,10 @@ def finetune(
     for record in _train_steps(model, state, batches, _contrastive_step(model)):
         step = record["step"]
         if step % train_cfg.eval_every == 0 or step == train_cfg.total_steps:
-            recall = evaluate()
+            recall, index = recall_at_k(model, val_queries, val_gold_ids, candidates)
             record["val_recall"] = recall
             if recall > best_recall:
-                best_recall = recall
+                best_recall, best_index = recall, index
                 best = model.copy()
                 stale = 0
             else:
@@ -385,4 +385,4 @@ def finetune(
         history.append(_emit(metrics_out, record))
         if stale > train_cfg.patience:
             break
-    return best, history
+    return best, history, best_index

@@ -303,6 +303,49 @@ class TestExperiment:
         assert recalls == sorted(recalls)
         assert all(0.0 <= r <= 1.0 for r in recalls)
 
+    def test_final_eval_reuses_the_validation_index(self, monkeypatch):
+        # The un-augmented test eval ranks against the index that validation
+        # built for the selected checkpoint; every validation check and every
+        # augmented pool still builds its own, and the report is the one a
+        # run that rebuilds every index gives.
+        from twotower import benchmark, retrieval, training
+
+        # Both finetunes select a checkpoint between the first and the last.
+        store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=120, seed=13))
+        cfg = ExperimentConfig(
+            ratios=[[60, 40]], encoders=["transformer"], tasks=["none", "ict"], seeds=[5],
+            include_bm25=True, augment_limit=25, pretrain_steps=2, finetune_steps=8,
+            finetune_lr=1e-2, batch_size=4, eval_every=2, num_layers=1, hidden_dim=16, num_heads=2,
+            ff_dim=32, emb_dim=8, vocab_max_size=4096,
+        )
+        build, recall = retrieval.build_dense_index, training.recall_at_k
+
+        def run(reuse):
+            built, checks = [], []
+            with monkeypatch.context() as m:
+                m.setattr(retrieval, "build_dense_index",
+                          lambda model, ids, seqs: built.append(len(seqs)) or build(model, ids, seqs))
+                m.setattr(training, "recall_at_k", lambda *a: checks.append(1) or recall(*a))
+                if not reuse:
+                    evaluate = benchmark.evaluate_system
+                    m.setattr(benchmark, "evaluate_system",
+                              lambda system, pool, part, ks, index=None: evaluate(system, pool, part, ks))
+                report = run_experiment(store, entries, cfg, log=lambda msg: None)
+            return report, built, len(checks)
+
+        report, built, checks = run(reuse=True)
+        n_base = report["benchmark"]["n_candidates"]
+        n_aug = next(c["n_candidates"] for c in report["cells"] if c["augmented"])
+        dense_cells = 2
+        assert checks > dense_cells
+        assert built.count(n_base) == checks
+        assert built.count(n_aug) == dense_cells
+        assert len(built) == checks + dense_cells
+
+        rebuilt, built, checks = run(reuse=False)
+        assert built.count(n_base) == checks + dense_cells
+        assert json.dumps(rebuilt, sort_keys=True) == json.dumps(report, sort_keys=True)
+
     def test_bm25_cell_and_augmented_rows(self):
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=60, seed=13))
         cfg = ExperimentConfig(

@@ -35,6 +35,7 @@ from twotower.encoders import (
     load_checkpoint,
     save_checkpoint,
 )
+from twotower.retrieval import build_dense_index
 from twotower.util import subrng
 
 
@@ -418,14 +419,14 @@ class TestEncodeKeepsNoActivations:
 
     @staticmethod
     def _peak_bytes(forward):
-        # One 512 x 48 doc batch, as `build_dense_index` encodes it, at the
-        # default shapes in float32.
+        # 512 doc-length sequences at the default shapes in float32, as one
+        # batch or as the candidates of one index build.
         cfg = EncoderConfig(vocab_size=3000, dtype="float32")
-        params = init_params(cfg, subrng(6), cfg.doc_max_len)
+        model = TwoTower(cfg, {}, init_params(cfg, subrng(6), cfg.doc_max_len))
         batch = subrng(7).integers(NUM_SPECIALS, cfg.vocab_size, size=(512, cfg.doc_max_len)).tolist()
         tracemalloc.start()
         try:
-            forward(params, cfg, batch)
+            forward(model, cfg, batch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -437,12 +438,17 @@ class TestEncodeKeepsNoActivations:
         # alive until the layer ended it was 156 MB. The same forward keeping
         # every layer's activations for a backward pass peaks at about 169 MB
         # (next test).
-        assert self._peak_bytes(encode) < 80 * 2**20
+        assert self._peak_bytes(lambda model, cfg, batch: encode(model.doc, cfg, batch)) < 80 * 2**20
 
     def test_cached_forward_peak_memory(self):
         # About 169 MB. The last layer computes only the CLS row; run on every
         # row it would hold B x L activations and peak at about 270 MB.
-        assert self._peak_bytes(encode_with_cache) < 200 * 2**20
+        assert self._peak_bytes(lambda model, cfg, batch: encode_with_cache(model.doc, cfg, batch)) < 200 * 2**20
+
+    def test_index_build_peak_memory(self):
+        # About 3.5 MB: an index build holds one `ENCODE_BATCH` batch's working
+        # set at a time (27 MB at 256 rows a batch).
+        assert self._peak_bytes(lambda model, cfg, batch: build_dense_index(model, range(512), batch)) < 8 * 2**20
 
 
 class TestBackward:

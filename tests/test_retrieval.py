@@ -130,12 +130,12 @@ class TestRankDense:
         encode_batch = data.draw(st.integers(1, 5))
         cfg = EncoderConfig(vocab_size=30, dtype="float64")
         model = TwoTower(cfg, {"table": queries}, {"table": docs})
-        candidates = [(cid, [row]) for row, cid in enumerate(ids)]
         # Patched inside the body: hypothesis rejects a function-scoped
         # monkeypatch fixture, which it would not reset between examples.
         with mock.patch.object(retrieval, "encode", _table_encode), \
                 mock.patch.object(retrieval, "ENCODE_BATCH", encode_batch):
-            ranked = rank_dense(model, [[i] for i in range(n_queries)], candidates, k)
+            index = build_dense_index(model, ids, [[row] for row in range(n_docs)])
+            ranked = rank_dense(model, index, [[i] for i in range(n_queries)], k)
         assert len(ranked) == n_queries
         for q, got in zip(queries, ranked):
             scores = [float(d @ q) for d in docs]
@@ -176,6 +176,56 @@ class TestBuildDenseIndex:
         cfg, model = self._setup()
         with pytest.raises(EncoderError, match="exceeds max_len"):
             build_dense_index(model, [0, 1], [[2, 7], [2] + [7] * cfg.doc_max_len])
+
+
+class TestEncodeBatches:
+    CONFIG = EncoderConfig(
+        num_layers=1, hidden_dim=32, num_heads=2, ff_dim=64, emb_dim=16,
+        vocab_size=50, query_max_len=12, doc_max_len=12, dtype="float32",
+    )
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        rng = subrng(35, "pool")
+        seqs = [rng.integers(2, 50, size=rng.integers(2, 13)).tolist() for _ in range(100)]
+        return TwoTower.init(self.CONFIG, 36), seqs
+
+    @staticmethod
+    def _sizes(run, encode_batch):
+        """run()'s result and the row count of each encode call it made."""
+        sizes = []
+
+        def spy(params, config, batch):
+            sizes.append(len(batch))
+            return encode(params, config, batch)
+
+        with mock.patch.object(retrieval, "encode", spy), \
+                mock.patch.object(retrieval, "ENCODE_BATCH", encode_batch):
+            return run(), sizes
+
+    @pytest.mark.parametrize("n", range(1, 101))
+    def test_batch_size_keeps_embedding_bits(self, pool, n):
+        model, seqs = pool
+        ids = list(range(n))
+        small, sizes = self._sizes(lambda: build_dense_index(model, ids, seqs[:n]), 32)
+        large, _ = self._sizes(lambda: build_dense_index(model, ids, seqs[:n]), 256)
+        assert small.embeddings.dtype == np.float32
+        assert small.embeddings.tobytes() == large.embeddings.tobytes()
+        assert sum(sizes) == n
+        assert n == 1 or min(sizes) > 1
+
+    # At 32 rows a batch, 33 and 65 rows would leave a one-row tail, which
+    # BLAS multiplies on its matrix-vector path.
+    @pytest.mark.parametrize("n,expected", [(33, [33]), (65, [32, 33])])
+    def test_one_row_tail_joins_the_batch_before_it(self, pool, n, expected):
+        model, seqs = pool
+        index, sizes = self._sizes(lambda: build_dense_index(model, list(range(n)), seqs[:n]), 32)
+        assert sizes == expected
+        ranked, sizes = self._sizes(lambda: rank_dense(model, index, seqs[:n], 3), 32)
+        assert sizes == expected
+        assert [r.ids[0] for r in ranked] == [
+            dense_topk(index, row, 1).ids[0] for row in encode(model.query, self.CONFIG, seqs[:n])
+        ]
 
 
 class TestBM25:

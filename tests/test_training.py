@@ -397,9 +397,9 @@ class TestFinetune:
         cfg = TrainRunConfig(batch_size=8, total_steps=20, seed=21, eval_every=5, patience=10)
         from twotower.training import recall_at_k
 
-        before = recall_at_k(model, val_queries, val_gold, cand_seqs)
-        best, history = finetune(model, cfg, pairs[:64], val_queries, val_gold, cand_seqs)
-        after = recall_at_k(best, val_queries, val_gold, cand_seqs)
+        before, _ = recall_at_k(model, val_queries, val_gold, cand_seqs)
+        best, history, _ = finetune(model, cfg, pairs[:64], val_queries, val_gold, cand_seqs)
+        after, _ = recall_at_k(best, val_queries, val_gold, cand_seqs)
         assert after >= before
         assert history[0]["val_recall"] == pytest.approx(before)
 
@@ -407,7 +407,7 @@ class TestFinetune:
         enc_cfg, pairs, val_queries, val_gold, cand_seqs = finetune_setup
         model = TwoTower.init(enc_cfg, 22)
         cfg = TrainRunConfig(batch_size=4, total_steps=50, seed=22, eval_every=1, patience=0)
-        _, history = finetune(model, cfg, pairs[:16], val_queries, val_gold, cand_seqs)
+        _, history, _ = finetune(model, cfg, pairs[:16], val_queries, val_gold, cand_seqs)
         evals = [h["val_recall"] for h in history if "val_recall" in h]
         # the run stops the first time an eval fails to improve the running max
         running = evals[0]
@@ -422,7 +422,7 @@ class TestFinetune:
         def run():
             model = TwoTower.init(enc_cfg, 23)
             cfg = TrainRunConfig(batch_size=4, total_steps=6, seed=23, eval_every=3, patience=5)
-            best, _ = finetune(model, cfg, pairs[:16], val_queries, val_gold, cand_seqs)
+            best, _, _ = finetune(model, cfg, pairs[:16], val_queries, val_gold, cand_seqs)
             return best.query
 
         a, b = run(), run()
