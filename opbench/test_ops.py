@@ -8,8 +8,11 @@ index batch at `retrieval.ENCODE_BATCH`, and a 512 x 48 batch.
 It also times a whole tower: `encode` of one index batch and of a 512 x 48
 batch (`tower.forward`), a training step's `encode_with_cache` plus
 `backward_from_cache` on a query and a doc batch (`tower.train`) and a
-masked-token step, `training._mlm_step`, on the same two batches (`tower.mlm`). Each tower row also records, in
-`extra_info["peak_mb"]`, the tracemalloc peak of one untimed call.
+masked-token step, `training._mlm_step`, on the same two batches
+(`tower.mlm`); and one `training.adam_step` of a default-shape two-tower
+model on the gradients of such a query and doc batch (`adam.step`). Each
+tower row and the Adam row also record, in `extra_info["peak_mb"]`, the
+tracemalloc peak of one untimed call.
 Run it on the parent and the changed source tree in turn, three rounds with
 the side that goes first alternating, so that load drift on a shared machine
 reaches both sides alike, and join the runs into a BENCH file:
@@ -60,7 +63,14 @@ else:  # a tree from before `_gelu`
 
 
 def gelu_backward(dgu, u, cdf):
-    return u * cdf, dgu * (cdf + u * np.exp(-0.5 * u * u) * INV_SQRT_2PI)
+    gelu = u * cdf
+    dgelu = np.multiply(u, -0.5)
+    dgelu *= u
+    np.exp(dgelu, out=dgelu)
+    dgelu *= u
+    dgelu *= INV_SQRT_2PI
+    dgelu += cdf
+    return gelu, dgu * dgelu
 
 
 class Inputs:
@@ -100,9 +110,11 @@ def embedding_forward(t):
 
 
 def embedding_backward(t):
-    g_token = np.zeros_like(t.params["emb/token"])
-    np.add.at(g_token, t.ids.reshape(-1), t.dx.reshape(-1, t.dx.shape[-1]))
-    return g_token, t.dx.sum(axis=0)
+    # The token table's gradient on the rows the batch reads.
+    rows, inverse = np.unique(t.ids.reshape(-1), return_inverse=True)
+    g_token = np.zeros((len(rows), t.dx.shape[-1]), t.dx.dtype)
+    np.add.at(g_token, inverse, t.dx.reshape(-1, t.dx.shape[-1]))
+    return rows, g_token, t.dx.sum(axis=0)
 
 
 def layernorm_forward(t):
@@ -132,8 +144,12 @@ def softmax_forward(t):
 
 
 def softmax_backward(t):
-    dprobs = t.scores
-    return t.probs * (dprobs - (dprobs * t.probs).sum(axis=-1, keepdims=True))
+    # The copy stands in for the fresh `dctx @ vh.T` that the backward pass
+    # turns into the score gradient in place.
+    dprobs = t.scores.copy()
+    dprobs -= (dprobs * t.probs).sum(axis=-1, keepdims=True)
+    dprobs *= t.probs
+    return dprobs
 
 
 def ffn_forward(t):
@@ -218,3 +234,20 @@ def test_tower(benchmark, op, direction, inputs):
         fn, args = tower_train, (params, batch, grad_out)
     benchmark.extra_info["peak_mb"] = peak_mb(fn, *args)
     benchmark(fn, *args)
+
+
+@pytest.mark.parametrize("op,direction,inputs", [("adam", "step", "32x16+32x48")])
+def test_adam_step(benchmark, op, direction, inputs):
+    # One optimizer step of a default-shape model on the gradients of a
+    # training step's query and doc batches, at a learning rate above 0.
+    model = encoders.TwoTower.init(CONFIG, 0)
+    grads = []
+    for tower, shape in ((model.query, "32x16"), (model.doc, "32x48")):
+        size, length = SHAPES[shape]
+        grad_out = subrng(1, "opbench", size).normal(size=(size, CONFIG.emb_dim)).astype(CONFIG.np_dtype())
+        grads.append(tower_train(tower, tower_batch(size, length), grad_out))
+    grads = model.merge_grads(*grads)
+    state = training.OptimizerState.for_params(model.params(), training.TrainRunConfig(total_steps=10**9))
+    benchmark.group = f"{op}.{direction}"
+    benchmark.extra_info["peak_mb"] = peak_mb(training.adam_step, model.params(), grads, state)
+    benchmark(training.adam_step, model.params(), grads, state)

@@ -27,13 +27,13 @@ class CorpusError(ValueError):
     """Malformed corpus input."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     text: str
     token_ids: List[int] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Passage:
     id: int
     text: str
@@ -44,13 +44,13 @@ class Passage:
     section_index: int = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class Section:
     heading: str
     passages: List[Passage]
 
 
-@dataclass
+@dataclass(slots=True)
 class Article:
     id: int
     title: str

@@ -15,24 +15,27 @@ erf that SciPy's `special.erf` runs, with Cephes' coefficients, evaluated in
 float64 and rounded into the caller's dtype. In float32 it gives SciPy's
 bits: all 2**32 float32 bit patterns matched, the NaNs aside, which stay
 NaN. So the package imports no SciPy, which saves each CLI process about
-0.2 s and 19 MB of start-up. Past the attention scores the last layer,
-forward and backward, runs only the rows its caller selects: row 0 in
-`encode` and training, as a tower's embedding is its CLS row, and the masked
-positions in MLM. A tower's parameters are a plain dict of named arrays; the
-module functions take one such dict, the config and a batch of token id
-lists. A transformer tower's length is the row count of its `emb/pos`
-table: a longer sequence is an `EncoderError`. A bag-of-words tower has no
-position table and takes any length. The retriever itself is a `TwoTower`
-value: one config, a query tower of `query_max_len` positions and a doc
-tower of `doc_max_len`, or one tower of the larger length when the towers
-are shared.
+0.2 s and 19 MB of start-up. From the queries on, the last layer, forward
+and backward, runs only the rows its caller selects: row 0 in `encode` and
+training, as a tower's embedding is its CLS row, and the masked positions in
+MLM. Its Q projection and scores give the bits of the full-width ones. A
+tower's parameters are a plain dict of named arrays; the module functions
+take one such dict, the config and a batch of token id lists. A backward
+pass returns the gradients under the same names, as arrays, but for the
+token table: a batch reads 2-5% of its rows at the default shapes, and its
+gradient is a `RowGrad` of those rows. A transformer tower's length is the
+row count of its `emb/pos` table: a longer sequence is an `EncoderError`. A
+bag-of-words tower has no position table and takes any length. The
+retriever itself is a `TwoTower` value: one config, a query tower of
+`query_max_len` positions and a doc tower of `doc_max_len`, or one tower of
+the larger length when the towers are shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +49,8 @@ CHECKPOINT_FORMAT = "twotower-checkpoint-v2"
 LN_EPSILON = 1e-12
 
 Params = Dict[str, np.ndarray]
+# A gradient per parameter: an array of the parameter's shape, or a `RowGrad`.
+Grads = Dict[str, Union[np.ndarray, "RowGrad"]]
 Batch = Sequence[Sequence[int]]
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -105,6 +110,39 @@ _ERF_SCRATCH = np.empty((4, _ERF_BLOCK))
 
 class EncoderError(ValueError):
     pass
+
+
+@dataclass
+class RowGrad:
+    """The gradient of a table that a batch reads only some rows of: the rows
+    it read, `rows`, ascending and distinct, and their gradient `values`
+    [len(rows), width]. Every other row's gradient is zero."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def dense(self, num_rows: int) -> np.ndarray:
+        out = np.zeros((num_rows,) + self.values.shape[1:], self.values.dtype)
+        out[self.rows] = self.values
+        return out
+
+    def __add__(self, other: "RowGrad") -> "RowGrad":
+        """The sum over the union of both sides' rows. Each side is zero off
+        its own rows, so each sum is that of the two dense gradients."""
+        rows = np.union1d(self.rows, other.rows)
+        a, b = (RowGrad(np.searchsorted(rows, g.rows), g.values).dense(len(rows)) for g in (self, other))
+        a += b
+        return RowGrad(rows, a)
+
+
+def _row_grad(ids: np.ndarray, terms: np.ndarray) -> RowGrad:
+    """The gradient of an embedding table whose rows `ids` got the gradient
+    terms `terms` [*ids.shape, width]. Each row's terms are added in the
+    order of `ids`, as a scatter into a zero table adds them."""
+    rows, inverse = np.unique(ids.reshape(-1), return_inverse=True)
+    values = np.zeros((len(rows), terms.shape[-1]), terms.dtype)
+    np.add.at(values, inverse, terms.reshape(-1, terms.shape[-1]))
+    return RowGrad(rows, values)
 
 
 @dataclass
@@ -265,12 +303,26 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """`x.max(axis=-1, keepdims=True)`, taken by halving the last axis with
+    `np.maximum`: a few wide passes instead of numpy's reduction over many
+    short rows. A max does not depend on the order it is taken in, so the
+    result is the same but for the sign of a zero maximum."""
+    half = (x.shape[-1] + 1) // 2
+    top = np.maximum(x[..., :half], x[..., x.shape[-1] - half :])
+    while half > 1:
+        width, half = half, (half + 1) // 2
+        np.maximum(top[..., : width - half], top[..., half:width], out=top[..., : width - half])
+    return top[..., :1]
+
+
 def _masked_softmax(scores: np.ndarray, scale: float, pad: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of `scores * scale` with the `pad` keys
-    masked out, computed in place in `scores`."""
+    masked out, computed in place in `scores`. Subtracting a zero maximum of
+    either sign gives the same exponentials."""
     scores *= scale
     np.copyto(scores, -np.inf, where=pad)
-    scores -= scores.max(axis=-1, keepdims=True)
+    scores -= _row_max(scores)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
@@ -354,28 +406,35 @@ def _keep_nothing(arrays) -> None:
     """The `keep` of a forward pass that no backward pass follows."""
 
 
-def _normed_affines(params: Params, x: np.ndarray, ln: str, maps, keep) -> list:
+def _normed_affines(params: Params, x: np.ndarray, ln: str, maps, keep, rows=None) -> list:
     """The affine maps `maps`, (weight, bias) name pairs, of LayerNorm `ln`
-    of x. The normalized x and the LayerNorm cache go to `keep`, so without a
-    backward pass they are freed on return."""
+    of x; with `rows`, an index into x, the first map reads only the rows it
+    selects. The normalized x and the LayerNorm cache go to `keep`, so
+    without a backward pass they are freed on return."""
     xn, ln_cache = _layernorm(x, params[f"{ln}/gain"], params[f"{ln}/bias"], LN_EPSILON)
     keep((xn, ln_cache))
-    return [_affine(xn, params[w], params[b]) for w, b in maps]
+    inputs = [xn if rows is None else xn[rows]] + [xn] * (len(maps) - 1)
+    return [_affine(y, params[w], params[b]) for y, (w, b) in zip(inputs, maps)]
 
 
 def _attention(params: Params, p: str, x: np.ndarray, pad, scale: float, nh: int, at, keep) -> np.ndarray:
     """x plus the multi-head self-attention of layer `p` over LayerNorm(x).
-    With `at`, the (sequence, position) of each selected row, the rows past
-    the attention scores are only the selected ones [B * m, h]."""
+    With `at`, the (sequence, position) of each selected row [B, m], the
+    queries are only the selected rows, which still attend to every key, and
+    so are the rows past the attention [B * m, h]."""
     maps = [(f"{p}/attn/w{n}", f"{p}/attn/b{n}") for n in "qkv"]
-    qh, kh, vh = (_split_heads(y, nh) for y in _normed_affines(params, x, f"{p}/ln1", maps, keep))
+    rows = None
+    if at is not None:
+        # A one-row matmul takes BLAS's gemv path, which rounds differently
+        # from the gemm of the full width, where the rows of a gemm of two or
+        # more match its bits: so a lone selected row is projected and scored
+        # as two.
+        m = at[1].shape[1]
+        rows = at if m > 1 else (at[0], at[1][:, [0, 0]])
+    qh, kh, vh = (_split_heads(y, nh) for y in _normed_affines(params, x, f"{p}/ln1", maps, keep, rows))
     scores = qh @ kh.transpose(0, 1, 3, 2)
     if at is not None:
-        # The selected rows still attend to every key. Q and the scores stay
-        # full width: a one-row matmul takes BLAS's gemv path, which rounds
-        # differently from the gemm of the full batch.
-        by_head = (at[0][:, None], np.arange(nh)[:, None], at[1][:, None])
-        qh, scores = qh[by_head], scores[by_head]
+        qh, scores = qh[:, :, :m], scores[:, :, :m]
         x = x[at].reshape(-1, x.shape[-1])
     probs = _masked_softmax(scores, scale, pad)
     ctx = _merge_heads(probs @ vh).reshape(x.shape)
@@ -446,14 +505,15 @@ def _forward_body(
     return hidden, cache
 
 
-def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.ndarray) -> Params:
+def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.ndarray) -> Grads:
     """Gradients of sum(d_hidden * hidden) w.r.t. the body parameters;
-    `d_hidden` has the shape of the forward's hidden states [B, m, h]."""
+    `d_hidden` has the shape of the forward's hidden states [B, m, h]. The
+    token table's is a `RowGrad` of the batch's tokens."""
     nh = config.num_heads
     scale = cache["scale"]
     ids = cache["ids"]
     at = cache["at"]
-    grads: Params = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads: Grads = {name: np.zeros_like(arr) for name, arr in params.items() if name != "emb/token"}
 
     dx, dg, db = _layernorm_backward(d_hidden.reshape(-1, d_hidden.shape[-1]), cache["final_cache"])
     grads["final_ln/gain"] += dg
@@ -464,18 +524,28 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
         xn1, ln1_cache, qh, kh, vh, probs, ctx, xn2, ln2_cache, u, cdf = cache["layers"][i]
         last = i == config.num_layers - 1
         # ffn sublayer: out = a + gelu(xn2 @ w1 + b1) @ w2 + b2
-        da = dx.copy()
         df = dx
-        grads[f"{p}/ffn/w2"] += _weight_grad(u * cdf, df)
+        gelu = u * cdf
+        grads[f"{p}/ffn/w2"] += _weight_grad(gelu, df)
         grads[f"{p}/ffn/b2"] += _lead_sum(df)
-        # gelu'(u) = cdf(u) + u * pdf(u)
-        du = (df @ params[f"{p}/ffn/w2"].T) * (cdf + u * np.exp(-0.5 * u * u) * _INV_SQRT_2PI)
+        # gelu'(u) = cdf(u) + u * pdf(u), built in the buffer of gelu(u)
+        dgelu = np.multiply(u, -0.5, out=gelu)
+        dgelu *= u
+        np.exp(dgelu, out=dgelu)
+        dgelu *= u
+        dgelu *= _INV_SQRT_2PI
+        dgelu += cdf
+        du = df @ params[f"{p}/ffn/w2"].T
+        du *= dgelu
+        del gelu, dgelu
         grads[f"{p}/ffn/w1"] += _weight_grad(xn2, du)
         grads[f"{p}/ffn/b1"] += _lead_sum(du)
         dxn2 = du @ params[f"{p}/ffn/w1"].T
         dx2, dg, db = _layernorm_backward(dxn2, ln2_cache)
         grads[f"{p}/ln2/gain"] += dg
         grads[f"{p}/ln2/bias"] += db
+        # df is spent, so the residual's gradient builds in its buffer.
+        da = dx
         da += dx2
         # attention sublayer: a = x + (merge(P @ V) @ wo + bo)
         dattn = da
@@ -484,7 +554,10 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
         dctx = _split_heads((dattn @ params[f"{p}/attn/wo"].T).reshape(len(ids), -1, xn1.shape[-1]), nh)
         dprobs = dctx @ vh.transpose(0, 1, 3, 2)
         dvh = probs.transpose(0, 1, 3, 2) @ dctx
-        dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+        # dscores = probs * (dprobs - rowsum(dprobs * probs)), in dprobs' buffer
+        dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+        dprobs *= probs
+        dscores = dprobs
         dqh = (dscores @ kh) * scale
         dkh = (dscores.transpose(0, 1, 3, 2) @ qh) * scale
         dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
@@ -509,8 +582,7 @@ def _backward_body(params: Params, config: EncoderConfig, cache, d_hidden: np.nd
         else:
             dx += da
 
-    flat_ids = ids.reshape(-1)
-    np.add.at(grads["emb/token"], flat_ids, dx.reshape(-1, dx.shape[-1]))
+    grads["emb/token"] = _row_grad(ids, dx)
     grads["emb/pos"][: ids.shape[1]] += dx.sum(axis=0)
     return grads
 
@@ -525,8 +597,8 @@ def _forward_bow(params: Params, ids: np.ndarray, mask: np.ndarray):
     return out, {"ids": ids, "mask": mask, "counts": counts, "pooled": pooled, "act": act}
 
 
-def _backward_bow(params: Params, cache, grad_out: np.ndarray) -> Params:
-    grads: Params = {name: np.zeros_like(arr) for name, arr in params.items()}
+def _backward_bow(params: Params, cache, grad_out: np.ndarray) -> Grads:
+    grads: Grads = {name: np.zeros_like(arr) for name, arr in params.items() if name != "emb/token"}
     act, pooled, counts = cache["act"], cache["pooled"], cache["counts"]
     grads["mlp/w2"] += act.T @ grad_out
     grads["mlp/b2"] += grad_out.sum(axis=0)
@@ -537,7 +609,7 @@ def _backward_bow(params: Params, cache, grad_out: np.ndarray) -> Params:
     dpooled = dpre @ params["mlp/w1"].T
     ids, mask = cache["ids"], cache["mask"]
     demb = (dpooled / counts[:, None])[:, None, :] * mask[..., None]
-    np.add.at(grads["emb/token"], ids.reshape(-1), demb.reshape(-1, demb.shape[-1]))
+    grads["emb/token"] = _row_grad(ids, demb)
     return grads
 
 
@@ -561,8 +633,9 @@ def encode(params: Params, config: EncoderConfig, batch: Batch) -> np.ndarray:
     return out
 
 
-def backward_from_cache(params: Params, config: EncoderConfig, cache, grad_out: np.ndarray) -> Params:
-    """Exact gradients of sum(grad_out * embeddings) w.r.t. every parameter."""
+def backward_from_cache(params: Params, config: EncoderConfig, cache, grad_out: np.ndarray) -> Grads:
+    """Exact gradients of sum(grad_out * embeddings) w.r.t. every parameter;
+    the token table's is a `RowGrad`."""
     if config.arch == ARCH_BOW_MLP:
         return _backward_bow(params, cache, grad_out)
     if grad_out.shape != (cache["ids"].shape[0], config.emb_dim):
@@ -586,7 +659,7 @@ def hidden_states(params: Params, config: EncoderConfig, batch: Batch, rows: np.
     return _forward_body(params, config, ids, mask, rows)
 
 
-def hidden_backward(params: Params, config: EncoderConfig, cache, d_hidden: np.ndarray) -> Params:
+def hidden_backward(params: Params, config: EncoderConfig, cache, d_hidden: np.ndarray) -> Grads:
     return _backward_body(params, config, cache, d_hidden)
 
 
@@ -622,8 +695,9 @@ class TwoTower:
             return _prefixed("tower/", self.query)
         return {**_prefixed("query/", self.query), **_prefixed("doc/", self.doc)}
 
-    def merge_grads(self, grads_q: Params, grads_d: Params) -> Params:
-        """Per-tower gradients keyed like `params()`; a shared tower gets their sum."""
+    def merge_grads(self, grads_q: Grads, grads_d: Grads) -> Grads:
+        """Per-tower gradients keyed like `params()`; a shared tower gets their
+        sum, a row gradient's over the union of both sides' rows."""
         if self.config.share_towers:
             return {f"tower/{k}": g + grads_d[k] for k, g in grads_q.items()}
         return {**_prefixed("query/", grads_q), **_prefixed("doc/", grads_d)}

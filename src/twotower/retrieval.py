@@ -120,7 +120,10 @@ def dense_topk(index: DenseIndex, q_emb: np.ndarray, k: int) -> RankedList:
 
 def rank_dense(model: TwoTower, index: DenseIndex, queries: Sequence[Sequence[int]], k: int) -> List[RankedList]:
     """The dense top-k of every query over an index of the model's doc tower:
-    each row of `_encode_all` scored against the whole index by `dense_topk`."""
+    each row of `_encode_all` scored against the whole index by `dense_topk`.
+    No queries give no lists, as in BM25 ranking."""
+    if not queries:
+        return []
     return [dense_topk(index, row, k) for row in _encode_all(model.query, model.config, queries)]
 
 

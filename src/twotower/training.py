@@ -3,7 +3,10 @@ and the pre-training / fine-tuning loops.
 
 `_train_steps` is the one step loop: `pretrain`, `finetune` and
 `mlm_pretrain` give it their batches and a step function, which returns a
-batch's loss and both towers' gradients. `_softmax_xent` is the one softmax
+batch's loss and both towers' gradients. A token table's gradient is an
+`encoders.RowGrad` of the rows the batch read, which `adam_step` adds on
+those rows alone, to the dense step's bits; the masked-token head, tied to
+the table, makes that gradient dense. `_softmax_xent` is the one softmax
 cross-entropy, under the in-batch loss and the masked-token head alike.
 """
 
@@ -22,7 +25,9 @@ from .corpus import CorpusStore
 from .encoders import (
     ARCH_TRANSFORMER,
     EncoderConfig,
+    Grads,
     Params,
+    RowGrad,
     TwoTower,
     backward_from_cache,
     encode_with_cache,
@@ -149,8 +154,27 @@ class OptimizerState:
         return lr_peak * (total - t) / (total - warm)
 
 
-def adam_step(params: Params, grads: Params, state: OptimizerState) -> None:
-    """One Adam update with bias correction; mutates params and state."""
+def _check_grad(name: str, grad, param: np.ndarray) -> None:
+    if not isinstance(grad, RowGrad):
+        if grad.shape != param.shape or grad.dtype != param.dtype:
+            raise ValueError(f"gradient shape or dtype mismatch for {name}")
+        return
+    rows, values = grad.rows, grad.values
+    if values.shape != (len(rows),) + param.shape[1:] or values.dtype != param.dtype:
+        raise ValueError(f"row gradient shape or dtype mismatch for {name}")
+    if len(rows) and (rows[0] < 0 or rows[-1] >= len(param) or (rows[1:] <= rows[:-1]).any()):
+        raise ValueError(f"row gradient of {name} needs ascending, distinct rows below {len(param)}")
+
+
+def adam_step(params: Params, grads: Grads, state: OptimizerState) -> None:
+    """One Adam update with bias correction; mutates params and state.
+
+    Every row of m and v decays and every parameter row moves, but a
+    `RowGrad` adds its terms to m and v on its own rows only. That is the
+    dense step bit for bit: off those rows it adds +0.0, which changes no m
+    or v, as neither is ever -0.0 (both start at +0.0, a nonzero m*b1 does
+    not round to zero, a sum that cancels is +0.0 and v adds no negatives).
+    """
     state.step += 1
     t = state.step
     lr = state.learning_rate(t)
@@ -159,14 +183,17 @@ def adam_step(params: Params, grads: Params, state: OptimizerState) -> None:
     bias2 = 1.0 - b2**t
     for name, grad in grads.items():
         param = params[name]
-        if grad.shape != param.shape or grad.dtype != param.dtype:
-            raise ValueError(f"gradient shape or dtype mismatch for {name}")
+        _check_grad(name, grad, param)
         m = state.m[name]
         v = state.v[name]
         m *= b1
-        m += (1.0 - b1) * grad
         v *= b2
-        v += (1.0 - b2) * grad * grad
+        if isinstance(grad, RowGrad):
+            m[grad.rows] += (1.0 - b1) * grad.values
+            v[grad.rows] += (1.0 - b2) * grad.values * grad.values
+        else:
+            m += (1.0 - b1) * grad
+            v += (1.0 - b2) * grad * grad
         # At lr 0 the parameter stays as it is, signed zeros included.
         if lr != 0.0:
             param -= m / bias1 / (np.sqrt(v / bias2) + ADAM_EPSILON) * lr
@@ -252,7 +279,7 @@ def _mlm_step(
     enc_cfg: EncoderConfig,
     batch: List[List[int]],
     rng: np.random.Generator,
-) -> Tuple[float, float, Params]:
+) -> Tuple[float, float, Grads]:
     """One masked-token prediction step for a single tower.
 
     The vocabulary head ties the token embedding matrix plus a bias.
@@ -275,7 +302,10 @@ def _mlm_step(
     d_hidden = np.zeros_like(hidden)
     d_hidden[valid] = dlogits @ emb
     grads = hidden_backward(params, enc_cfg, cache, d_hidden)
-    grads["emb/token"] += dlogits.T @ backing
+    # The tied head reads every row of the table, so its gradient is dense.
+    head = grads["emb/token"].dense(len(emb))
+    head += dlogits.T @ backing
+    grads["emb/token"] = head
     grads["mlm/bias"] = dlogits.sum(axis=0)
     return loss, acc, grads
 

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import erf
 
 import twotower
-from twotower import util
+from twotower import encoders, util
 from twotower.corpus import NUM_SPECIALS, PAD_ID
 from twotower.encoders import (
     ARCH_BOW_MLP,
@@ -19,6 +19,7 @@ from twotower.encoders import (
     LN_EPSILON,
     EncoderConfig,
     EncoderError,
+    RowGrad,
     TwoTower,
     _ERF_BLOCK,
     _affine,
@@ -26,6 +27,8 @@ from twotower.encoders import (
     _ffn,
     _gelu,
     _keep_nothing,
+    _masked_softmax,
+    _row_max,
     backward_from_cache,
     encode,
     encode_with_cache,
@@ -54,6 +57,12 @@ def tiny_config(arch=ARCH_TRANSFORMER, **overrides):
     )
     base.update(overrides)
     return EncoderConfig(**base)
+
+
+def dense_grads(params, grads):
+    """The gradients as arrays of their parameters' shapes: a `RowGrad` of a
+    table, densified."""
+    return {k: g.dense(len(params[k])) if isinstance(g, RowGrad) else g for k, g in grads.items()}
 
 
 # ------------------------------------------------------------------ oracle
@@ -200,7 +209,7 @@ class TestBowMlp:
         params = init_params(cfg, subrng(8), cfg.doc_max_len)
         grad_out = subrng(9).normal(size=(1, cfg.emb_dim))
         _, cache = encode_with_cache(params, cfg, [[7, 9]])
-        grads = backward_from_cache(params, cfg, cache, grad_out)
+        grads = dense_grads(params, backward_from_cache(params, cfg, cache, grad_out))
         nonzero_rows = np.flatnonzero(np.abs(grads["emb/token"]).sum(axis=1))
         assert set(nonzero_rows) == {7, 9}
 
@@ -451,13 +460,125 @@ class TestEncodeKeepsNoActivations:
         assert self._peak_bytes(lambda model, cfg, batch: build_dense_index(model, range(512), batch)) < 8 * 2**20
 
 
+class TestMaskedSoftmax:
+    """`_masked_softmax` takes each row's max by halving; numpy's reduction
+    is the reference."""
+
+    @staticmethod
+    def reference(scores, scale, pad):
+        scores = scores * scale
+        np.copyto(scores, -np.inf, where=pad)
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        return scores
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 16, 33, 48])
+    def test_bits_equal_the_reduction_max(self, width, dtype):
+        rng = subrng(40, "softmax", width)
+        scores = rng.normal(size=(4, 2, 5, width)).astype(dtype)
+        scores[rng.random(scores.shape) < 0.3] = 0.0
+        scores[rng.random(scores.shape) < 0.3] = -0.0
+        # No score of the first sequence is positive, so the max of many of
+        # its rows is a zero of one sign or the other.
+        scores[0] = -np.abs(scores[0])
+        scores[0][rng.random(scores[0].shape) < 0.3] = 0.0
+        # The second sequence pads its last half, the third all but one key.
+        pad = np.zeros((4, 1, 1, width), dtype=bool)
+        pad[1, ..., (width + 1) // 2 :] = True
+        pad[2, ..., 1:] = True
+        got = _masked_softmax(scores.copy(), 0.5, pad)
+        assert got.tobytes() == self.reference(scores, 0.5, pad).tobytes()
+        masked = np.where(pad, -np.inf, scores)
+        assert np.array_equal(_row_max(masked), masked.max(axis=-1, keepdims=True))
+
+
+def full_width_attention(params, p, x, pad, scale, nh, at, keep):
+    """`encoders._attention` with Q and the scores computed for every row and
+    the selected rows taken after the scores matmul: the reference that the
+    row-selected queries must match."""
+    maps = [(f"{p}/attn/w{n}", f"{p}/attn/b{n}") for n in "qkv"]
+    qh, kh, vh = (encoders._split_heads(y, nh) for y in encoders._normed_affines(params, x, f"{p}/ln1", maps, keep))
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    if at is not None:
+        by_head = (at[0][:, None], np.arange(nh)[:, None], at[1][:, None])
+        qh, scores = qh[by_head], scores[by_head]
+        x = x[at].reshape(-1, x.shape[-1])
+    probs = _masked_softmax(scores, scale, pad)
+    ctx = encoders._merge_heads(probs @ vh).reshape(x.shape)
+    keep((qh, kh, vh, probs, ctx))
+    a = _affine(ctx, params[f"{p}/attn/wo"], params[f"{p}/attn/bo"])
+    a += x
+    return a
+
+
+class TestLoneRowRule:
+    """The last layer projects and scores only the selected queries, a lone
+    selected row as two, since a one-row matmul takes BLAS's gemv path. At
+    the default shapes in float32 that gives the bits of the full-width
+    queries, forward and backward, for one sequence and for one selected row
+    a sequence, as an MLM batch whose largest masked count is 1 selects."""
+
+    CONFIG = EncoderConfig(vocab_size=300, dtype="float32")
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(encoders, "_attention", full_width_attention)
+            return got, run()
+
+    @staticmethod
+    def _batch(size, seed):
+        rng = subrng(41, "lone", seed)
+        lengths = rng.integers(3, TestLoneRowRule.CONFIG.doc_max_len + 1, size=size)
+        return [[2] + rng.integers(NUM_SPECIALS, 300, size=n - 1).tolist() for n in lengths]
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 32])
+    def test_encode_and_its_backward(self, monkeypatch, size):
+        cfg = self.CONFIG
+        params = init_params(cfg, subrng(42, "lone"), cfg.doc_max_len)
+        batch = self._batch(size, size)
+        grad_out = subrng(43, "lone", size).normal(size=(size, cfg.emb_dim)).astype(np.float32)
+
+        def run():
+            out, cache = encode_with_cache(params, cfg, batch)
+            grads = dense_grads(params, backward_from_cache(params, cfg, cache, grad_out))
+            return [encode(params, cfg, batch), out] + [grads[k] for k in sorted(grads)]
+
+        self._assert_same_bits(*self._both(monkeypatch, run))
+
+    @pytest.mark.parametrize("size,m", [(1, 1), (4, 1), (32, 1), (1, 2), (32, 3)])
+    def test_selected_rows_and_their_backward(self, monkeypatch, size, m):
+        cfg = self.CONFIG
+        params = init_params(cfg, subrng(44, "lone"), cfg.doc_max_len)
+        batch = self._batch(size, 100 + size)
+        rng = subrng(45, "lone", size, m)
+        rows = np.array([rng.integers(0, len(seq), size=m) for seq in batch])
+        d_hidden = rng.normal(size=(size, m, cfg.hidden_dim)).astype(np.float32)
+
+        def run():
+            hidden, cache = hidden_states(params, cfg, batch, rows)
+            grads = dense_grads(params, hidden_backward(params, cfg, cache, d_hidden))
+            return [hidden] + [grads[k] for k in sorted(grads)]
+
+        self._assert_same_bits(*self._both(monkeypatch, run))
+
+
 class TestBackward:
     def test_zero_grad_out_gives_zero_gradients(self):
         for arch in (ARCH_TRANSFORMER, ARCH_BOW_MLP):
             cfg = tiny_config(arch=arch)
             params = init_params(cfg, subrng(11), cfg.doc_max_len)
             _, cache = encode_with_cache(params, cfg, [[2, 7, 9]])
-            grads = backward_from_cache(params, cfg, cache, np.zeros((1, cfg.emb_dim)))
+            grads = dense_grads(params, backward_from_cache(params, cfg, cache, np.zeros((1, cfg.emb_dim))))
             for name, grad in grads.items():
                 assert np.all(grad == 0.0), name
 
@@ -480,7 +601,7 @@ class TestBackward:
             return float((encode(params, cfg, batch) * grad_out).sum())
 
         _, cache = encode_with_cache(params, cfg, batch)
-        grads = backward_from_cache(params, cfg, cache, grad_out)
+        grads = dense_grads(params, backward_from_cache(params, cfg, cache, grad_out))
         eps = 1e-5
         coord_rng = np.random.default_rng(0)
         checked = 0
@@ -521,7 +642,7 @@ class TestRowSelector:
         at = (np.arange(len(batch))[:, None], rows)
         d_hidden = np.zeros_like(hidden)
         np.add.at(d_hidden, at, d_rows)
-        return hidden[at], hidden_backward(params, cfg, cache, d_hidden)
+        return hidden[at], dense_grads(params, hidden_backward(params, cfg, cache, d_hidden))
 
     @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("share", [False, True])
@@ -542,7 +663,7 @@ class TestRowSelector:
             full["out/w"] += cls.T @ grad_out
             full["out/b"] += grad_out.sum(axis=0)
             _, cache = encode_with_cache(params, cfg, batch)
-            pruned = backward_from_cache(params, cfg, cache, grad_out)
+            pruned = dense_grads(params, backward_from_cache(params, cfg, cache, grad_out))
             assert set(pruned) == set(full)
             for name, grad in pruned.items():
                 np.testing.assert_allclose(grad, full[name], rtol=0, atol=1e-12, err_msg=name)
@@ -561,7 +682,7 @@ class TestRowSelector:
         assert states.shape == rows.shape + (cfg.hidden_dim,)
         ref_states, ref_grads = self.reference(params, cfg, self.BATCH, rows, d_rows)
         np.testing.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
-        grads = hidden_backward(params, cfg, cache, d_rows)
+        grads = dense_grads(params, hidden_backward(params, cfg, cache, d_rows))
         assert set(grads) == set(ref_grads)
         for name, grad in grads.items():
             np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)

@@ -143,6 +143,14 @@ class TestRankDense:
             assert got.ids == [ids[i] for i in order]
             assert got.scores == [scores[i] for i in order]
 
+    def test_no_queries_give_no_lists(self):
+        # As `bm25_topk` over no queries does.
+        cfg = EncoderConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16, emb_dim=4,
+                            vocab_size=30, doc_max_len=6, dtype="float64")
+        model = TwoTower.init(cfg, 34)
+        index = build_dense_index(model, [0, 1], [[2, 7], [2, 9]])
+        assert rank_dense(model, index, [], 3) == []
+
 
 class TestBuildDenseIndex:
     def _setup(self):

@@ -5,7 +5,7 @@ import pytest
 
 from twotower.benchmark import build_reqa, dense_candidates, finetune_pairs, make_split
 from twotower.corpus import NUM_SPECIALS, UNK_ID
-from twotower.encoders import EncoderConfig, TwoTower, hidden_states, init_params, save_checkpoint
+from twotower.encoders import EncoderConfig, RowGrad, TwoTower, hidden_states, init_params, save_checkpoint
 from twotower.pairs import PRETRAIN_TASKS, gen_mlm, sample_mixture
 from twotower.training import (
     ADAM_BETA1,
@@ -217,6 +217,76 @@ class TestAdam:
                 for got, want in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
                     assert got[k].dtype == want[k].dtype
                     assert got[k].tobytes() == want[k].tobytes(), k
+
+    @staticmethod
+    def _row_grad(rng, rows, width, dtype):
+        """A row gradient on `rows` whose values hold zeros of both signs."""
+        values = rng.normal(size=(len(rows), width)).astype(dtype)
+        values[rng.random(values.shape) < 0.2] = -0.0
+        values[rng.random(values.shape) < 0.1] = 0.0
+        return RowGrad(np.array(sorted(rows), dtype=np.intp), values)
+
+    def _assert_same_state(self, got, want):
+        (params, state), (ref, ref_state) = got, want
+        for k in params:
+            for a, b in ((params, ref), (state.m, ref_state.m), (state.v, ref_state.v)):
+                assert a[k].dtype == b[k].dtype
+                assert a[k].tobytes() == b[k].tobytes(), k
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_row_gradient_bits_equal_the_dense_step(self, dtype):
+        # Step 1 touches rows 0-19, the later steps only rows among 10-34: so
+        # rows 0-9 are left untouched since step 1 and rows 35-39 are never
+        # touched. Warmup, decay and two steps past the schedule's end.
+        rng = np.random.default_rng(4)
+        params = {"emb": rng.normal(size=(40, 8)).astype(dtype), "b": rng.normal(size=8).astype(dtype)}
+        ref = {k: a.copy() for k, a in params.items()}
+        state, ref_state = self._state(params, 6, 0.5), self._state(ref, 6, 0.5)
+        touched = [range(20)] + [rng.choice(np.arange(10, 35), size=8, replace=False) for _ in range(7)]
+        for rows in touched:
+            grad = self._row_grad(rng, rows, 8, dtype)
+            b = rng.normal(size=8).astype(dtype)
+            adam_step(params, {"emb": grad, "b": b}, state)
+            adam_step(ref, {"emb": grad.dense(40), "b": b}, ref_state)
+            self._assert_same_state((params, state), (ref, ref_state))
+
+    def test_shared_tower_merge_of_overlapping_rows(self):
+        # The query side reads rows 0-11, the doc side rows 6-19: the merged
+        # row gradient sums both on rows 6-11, zeros of either sign included.
+        cfg = small_enc_config(24, share_towers=True, hidden_dim=8, ff_dim=8, emb_dim=4)
+        model, ref = TwoTower.init(cfg, 7), TwoTower.init(cfg, 7)
+        state = self._state(model.params(), 5, 0.4)
+        ref_state = self._state(ref.params(), 5, 0.4)
+        rng = np.random.default_rng(8)
+        for step in range(4):
+            sides = [{"emb/token": self._row_grad(rng, rows, 8, "float32"),
+                      "out/b": rng.normal(size=4).astype(np.float32)}
+                     for rows in (range(12), range(6, 20 - step))]
+            merged = model.merge_grads(*sides)
+            assert list(merged["tower/emb/token"].rows) == list(range(20 - step))
+            dense = [{k: g.dense(24) if isinstance(g, RowGrad) else g for k, g in side.items()} for side in sides]
+            ref_merged = ref.merge_grads(*dense)
+            assert merged["tower/emb/token"].dense(24).tobytes() == ref_merged["tower/emb/token"].tobytes()
+            adam_step(model.params(), merged, state)
+            adam_step(ref.params(), ref_merged, ref_state)
+            self._assert_same_state((model.params(), state), (ref.params(), ref_state))
+
+    @pytest.mark.parametrize("rows,width,dtype", [
+        ([3, 10], 4, "float32"),   # a row past the table
+        ([-1, 3], 4, "float32"),   # a negative row
+        ([2, 2], 4, "float32"),    # a repeated row
+        ([5, 2], 4, "float32"),    # rows out of order
+        ([2, 5], 3, "float32"),    # the wrong width
+        ([2, 5], 4, "float64"),    # the wrong dtype
+    ])
+    def test_bad_row_gradient_rejected(self, rows, width, dtype):
+        params = {"emb": np.zeros((10, 4), np.float32)}
+        state = self._state(params, 4, 0.5)
+        grad = RowGrad(np.array(rows), np.ones((len(rows), width), dtype))
+        with pytest.raises(ValueError, match="row gradient"):
+            adam_step(params, {"emb": grad}, state)
+        with pytest.raises(ValueError, match="row gradient"):
+            adam_step(params, {"emb": RowGrad(np.array([1, 2]), np.ones((3, 4), np.float32))}, state)
 
     def test_gradient_shape_mismatch(self):
         params = {"w": np.zeros(3)}
