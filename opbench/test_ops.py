@@ -28,8 +28,7 @@ Each op calls the encoder's own helper (`_layernorm`, `_layernorm_backward`,
 `_affine`, `_weight_grad`, `_masked_softmax`, `_gelu`). The remaining lines
 are the expressions of `encoders._forward_body` and `encoders._backward_body`,
 copied here. `gelu.forward` times training's GELU, which runs on a copy of
-its input and writes the CDF; a tree from before `_gelu` has `_gelu_cdf`,
-and the suite times `u * _gelu_cdf(u)` there instead.
+its input and writes the CDF.
 """
 
 import math
@@ -48,18 +47,11 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 affine, weight_grad, softmax = encoders._affine, encoders._weight_grad, encoders._masked_softmax
 
-if hasattr(encoders, "_gelu"):
 
-    def gelu_forward(u):
-        gu, cdf = u.copy(), np.empty_like(u)
-        encoders._gelu(gu, cdf)
-        return gu, cdf
-
-else:  # a tree from before `_gelu`
-
-    def gelu_forward(u):
-        cdf = encoders._gelu_cdf(u)
-        return u * cdf, cdf
+def gelu_forward(u):
+    gu, cdf = u.copy(), np.empty_like(u)
+    encoders._gelu(gu, cdf)
+    return gu, cdf
 
 
 def gelu_backward(dgu, u, cdf):

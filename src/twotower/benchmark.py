@@ -1,5 +1,7 @@
 """Retrieval QA benchmark: candidate construction, cold-start splits,
 open-domain augmentation, recall@k evaluation, and the experiment grid.
+Gold and distractor candidates alike are built from a tokenized store's
+sentence and passage token ids; no candidate text is tokenized again.
 
 One cell of the recall table runs four stage functions, which the CLI
 commands call too, so a chain of commands and `run_experiment` compute the
@@ -208,53 +210,8 @@ def make_split(
     )
 
 
-def augment_open_domain(
-    candidates: Sequence[Candidate],
-    external: Iterable[Tuple[str, str]],
-    limit: int,
-    vocab: Vocabulary,
-) -> List[Candidate]:
-    """Append up to `limit` external (sentence, passage) texts as distractor
-    candidates with fresh ids; existing candidates and gold ids are unchanged."""
-    out = list(candidates)
-    next_id = max((c.id for c in out), default=-1) + 1
-    n_added = 0
-    for sentence_text, passage_text in external:
-        if n_added >= limit:
-            break
-        out.append(
-            Candidate(
-                id=next_id,
-                sentence_index=0,
-                passage_id=-(n_added + 1),
-                sentence_tokens=tokenize(sentence_text, vocab),
-                passage_tokens=tokenize(passage_text, vocab),
-            )
-        )
-        next_id += 1
-        n_added += 1
-    return out
-
-
-def sample_distractors(
-    store: CorpusStore, exclude_pids: Iterable[int], limit: int, seed: int
-) -> List[Tuple[str, str]]:
-    """(sentence, passage) texts drawn from passages no QA entry references."""
-    excluded = set(exclude_pids)
-    pool = [
-        (sentence.text, passage.text)
-        for pid in sorted(store.passages)
-        if pid not in excluded
-        for passage in [store.passage(pid)]
-        for sentence in passage.sentences
-    ]
-    rng = subrng(seed, "distractors")
-    order = rng.permutation(len(pool))
-    return [pool[i] for i in order[:limit]]
-
-
 def evaluate(
-    ranked: Sequence[Optional[retrieval.RankedList]],
+    ranked: Sequence[retrieval.RankedList],
     gold_ids: Sequence[int],
     ks: Sequence[int] = DEFAULT_KS,
     n_candidates: int = 0,
@@ -263,9 +220,7 @@ def evaluate(
     if len(ranked) != len(gold_ids):
         raise ValueError("one ranked list per query is required")
     positions = []
-    for i, (rlist, gold) in enumerate(zip(ranked, gold_ids)):
-        if rlist is None:
-            raise ValueError(f"missing ranked list for query {i}")
+    for rlist, gold in zip(ranked, gold_ids):
         try:
             positions.append(rlist.ids.index(gold))
         except ValueError:
@@ -478,15 +433,22 @@ def with_distractors(
     candidates: Sequence[Candidate],
     limit: int,
     seed: int,
-    vocab: Vocabulary,
 ) -> List[Candidate]:
-    """The candidates plus up to `limit` distractors drawn from the passages
-    no QA entry references (none when `limit` <= 0)."""
+    """The candidates plus up to `limit` distractors (none when `limit` <= 0):
+    sentences of the passages no QA entry references, in a seeded order, each
+    built as `build_reqa` builds a gold candidate, with a fresh id,
+    `sentence_index` 0 and passage id -1, -2, ..."""
+    out = list(candidates)
     if limit <= 0:
-        return list(candidates)
+        return out
     referenced = {e.passage_id for e in entries}
-    distractors = sample_distractors(store, referenced, limit, seed)
-    return augment_open_domain(candidates, distractors, limit, vocab)
+    unreferenced = [store.passage(pid) for pid in sorted(store.passages) if pid not in referenced]
+    pool = [(sentence, passage) for passage in unreferenced for sentence in passage.sentences]
+    next_id = max((c.id for c in out), default=-1) + 1
+    for n, i in enumerate(subrng(seed, "distractors").permutation(len(pool))[:limit]):
+        sentence, passage = pool[i]
+        out.append(Candidate(next_id + n, 0, -(n + 1), sentence.token_ids, passage_body(passage)))
+    return out
 
 
 def evaluate_system(
@@ -527,7 +489,7 @@ def run_experiment(
     bm25_params = cfg.bm25_params()
     pools = [(False, candidates)]
     if cfg.augment_limit > 0:
-        augmented = with_distractors(store, entries, candidates, cfg.augment_limit, cfg.seeds[0], vocab)
+        augmented = with_distractors(store, entries, candidates, cfg.augment_limit, cfg.seeds[0])
         log(f"augmentation: +{len(augmented) - len(candidates)} distractors")
         pools.append((True, augmented))
 

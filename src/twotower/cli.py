@@ -13,12 +13,15 @@ the doc tower's length is read only where candidates are fed to it.
 so it takes no doc length. `pretrain`, `finetune`, `eval` and `bm25-eval`
 each recompute one cell of the default grid with the stage functions of
 `benchmark` (`pretrain_model`, `finetune_model`, `with_distractors`,
-`evaluate_system`) that `experiment` runs for each cell. Stage defaults and
-checks come from the default grid: an option that sets an `ExperimentConfig`
-field defaults to that field's value, and a stage command reads its encoder,
-training and BM25 configs from a copy of the grid with its flags set, through
-the checks `experiment` makes. `synth`'s defaults are `SynthConfig`'s. Every
-option is checked before any input is read: a bad value is a usage error.
+`evaluate_system`) that `experiment` runs for each cell. `eval` and
+`bm25-eval` draw their `--augment` distractors from the tokenized corpus with
+`--seed`, as `experiment` draws its `augment_limit` ones with its first seed.
+Stage defaults and checks come from the default grid: an option that sets an
+`ExperimentConfig` field defaults to that field's value, and a stage command
+reads its encoder, training and BM25 configs from a copy of the grid with its
+flags set, through the checks `experiment` makes. `synth`'s defaults are
+`SynthConfig`'s. Every option is checked before any input is read: a bad
+value is a usage error.
 Every run appends one manifest record (resolved config, input/output
 hashes, timing) to manifests.jsonl beside its primary output.
 Progress goes to stderr; machine-readable results go to files or stdout.
@@ -321,7 +324,7 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     entries, examples, candidates, dropped = _build_benchmark(o, store, vocab, query_max_len)
     seed = int(o["seed"])
     split = benchmark.make_split(examples, ratio, seed)
-    pool = benchmark.with_distractors(store, entries, candidates, cell.augment_limit, seed, vocab)
+    pool = benchmark.with_distractors(store, entries, candidates, cell.augment_limit, seed)
     report = benchmark.evaluate_system(system, pool, getattr(split, part_name), ks)
     payload = {
         "system": label,

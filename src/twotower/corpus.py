@@ -36,7 +36,6 @@ class Sentence:
 @dataclass(slots=True)
 class Passage:
     id: int
-    text: str
     sentences: List[Sentence]
     outgoing_links: List[int]
     # Back-references filled at parsing.
@@ -167,7 +166,6 @@ def parse_corpus(lines: Iterable[str]) -> CorpusStore:
                 passages.append(
                     Passage(
                         id=next_passage_id,
-                        text=p["text"],
                         sentences=sentences,
                         outgoing_links=list(p.get("links", [])),
                         article_id=record["id"],
@@ -211,9 +209,6 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
-
-    def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
 
     def save(self, out: TextIO) -> None:
         for token in self.id_to_token:

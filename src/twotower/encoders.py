@@ -720,8 +720,7 @@ def save_checkpoint(prefix: str, model: TwoTower, meta: Optional[dict] = None) -
     """Write the model's tensors under their `params()` names and return the
     fingerprint."""
     full_meta = {"format": CHECKPOINT_FORMAT, "config": model.config.to_dict(), **(meta or {})}
-    util.save_tensors(prefix, model.params(), full_meta)
-    return util.tensor_fingerprint(prefix)
+    return util.save_tensors(prefix, model.params(), full_meta)
 
 
 def load_checkpoint(prefix: str) -> Tuple[TwoTower, dict]:

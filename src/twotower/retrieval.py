@@ -40,8 +40,13 @@ class RankedList:
 
 @dataclass
 class DenseIndex:
-    candidate_ids: List[int]
+    """Candidate ids, int64 as in `InvertedIndex.ids`, and their doc embeddings."""
+
+    ids: np.ndarray
     embeddings: np.ndarray
+
+    def __post_init__(self):
+        self.ids = np.asarray(self.ids, dtype=np.int64)
 
 
 @dataclass
@@ -89,7 +94,7 @@ def build_dense_index(
         raise ValueError("cannot index an empty candidate set")
     if len(candidate_ids) != len(candidates):
         raise ValueError("candidate_ids must align with candidates")
-    return DenseIndex(candidate_ids=list(candidate_ids), embeddings=_encode_all(model.doc, model.config, candidates))
+    return DenseIndex(ids=candidate_ids, embeddings=_encode_all(model.doc, model.config, candidates))
 
 
 def _rank_with_ties(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -113,8 +118,7 @@ def dense_topk(index: DenseIndex, q_emb: np.ndarray, k: int) -> RankedList:
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = index.embeddings @ np.asarray(q_emb)
-    ids = np.asarray(index.candidate_ids)
-    top_ids, top_scores = _rank_with_ties(ids, scores, k)
+    top_ids, top_scores = _rank_with_ties(index.ids, scores, k)
     return RankedList(ids=[int(i) for i in top_ids], scores=[float(s) for s in top_scores])
 
 

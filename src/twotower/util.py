@@ -73,14 +73,13 @@ def load_json(path: str):
         return json.load(f)
 
 
-def save_tensors(prefix: str, tensors: Dict[str, np.ndarray], meta: dict) -> Tuple[str, str]:
+def save_tensors(prefix: str, tensors: Dict[str, np.ndarray], meta: dict) -> str:
     """Save named arrays as a JSON manifest + raw little-endian binary pair.
 
     Byte-deterministic for identical inputs (no timestamps), unlike zip-based
-    containers. Returns (manifest_path, bin_path).
+    containers. Returns the pair's fingerprint: the sha256 of the manifest's
+    bytes followed by the binary's.
     """
-    manifest_path = prefix + ".json"
-    bin_path = prefix + ".bin"
     entries = []
     blobs = []
     offset = 0
@@ -107,9 +106,10 @@ def save_tensors(prefix: str, tensors: Dict[str, np.ndarray], meta: dict) -> Tup
         "tensors": entries,
         "bin_sha256": sha256_bytes(payload),
     }
-    atomic_write_bytes(bin_path, payload)
-    atomic_write_text(manifest_path, canonical_json(manifest))
-    return manifest_path, bin_path
+    head = canonical_json(manifest).encode("utf-8")
+    atomic_write_bytes(prefix + ".bin", payload)
+    atomic_write_bytes(prefix + ".json", head)
+    return sha256_bytes(head + payload)
 
 
 def load_tensors(prefix: str) -> Tuple[Dict[str, np.ndarray], dict]:
@@ -129,11 +129,3 @@ def load_tensors(prefix: str) -> Tuple[Dict[str, np.ndarray], dict]:
         tensors[entry["name"]] = arr.copy()
     return tensors, manifest["meta"]
 
-
-def tensor_fingerprint(prefix: str) -> str:
-    """Stable fingerprint of a saved tensor pair (manifest + payload)."""
-    with open(prefix + ".json", "rb") as f:
-        head = f.read()
-    with open(prefix + ".bin", "rb") as f:
-        body = f.read()
-    return sha256_bytes(head + body)

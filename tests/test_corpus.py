@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twotower.corpus import (
     CLS_ID,
@@ -189,6 +191,18 @@ class TestTokenize:
             assert tokenize(text, vocab) == expected
         assert UNK_ID in tokenize("qq zqz", vocab)
         assert len(vocab.word_pieces) < sum(len(normalize_text(t).split()) for t in texts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(st.sampled_from(
+        ["Alpha", "the", "unaffable", "e.g.", "Dr.", "No.", "12", ".", "!", "?", " ", "  ", "\n", "\t",
+         "\u00a0", "\u2028", "\u03a3\u0391\u03a3", "\u03c3", "\u0130", "'"]
+    )).map("".join)))
+    def test_text_tokenizes_as_its_sentences(self, text):
+        # Sentences are cut at whitespace only, so a passage's tokens are its
+        # sentences' tokens in order; distractor candidates are built on it.
+        vocab = self._vocab(["th", "un", "##aff", "##able", "e.g.", "\u03c3\u03b1"])
+        expected = [t for s in split_sentences(text) for t in tokenize(s.text, vocab)]
+        assert tokenize(text, vocab) == expected
 
     def test_returned_list_is_new(self, small_toy):
         _, _, vocab = small_toy

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -712,6 +713,11 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.query[name], model.query[name])
             np.testing.assert_array_equal(loaded.doc[name], model.doc[name])
         assert fp1 == save_checkpoint(str(tmp_path / "ckpt2"), model, {"stage": "test"})
+
+    def test_fingerprint_is_the_sha256_of_the_files_written(self, tmp_path):
+        fingerprint = save_checkpoint(str(tmp_path / "ckpt"), TwoTower.init(tiny_config(), 18))
+        on_disk = (tmp_path / "ckpt.json").read_bytes() + (tmp_path / "ckpt.bin").read_bytes()
+        assert fingerprint == hashlib.sha256(on_disk).hexdigest()
 
     def test_shared_towers_roundtrip(self, tmp_path):
         cfg = tiny_config(share_towers=True)
