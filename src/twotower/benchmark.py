@@ -13,7 +13,10 @@ same cell the same way: `pretrain_model` (none, mlm or a pair mixture),
 from __future__ import annotations
 
 import json
+import os
+import resource
 import sys
+import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -474,31 +477,46 @@ def evaluate_system(
     return evaluate(ranked, [ex.gold_id for ex in part], ks, n_candidates=len(pool))
 
 
-def run_experiment(
-    store: CorpusStore,
-    entries: Sequence[QaEntry],
-    cfg: ExperimentConfig,
-    log: Callable[[str], None] = lambda msg: print(msg, file=sys.stderr),
-) -> dict:
-    """Execute the (split ratio x encoder x pre-training task) grid and
-    return the full report as a JSON-serializable dict."""
-    vocab = build_vocab(store, cfg.vocab_max_size, cfg.vocab_min_freq)
-    tokenize_corpus(store, vocab)
-    examples, candidates, dropped = build_reqa(entries, store, vocab, cfg.query_max_len)
-    log(f"benchmark: {len(examples)} examples, {len(candidates)} candidates, {dropped} dropped")
-    bm25_params = cfg.bm25_params()
-    pools = [(False, candidates)]
-    if cfg.augment_limit > 0:
-        augmented = with_distractors(store, entries, candidates, cfg.augment_limit, cfg.seeds[0])
-        log(f"augmentation: +{len(augmented) - len(candidates)} distractors")
-        pools.append((True, augmented))
+# A unit of the grid is labelled (seed, encoder, task); each seed's BM25 cells
+# form the unit (seed, "bm25", "none").
+Unit = Tuple[int, str, str]
+_BM25 = "bm25"
 
+
+@dataclass(frozen=True)
+class _Grid:
+    """What every unit of a `run_experiment` grid reads and no unit writes."""
+
+    cfg: ExperimentConfig
+    store: CorpusStore
+    vocab_size: int
+    candidates: List[Candidate]
+    # (augmented, candidate pool) for the un-augmented pool and, with
+    # `augment_limit` > 0, the pool with distractors.
+    pools: List[Tuple[bool, List[Candidate]]]
+    splits: Dict[int, List[Split]]
+    log: Callable[[str], None]
+
+
+def run_unit(grid: _Grid, unit: Unit) -> Tuple[List[dict], dict]:
+    """The cells of one unit, and its timings: a dense unit is one pretrain,
+    then a finetune and the test evals of each split; a BM25 unit is the test
+    evals of each split. The timings hold the unit's label, the seconds of
+    its pretrain (None for BM25), of each finetune and of each eval, and the
+    minor page faults the process took meanwhile."""
+    seed, encoder, task = unit
+    cfg = grid.cfg
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    timings = {"seed": seed, "encoder": encoder, "task": task,
+               "pretrain_s": None, "finetune_s": [], "eval_s": []}
     cells: List[dict] = []
 
     # `index` is a dense system's index of the un-augmented pool.
-    def add_cells(split: Split, encoder: str, task: str, seed: int, system, index=None) -> None:
-        for augmented, pool in pools:
+    def add_cells(split: Split, system, index=None) -> None:
+        for augmented, pool in grid.pools:
+            start = time.perf_counter()
             report = evaluate_system(system, pool, split.test, cfg.ks, None if augmented else index)
+            timings["eval_s"].append(time.perf_counter() - start)
             labels = (split.ratio_label, encoder, task, seed, augmented)
             payload = canonical_json({"config": asdict(cfg), "cell": labels})
             cells.append(
@@ -515,23 +533,96 @@ def run_experiment(
                 }
             )
 
+    if encoder == _BM25:
+        for split in grid.splits[seed]:
+            add_cells(split, cfg.bm25_params())
+    else:
+        if task != TASK_NONE:
+            grid.log(f"pretrain[{seed}] {encoder}/{task}: {cfg.pretrain_steps} steps")
+        start = time.perf_counter()
+        enc_cfg = cfg.encoder_config(encoder, grid.vocab_size)
+        pretrained = pretrain_model(task, enc_cfg, cfg.pretrain_config(seed), grid.store)
+        timings["pretrain_s"] = time.perf_counter() - start
+        for split in grid.splits[seed]:
+            grid.log(f"finetune[{seed}] {encoder}/{task} @ {split.ratio_label}")
+            start = time.perf_counter()
+            best, _, index = finetune_model(pretrained, cfg.finetune_config(seed), split, grid.candidates)
+            timings["finetune_s"].append(time.perf_counter() - start)
+            add_cells(split, best, index)
+    timings["minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return cells, timings
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform keeps no
+    affinity mask, which keeps the grid in one process there."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# The grid of a forked worker, inherited from the parent at fork.
+_WORKER_GRID: Optional[_Grid] = None
+
+
+def _init_worker(grid: _Grid) -> None:
+    global _WORKER_GRID
+    _WORKER_GRID = grid
+
+
+def _run_worker_unit(unit: Unit) -> Tuple[List[dict], dict]:
+    return run_unit(_WORKER_GRID, unit)
+
+
+def run_experiment(
+    store: CorpusStore,
+    entries: Sequence[QaEntry],
+    cfg: ExperimentConfig,
+    log: Callable[[str], None] = lambda msg: print(msg, file=sys.stderr),
+    stats: Optional[dict] = None,
+) -> dict:
+    """Execute the (split ratio x encoder x pre-training task) grid and
+    return the full report as a JSON-serializable dict.
+
+    The grid runs as units (see `run_unit`): for each seed, one per
+    (encoder, task) cell, then one for its BM25 cells. The units run in one
+    worker process per usable CPU, at most one per unit, forked after the
+    corpus, candidates and splits are built, so a worker receives only unit
+    labels and returns only cells and timings; `taskset -c 0` runs them one
+    after another in this process. Cells are joined in unit order, so the
+    report never depends on which unit finished first. A unit's exception
+    is raised here. `stats`, when given, receives the worker count and each
+    unit's timings, in unit order."""
+    vocab = build_vocab(store, cfg.vocab_max_size, cfg.vocab_min_freq)
+    tokenize_corpus(store, vocab)
+    examples, candidates, dropped = build_reqa(entries, store, vocab, cfg.query_max_len)
+    log(f"benchmark: {len(examples)} examples, {len(candidates)} candidates, {dropped} dropped")
+    pools = [(False, candidates)]
+    if cfg.augment_limit > 0:
+        augmented = with_distractors(store, entries, candidates, cfg.augment_limit, cfg.seeds[0])
+        log(f"augmentation: +{len(augmented) - len(candidates)} distractors")
+        pools.append((True, augmented))
+    splits = {seed: [make_split(examples, tuple(r), seed) for r in cfg.ratios] for seed in cfg.seeds}
+    grid = _Grid(cfg, store, len(vocab), candidates, pools, splits, log)
+    units: List[Unit] = []
     for seed in cfg.seeds:
-        splits = [make_split(examples, tuple(r), seed) for r in cfg.ratios]
-        for arch in cfg.encoders:
-            enc_cfg = cfg.encoder_config(arch, len(vocab))
-            for task in cfg.tasks:
-                if not _has_cell(arch, task):
-                    continue
-                if task != TASK_NONE:
-                    log(f"pretrain[{seed}] {arch}/{task}: {cfg.pretrain_steps} steps")
-                pretrained = pretrain_model(task, enc_cfg, cfg.pretrain_config(seed), store)
-                for split in splits:
-                    log(f"finetune[{seed}] {arch}/{task} @ {split.ratio_label}")
-                    best, _, index = finetune_model(pretrained, cfg.finetune_config(seed), split, candidates)
-                    add_cells(split, arch, task, seed, best, index)
+        units += [(seed, arch, task) for arch in cfg.encoders for task in cfg.tasks if _has_cell(arch, task)]
         if cfg.include_bm25:
-            for split in splits:
-                add_cells(split, "bm25", TASK_NONE, seed, bm25_params)
+            units.append((seed, _BM25, TASK_NONE))
+
+    workers = min(len(units), _usable_cpus())
+    if workers <= 1:
+        results = [run_unit(grid, unit) for unit in units]
+    else:
+        # Imported here: at module level its modules add about 0.9 MB to the
+        # peak RSS of every command, the stage commands that never fork too.
+        import multiprocessing
+
+        with multiprocessing.get_context("fork").Pool(workers, _init_worker, (grid,)) as pool:
+            results = list(pool.imap(_run_worker_unit, units, chunksize=1))
+            pool.close()
+            pool.join()
+    cells = [cell for unit_cells, _ in results for cell in unit_cells]
+    if stats is not None:
+        stats.update(workers=workers, units=[timings for _, timings in results])
 
     return {
         "config": asdict(cfg),

@@ -115,6 +115,7 @@ def _write_manifest(
     inputs: Sequence[str],
     outputs: Sequence[str],
     elapsed: float,
+    **extra: object,
 ) -> None:
     primary = outputs[0] if outputs else "."
     directory = os.path.dirname(os.path.abspath(primary)) or "."
@@ -125,6 +126,7 @@ def _write_manifest(
         "inputs": {p: util.sha256_file(p) for p in inputs if os.path.exists(p)},
         "outputs": {p: util.sha256_file(p) for p in outputs if os.path.exists(p)},
         "elapsed_seconds": elapsed,
+        **extra,
     }
     with open(os.path.join(directory, "manifests.jsonl"), "a", encoding="utf-8") as f:
         f.write(json.dumps(record, sort_keys=True) + "\n")
@@ -378,6 +380,11 @@ def render_report(report: dict) -> str:
 
 
 def _cmd_experiment(o) -> int:
+    """Run the grid of --config (the default grid without it) and write
+    report.json and report.txt to --out. The grid's (seed, encoder, task)
+    units run in one worker process per usable CPU; `taskset -c 0` runs them
+    one after another in one process. The manifest record adds the worker
+    count and each unit's timings and minor page faults."""
     out_dir = str(o["out"])
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")
@@ -386,7 +393,8 @@ def _cmd_experiment(o) -> int:
     start = time.time()
     store = _load_corpus(str(o["corpus"]))
     entries = benchmark.read_qa_entries(_read_lines(str(o["qa"])))
-    report = benchmark.run_experiment(store, entries, exp_cfg, log=_log)
+    stats: Dict[str, object] = {}
+    report = benchmark.run_experiment(store, entries, exp_cfg, log=_log, stats=stats)
     os.makedirs(out_dir, exist_ok=True)
     util.dump_json(report_json, report)
     text = render_report(report)
@@ -395,7 +403,7 @@ def _cmd_experiment(o) -> int:
     _write_manifest(
         "experiment", o,
         [str(o["corpus"]), str(o["qa"])] + ([str(o["config"])] if o["config"] else []),
-        [report_json, report_txt], time.time() - start,
+        [report_json, report_txt], time.time() - start, **stats,
     )
     return EXIT_OK
 
@@ -505,7 +513,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="twotower", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name in _COMMANDS:
-        sub = subparsers.add_parser(name)
+        sub = subparsers.add_parser(name, description=_COMMANDS[name][0].__doc__)
         _add_options(sub, _options(name))
     return parser
 

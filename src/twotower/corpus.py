@@ -9,6 +9,7 @@ tokenization.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple
 
@@ -20,7 +21,9 @@ NUM_SPECIALS = len(SPECIAL_TOKENS)
 _ABBREVIATIONS = frozenset(
     ["Dr.", "Mr.", "Mrs.", "Ms.", "St.", "vs.", "etc.", "e.g.", "i.e.", "Fig.", "No."]
 )
-_TERMINALS = ".!?"
+# A sentence terminal and the whitespace after it; `\s` matches exactly the
+# characters `str.isspace` accepts.
+_TERMINAL_RUN = re.compile(r"[.!?](\s+)")
 
 
 class CorpusError(ValueError):
@@ -107,25 +110,19 @@ def split_sentences(text: str) -> List[Sentence]:
     letter or a newline, skipping a fixed abbreviation stop-list."""
     sentences: List[Sentence] = []
     start = 0
-    i = 0
     n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in _TERMINALS and i + 1 < n and text[i + 1].isspace():
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            has_newline = "\n" in text[i + 1 : j]
-            next_upper = j < n and text[j].isupper()
-            is_abbrev = ch == "." and _ends_with_abbreviation(text, i)
-            if (next_upper or has_newline) and not is_abbrev:
-                segment = text[start : i + 1].strip()
-                if segment:
-                    sentences.append(Sentence(segment))
-                start = j
-                i = j
-                continue
-        i += 1
+    # Each match is a terminal and the whitespace run after it. A run holds
+    # no terminal, so a split at the run's end skips none.
+    for match in _TERMINAL_RUN.finditer(text):
+        i, j = match.start(), match.end()
+        has_newline = "\n" in match.group(1)
+        next_upper = j < n and text[j].isupper()
+        is_abbrev = text[i] == "." and _ends_with_abbreviation(text, i)
+        if (next_upper or has_newline) and not is_abbrev:
+            segment = text[start : i + 1].strip()
+            if segment:
+                sentences.append(Sentence(segment))
+            start = j
     tail = text[start:].strip()
     if tail:
         sentences.append(Sentence(tail))

@@ -69,8 +69,6 @@ class PretrainPair:
     task: str
     # (query article id, doc passage id, query sentence index in its passage)
     source: Tuple[int, int, int]
-    # Extra provenance for invariant checks.
-    query_passage_id: int = -1
 
     def doc_body(self) -> List[int]:
         return self.doc[self.doc.index(SEP_ID) + 1 :]
@@ -144,7 +142,6 @@ def gen_ict(
         doc=passage_doc(store, passage, doc_max_len, skip=i),
         task=TASK_ICT,
         source=(passage.article_id, passage.id, i),
-        query_passage_id=passage.id,
     )
     if _contains_subseq(pair.doc_body(), pair.query_content()):
         raise DegenerateIctPair(f"passage {passage.id} sentence {i} survives removal")
@@ -177,7 +174,6 @@ def gen_bfs(
         doc=passage_doc(store, doc_passage, doc_max_len),
         task=TASK_BFS,
         source=(article.id, doc_passage.id, q_idx),
-        query_passage_id=q_passage.id,
     )
 
 
@@ -200,7 +196,6 @@ def gen_wlp(
         doc=passage_doc(store, doc_passage, doc_max_len),
         task=TASK_WLP,
         source=(target_id, doc_passage.id, q_idx),
-        query_passage_id=q_passage.id,
     )
 
 

@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .benchmark import QaEntry
-from .corpus import CorpusStore, parse_corpus
 from .util import subrng
 
 _CONSONANTS = "bcdfglmnprstvz"
@@ -216,10 +215,3 @@ def generate(cfg: SynthConfig) -> Tuple[List[dict], List[QaEntry]]:
 def corpus_jsonl(records: Sequence[dict]) -> str:
     return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
 
-
-def build_toy(cfg: SynthConfig) -> Tuple[CorpusStore, List[QaEntry]]:
-    """Generate and ingest the toy corpus through the real parser, so passage
-    ids seen by QA entries match the parsed store."""
-    records, entries = generate(cfg)
-    store = parse_corpus(corpus_jsonl(records).splitlines())
-    return store, entries

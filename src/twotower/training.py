@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -112,17 +111,6 @@ def _softmax_xent(logits: np.ndarray, targets: np.ndarray) -> Tuple[float, float
     dlogits[rows, targets] -= 1.0
     dlogits /= n
     return loss, accuracy, dlogits
-
-
-def full_softmax_loss(q_emb: np.ndarray, all_d_embs: np.ndarray, gold: int) -> float:
-    """NLL of the gold doc under the softmax over every candidate doc."""
-    d = np.asarray(all_d_embs)
-    if not 0 <= gold < d.shape[0]:
-        raise IndexError(f"gold index {gold} out of range [0, {d.shape[0]})")
-    logits = d @ np.asarray(q_emb)
-    peak = logits.max()
-    lse = peak + math.log(np.exp(logits - peak).sum())
-    return float(lse - logits[gold])
 
 
 @dataclass

@@ -3,7 +3,15 @@ import json
 import pytest
 
 from twotower.corpus import build_vocab, parse_corpus, tokenize_corpus
-from twotower.synth import SynthConfig, build_toy
+from twotower.synth import SynthConfig, corpus_jsonl, generate
+
+
+def build_toy(cfg):
+    """Generate and ingest the toy corpus through the real parser, so passage
+    ids seen by QA entries match the parsed store."""
+    records, entries = generate(cfg)
+    store = parse_corpus(corpus_jsonl(records).splitlines())
+    return store, entries
 
 
 def corpus_lines(records):

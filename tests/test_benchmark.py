@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from twotower.benchmark import (
 from twotower.corpus import CLS_ID, SEP_ID, parse_corpus, tokenize_corpus
 from twotower.pairs import passage_body
 from twotower.retrieval import RankedList
-from twotower.synth import SynthConfig, build_toy
+from twotower.synth import SynthConfig
 from twotower.util import subrng
+
+from conftest import build_toy
 
 Q_LEN, D_LEN = 16, 48
 
@@ -308,8 +311,11 @@ class TestExperiment:
         # The un-augmented test eval ranks against the index that validation
         # built for the selected checkpoint; every validation check and every
         # augmented pool still builds its own, and the report is the one a
-        # run that rebuilds every index gives.
+        # run that rebuilds every index gives. The calls are counted in this
+        # process, so the grid runs in it: one worker.
         from twotower import benchmark, retrieval, training
+
+        monkeypatch.setattr(benchmark, "_usable_cpus", lambda: 1)
 
         # Both finetunes select a checkpoint between the first and the last.
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=120, seed=13))
@@ -346,6 +352,60 @@ class TestExperiment:
         rebuilt, built, checks = run(reuse=False)
         assert built.count(n_base) == checks + dense_cells
         assert json.dumps(rebuilt, sort_keys=True) == json.dumps(report, sort_keys=True)
+
+    def _two_seed_grid(self):
+        store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=120, seed=13))
+        cfg = ExperimentConfig(
+            ratios=[[60, 40]], encoders=["transformer"], tasks=["none", "ict"], seeds=[5, 6],
+            include_bm25=True, augment_limit=25, pretrain_steps=2, finetune_steps=4,
+            batch_size=4, eval_every=2, num_layers=1, hidden_dim=16, num_heads=2,
+            ff_dim=32, emb_dim=8, vocab_max_size=4096,
+        )
+        return store, entries, cfg
+
+    def test_workers_give_the_serial_report(self, monkeypatch):
+        from twotower import benchmark
+
+        store, entries, cfg = self._two_seed_grid()
+        reports, stats = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(benchmark, "_usable_cpus", lambda: workers)
+            stats.append({})
+            report = run_experiment(store, entries, cfg, log=lambda msg: None, stats=stats[-1])
+            reports.append(json.dumps(report, sort_keys=True))
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1]
+        assert [s["workers"] for s in stats] == [1, 2]
+        labels = [[(u["seed"], u["encoder"], u["task"]) for u in s["units"]] for s in stats]
+        assert labels[0] == labels[1] == [
+            (5, "transformer", "none"), (5, "transformer", "ict"), (5, "bm25", "none"),
+            (6, "transformer", "none"), (6, "transformer", "ict"), (6, "bm25", "none"),
+        ]
+        # One split, evaluated on two pools.
+        for unit in stats[1]["units"]:
+            assert len(unit["finetune_s"]) == (unit["encoder"] != "bm25")
+            assert len(unit["eval_s"]) == 2
+
+    def test_a_failing_unit_raises_its_error_with_workers(self, monkeypatch):
+        from twotower import benchmark
+
+        store, entries, cfg = self._two_seed_grid()
+        pretrain_model = benchmark.pretrain_model
+
+        def failing(task, enc_cfg, train_cfg, store, metrics_out=None):
+            if task == "ict" and train_cfg.seed == 5:
+                raise RuntimeError(f"pair generation failed for {task} at seed {train_cfg.seed}")
+            return pretrain_model(task, enc_cfg, train_cfg, store, metrics_out)
+
+        monkeypatch.setattr(benchmark, "pretrain_model", failing)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(benchmark, "_usable_cpus", lambda: workers)
+            with pytest.raises(Exception) as info:
+                run_experiment(store, entries, cfg, log=lambda msg: None)
+            errors.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] == (RuntimeError, "pair generation failed for ict at seed 5")
 
     def test_bm25_cell_and_augmented_rows(self):
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=60, seed=13))

@@ -385,6 +385,25 @@ class TestExperimentCommand:
         config = util.load_json(str(out_dir / "report.json"))["config"]
         assert config["finetune_lr"] == 1.0 and type(config["finetune_lr"]) is float
 
+    def test_manifest_records_worker_count_and_unit_timings(self, workdir, tmp_path):
+        _, corpus, qa, _ = workdir
+        cfg_path = self._config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run(
+            "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", str(out_dir),
+        ) == EXIT_OK
+        record = json.loads(open(out_dir / "manifests.jsonl").readline())
+        assert record["workers"] == min(2, benchmark._usable_cpus())
+        dense, bm25 = record["units"]
+        assert (dense["seed"], dense["encoder"], dense["task"]) == (7, "transformer", "none")
+        assert (bm25["seed"], bm25["encoder"], bm25["task"]) == (7, "bm25", "none")
+        # One split and one (un-augmented) pool: one finetune, one eval.
+        assert dense["pretrain_s"] >= 0 and len(dense["finetune_s"]) == 1 and len(dense["eval_s"]) == 1
+        assert bm25["pretrain_s"] is None and bm25["finetune_s"] == [] and len(bm25["eval_s"]) == 1
+        for unit in record["units"]:
+            assert all(s >= 0 for s in unit["finetune_s"] + unit["eval_s"])
+            assert isinstance(unit["minflt"], int) and unit["minflt"] >= 0
+
     def test_report_rendering(self, workdir, tmp_path, capsys):
         _, corpus, qa, _ = workdir
         cfg_path = self._config(tmp_path)

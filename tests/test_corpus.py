@@ -15,6 +15,7 @@ from twotower.corpus import (
     UNK_ID,
     CorpusError,
     Vocabulary,
+    _ends_with_abbreviation,
     _tokenize_word,
     build_vocab,
     normalize_text,
@@ -62,7 +63,45 @@ class TestParseCorpus:
         assert store.passage(0).outgoing_links == []
 
 
+def _split_sentences_loop(text):
+    """The character-by-character splitter `split_sentences` replaced: the
+    reference its regex scan must agree with."""
+    sentences = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in ".!?" and i + 1 < n and text[i + 1].isspace():
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            has_newline = "\n" in text[i + 1 : j]
+            next_upper = j < n and text[j].isupper()
+            is_abbrev = ch == "." and _ends_with_abbreviation(text, i)
+            if (next_upper or has_newline) and not is_abbrev:
+                segment = text[start : i + 1].strip()
+                if segment:
+                    sentences.append(segment)
+                start = j
+                i = j
+                continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
 class TestSplitSentences:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(), st.lists(st.sampled_from(
+        ["Alpha", "the", "e.g.", "Dr.", "vs.", "No.", "etc.", ".", "!", "?", "?!", " ", "  ", "\n", "\t",
+         "\r\n", "\x0b", "\x1c", "\u00a0", "\u2028", "\u3000", "\u0130", "\u01c5", "\u03c3", "'"]
+    )).map("".join)))
+    def test_scan_matches_the_character_loop(self, text):
+        assert [s.text for s in split_sentences(text)] == _split_sentences_loop(text)
+
     def test_period_space_rule(self):
         assert [s.text for s in split_sentences("A b. C d.")] == ["A b.", "C d."]
 

@@ -16,12 +16,22 @@ from twotower.training import (
     _mlm_step,
     adam_step,
     finetune,
-    full_softmax_loss,
     in_batch_softmax_loss,
     mlm_pretrain,
     pretrain,
 )
 from twotower.util import subrng
+
+
+def full_softmax_loss(q_emb: np.ndarray, all_d_embs: np.ndarray, gold: int) -> float:
+    """NLL of the gold doc under the softmax over every candidate doc."""
+    d = np.asarray(all_d_embs)
+    if not 0 <= gold < d.shape[0]:
+        raise IndexError(f"gold index {gold} out of range [0, {d.shape[0]})")
+    logits = d @ np.asarray(q_emb)
+    peak = logits.max()
+    lse = peak + math.log(np.exp(logits - peak).sum())
+    return float(lse - logits[gold])
 
 
 def small_enc_config(vocab_size, **overrides):
