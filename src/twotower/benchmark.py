@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import json
 import os
-import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # a platform without getrusage (Windows)
+    resource = None
 
 from . import retrieval
 from .corpus import NUM_SPECIALS, CorpusStore, Vocabulary, build_vocab, tokenize, tokenize_corpus
@@ -503,10 +507,11 @@ def run_unit(grid: _Grid, unit: Unit) -> Tuple[List[dict], dict]:
     then a finetune and the test evals of each split; a BM25 unit is the test
     evals of each split. The timings hold the unit's label, the seconds of
     its pretrain (None for BM25), of each finetune and of each eval, and the
-    minor page faults the process took meanwhile."""
+    minor page faults the process took meanwhile (None where the platform
+    does not count them)."""
     seed, encoder, task = unit
     cfg = grid.cfg
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults = _minor_faults()
     timings = {"seed": seed, "encoder": encoder, "task": task,
                "pretrain_s": None, "finetune_s": [], "eval_s": []}
     cells: List[dict] = []
@@ -549,14 +554,34 @@ def run_unit(grid: _Grid, unit: Unit) -> Tuple[List[dict], dict]:
             best, _, index = finetune_model(pretrained, cfg.finetune_config(seed), split, grid.candidates)
             timings["finetune_s"].append(time.perf_counter() - start)
             add_cells(split, best, index)
-    timings["minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    timings["minflt"] = None if faults is None else _minor_faults() - faults
     return cells, timings
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform keeps no
-    affinity mask, which keeps the grid in one process there."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def _minor_faults() -> Optional[int]:
+    """The minor page faults this process has taken, or None where the
+    platform does not count them."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+# The variables that set OpenBLAS's thread count, in the order it reads them;
+# with none a positive integer, it runs one thread per usable CPU in every
+# process.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_budget() -> int:
+    """How many processes can run BLAS at once without sharing a CPU: the
+    usable CPUs over the BLAS threads of one process, at least 1. Without a
+    BLAS thread variable each process's BLAS already fills every CPU, and a
+    platform that keeps no affinity mask counts as one CPU; both keep the
+    grid in one process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
 
 
 # The grid of a forked worker, inherited from the parent at fork.
@@ -583,14 +608,19 @@ def run_experiment(
     return the full report as a JSON-serializable dict.
 
     The grid runs as units (see `run_unit`): for each seed, one per
-    (encoder, task) cell, then one for its BM25 cells. The units run in one
-    worker process per usable CPU, at most one per unit, forked after the
-    corpus, candidates and splits are built, so a worker receives only unit
-    labels and returns only cells and timings; `taskset -c 0` runs them one
-    after another in this process. Cells are joined in unit order, so the
-    report never depends on which unit finished first. A unit's exception
-    is raised here. `stats`, when given, receives the worker count and each
-    unit's timings, in unit order."""
+    (encoder, task) cell, then one for its BM25 cells. The units run in
+    worker processes, at most one per unit and one per usable CPU over the
+    BLAS threads of a process (see `_worker_budget`): with
+    OPENBLAS_NUM_THREADS=1 that is one worker per usable CPU, while by
+    default OpenBLAS runs a thread per CPU in each process and the units
+    run one after another in this process, as they do under `taskset -c 0`.
+    Each worker adds about one unit's working set to the memory the command
+    takes. Workers are forked after the corpus, candidates and splits are
+    built, so a worker receives only unit labels and returns only cells and
+    timings. Cells are joined in unit order, so the report never depends on
+    which unit finished first. A unit's exception is raised here. `stats`,
+    when given, receives the worker count and each unit's timings, in unit
+    order."""
     vocab = build_vocab(store, cfg.vocab_max_size, cfg.vocab_min_freq)
     tokenize_corpus(store, vocab)
     examples, candidates, dropped = build_reqa(entries, store, vocab, cfg.query_max_len)
@@ -608,7 +638,7 @@ def run_experiment(
         if cfg.include_bm25:
             units.append((seed, _BM25, TASK_NONE))
 
-    workers = min(len(units), _usable_cpus())
+    workers = min(len(units), _worker_budget())
     if workers <= 1:
         results = [run_unit(grid, unit) for unit in units]
     else:

@@ -382,9 +382,12 @@ def render_report(report: dict) -> str:
 def _cmd_experiment(o) -> int:
     """Run the grid of --config (the default grid without it) and write
     report.json and report.txt to --out. The grid's (seed, encoder, task)
-    units run in one worker process per usable CPU; `taskset -c 0` runs them
-    one after another in one process. The manifest record adds the worker
-    count and each unit's timings and minor page faults."""
+    units run in worker processes, one per usable CPU over the BLAS threads
+    of a process: one per CPU with OPENBLAS_NUM_THREADS=1, and one process
+    in all with the BLAS thread variables unset or under `taskset -c 0`.
+    Each worker adds about one unit's working set to the command's memory.
+    The manifest record adds the worker count and each unit's timings and
+    minor page faults."""
     out_dir = str(o["out"])
     report_json = os.path.join(out_dir, "report.json")
     report_txt = os.path.join(out_dir, "report.txt")

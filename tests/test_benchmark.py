@@ -315,7 +315,7 @@ class TestExperiment:
         # process, so the grid runs in it: one worker.
         from twotower import benchmark, retrieval, training
 
-        monkeypatch.setattr(benchmark, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(benchmark, "_worker_budget", lambda: 1)
 
         # Both finetunes select a checkpoint between the first and the last.
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=120, seed=13))
@@ -369,7 +369,7 @@ class TestExperiment:
         store, entries, cfg = self._two_seed_grid()
         reports, stats = [], []
         for workers in (1, 2):
-            monkeypatch.setattr(benchmark, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(benchmark, "_worker_budget", lambda: workers)
             stats.append({})
             report = run_experiment(store, entries, cfg, log=lambda msg: None, stats=stats[-1])
             reports.append(json.dumps(report, sort_keys=True))
@@ -400,12 +400,47 @@ class TestExperiment:
         monkeypatch.setattr(benchmark, "pretrain_model", failing)
         errors = []
         for workers in (1, 2):
-            monkeypatch.setattr(benchmark, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(benchmark, "_worker_budget", lambda: workers)
             with pytest.raises(Exception) as info:
                 run_experiment(store, entries, cfg, log=lambda msg: None)
             errors.append((type(info.value), str(info.value)))
             assert multiprocessing.active_children() == []
         assert errors[0] == errors[1] == (RuntimeError, "pair generation failed for ict at seed 5")
+
+    @pytest.mark.parametrize("env, budget", [
+        ({}, 1),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1),
+        ({"OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "two"}, 1),
+    ])
+    def test_worker_budget_is_cpus_over_blas_threads(self, monkeypatch, env, budget):
+        from twotower import benchmark
+
+        monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for var in benchmark._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert benchmark._worker_budget() == budget
+        # One usable CPU (taskset -c 0), or none known, runs in one process.
+        monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert benchmark._worker_budget() == 1
+        monkeypatch.delattr(benchmark.os, "sched_getaffinity", raising=False)
+        assert benchmark._worker_budget() == 1
+
+    def test_unit_faults_are_none_without_getrusage(self, monkeypatch):
+        from twotower import benchmark
+
+        monkeypatch.setattr(benchmark, "resource", None)
+        store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=60, seed=13))
+        cfg = ExperimentConfig(ratios=[[60, 40]], encoders=[], tasks=[], seeds=[5], vocab_max_size=4096)
+        stats = {}
+        run_experiment(store, entries, cfg, log=lambda msg: None, stats=stats)
+        assert [unit["minflt"] for unit in stats["units"]] == [None]
 
     def test_bm25_cell_and_augmented_rows(self):
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=60, seed=13))

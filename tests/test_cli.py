@@ -393,7 +393,7 @@ class TestExperimentCommand:
             "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", str(out_dir),
         ) == EXIT_OK
         record = json.loads(open(out_dir / "manifests.jsonl").readline())
-        assert record["workers"] == min(2, benchmark._usable_cpus())
+        assert record["workers"] == min(2, benchmark._worker_budget())
         dense, bm25 = record["units"]
         assert (dense["seed"], dense["encoder"], dense["task"]) == (7, "transformer", "none")
         assert (bm25["seed"], bm25["encoder"], bm25["task"]) == (7, "bm25", "none")
