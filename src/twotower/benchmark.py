@@ -174,11 +174,19 @@ def check_ratio(ratio: Sequence[int]) -> Tuple[int, int]:
     return parts[0], parts[1]
 
 
+def _check_distinct(name: str, values: Sequence) -> None:
+    """ValueError naming the first value that `values` holds twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} names {value!r} more than once")
+
+
 def check_ks(ks: Sequence[int]) -> List[int]:
     """The recall cut-offs; ValueError unless they are a non-empty list of
-    integers >= 1."""
+    distinct integers >= 1."""
     if not _positive_ints(ks):
         raise ValueError(f"invalid ks {ks!r}: expected a non-empty list of integers >= 1")
+    _check_distinct("ks", ks)
     return list(ks)
 
 
@@ -275,11 +283,17 @@ class ExperimentConfig:
         # not known yet, so the smallest valid one stands in.
         if not self.seeds or not self.ratios:
             raise ValueError("seeds and ratios must not be empty")
+        for name in ("seeds", "ratios", "encoders", "tasks"):
+            _check_distinct(name, getattr(self, name))
         for ratio in self.ratios:
             check_ratio(ratio)
         check_ks(self.ks)
         if self.augment_limit < 0:
             raise ValueError(f"augment_limit must be >= 0, got {self.augment_limit}")
+        if self.vocab_max_size <= NUM_SPECIALS:
+            raise ValueError(f"vocab_max_size must be > {NUM_SPECIALS}, got {self.vocab_max_size}")
+        if self.vocab_min_freq < 1:
+            raise ValueError(f"vocab_min_freq must be >= 1, got {self.vocab_min_freq}")
         for task in self.tasks:
             parse_task_spec(task)
         for arch in self.encoders:
@@ -494,7 +508,6 @@ class _Grid:
     cfg: ExperimentConfig
     store: CorpusStore
     vocab_size: int
-    candidates: List[Candidate]
     # (augmented, candidate pool) for the un-augmented pool and, with
     # `augment_limit` > 0, the pool with distractors.
     pools: List[Tuple[bool, List[Candidate]]]
@@ -551,7 +564,7 @@ def run_unit(grid: _Grid, unit: Unit) -> Tuple[List[dict], dict]:
         for split in grid.splits[seed]:
             grid.log(f"finetune[{seed}] {encoder}/{task} @ {split.ratio_label}")
             start = time.perf_counter()
-            best, _, index = finetune_model(pretrained, cfg.finetune_config(seed), split, grid.candidates)
+            best, _, index = finetune_model(pretrained, cfg.finetune_config(seed), split, grid.pools[0][1])
             timings["finetune_s"].append(time.perf_counter() - start)
             add_cells(split, best, index)
     timings["minflt"] = None if faults is None else _minor_faults() - faults
@@ -631,7 +644,7 @@ def run_experiment(
         log(f"augmentation: +{len(augmented) - len(candidates)} distractors")
         pools.append((True, augmented))
     splits = {seed: [make_split(examples, tuple(r), seed) for r in cfg.ratios] for seed in cfg.seeds}
-    grid = _Grid(cfg, store, len(vocab), candidates, pools, splits, log)
+    grid = _Grid(cfg, store, len(vocab), pools, splits, log)
     units: List[Unit] = []
     for seed in cfg.seeds:
         units += [(seed, arch, task) for arch in cfg.encoders for task in cfg.tasks if _has_cell(arch, task)]

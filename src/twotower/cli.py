@@ -1,27 +1,28 @@
 """Command-line surface: synth, vocab, pretrain, finetune, eval, bm25-eval,
 experiment.
 
-Each command declares its options once, in `_COMMANDS`, as name -> default; a
-default of None marks a required path. An option's value is its flag's, or
-else its default, of the default's type. `experiment --config` names the grid
-file: a JSON object of `ExperimentConfig` fields, each of the type of the
-field's default; a key that is not a field is a usage error. `pretrain`
-writes the model, one `TwoTower` value, as a checkpoint; `finetune` and `eval`
-read one and take every encoder setting from it, the max lengths included;
-the doc tower's length is read only where candidates are fed to it.
-`bm25-eval` cuts questions to --query-max-len and matches whole candidates,
-so it takes no doc length. `pretrain`, `finetune`, `eval` and `bm25-eval`
-each recompute one cell of the default grid with the stage functions of
-`benchmark` (`pretrain_model`, `finetune_model`, `with_distractors`,
-`evaluate_system`) that `experiment` runs for each cell. `eval` and
-`bm25-eval` draw their `--augment` distractors from the tokenized corpus with
-`--seed`, as `experiment` draws its `augment_limit` ones with its first seed.
-Stage defaults and checks come from the default grid: an option that sets an
-`ExperimentConfig` field defaults to that field's value, and a stage command
-reads its encoder, training and BM25 configs from a copy of the grid with its
-flags set, through the checks `experiment` makes. `synth`'s defaults are
-`SynthConfig`'s. Every option is checked before any input is read: a bad
-value is a usage error.
+Each command declares each of its options once: an option that sets an
+`ExperimentConfig` field in `_FIELDS`, as flag -> field, any other in
+`_COMMANDS`, as name -> default; a default of None marks a required path. An
+option's value is its flag's, or else its default, of the default's type.
+`experiment --config` names the grid file: a JSON object of `ExperimentConfig`
+fields, each of the type of the field's default; a key that is not a field is
+a usage error. `pretrain` writes the model, one `TwoTower` value, as a
+checkpoint; `finetune` and `eval` read one and take every encoder setting from
+it, the max lengths included; the doc tower's length is read only where
+candidates are fed to it. `bm25-eval` cuts questions to --query-max-len and
+matches whole candidates, so it takes no doc length. `pretrain`, `finetune`,
+`eval` and `bm25-eval` each recompute one cell of the default grid with the
+stage functions of `benchmark` (`pretrain_model`, `finetune_model`,
+`with_distractors`, `evaluate_system`) that `experiment` runs for each cell.
+`eval` and `bm25-eval` draw their `--augment` distractors from the tokenized
+corpus with `--seed`, as `experiment` draws its `augment_limit` ones with its
+first seed. Stage defaults and checks come from the default grid: a `_FIELDS`
+option defaults to its field's value, and a stage command reads its
+vocabulary, encoder, training and BM25 settings from a copy of the grid with
+its `_FIELDS` flags set, through the checks `experiment` makes. `synth`'s
+defaults are `SynthConfig`'s. Every option is checked before any input is
+read: a bad value is a usage error.
 Every run appends one manifest record (resolved config, input/output
 hashes, timing) to manifests.jsonl beside its primary output.
 Progress goes to stderr; machine-readable results go to files or stdout.
@@ -94,11 +95,13 @@ def _load_grid(path: str) -> benchmark.ExperimentConfig:
         raise UsageError(f"--config {path}: {exc}") from exc
 
 
-def _cell(**fields) -> benchmark.ExperimentConfig:
-    """The default grid with the fields a stage command's flags set: the one
-    cell the command recomputes. A value the grid rejects is a usage error."""
+def _cell(command: str, o: Dict[str, object], **extra) -> benchmark.ExperimentConfig:
+    """The default grid with the fields the command's `_FIELDS` flags set,
+    and the `extra` fields: the one cell the command recomputes. A value the
+    grid rejects is a usage error."""
+    fields = {field: o[flag] for flag, field in _FIELDS[command].items()}
     try:
-        return dataclasses.replace(_GRID, **fields)
+        return dataclasses.replace(_GRID, **fields, **extra)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -219,11 +222,12 @@ def _cmd_synth(o) -> int:
 
 
 def _cmd_vocab(o) -> int:
+    cell = _cell("vocab", o)
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     store = _load_corpus(str(o["corpus"]))
-    vocab = build_vocab(store, int(o["max-size"]), int(o["min-freq"]))
+    vocab = build_vocab(store, cell.vocab_max_size, cell.vocab_min_freq)
     buffer = io.StringIO()
     vocab.save(buffer)
     util.atomic_write_text(outputs[0], buffer.getvalue())
@@ -243,14 +247,12 @@ def _parse_tasks(o: Dict[str, object]):
 
 def _cmd_pretrain(o) -> int:
     _parse_tasks(o)
-    arch = str(o["arch"])
-    cell = _cell(
-        encoders=[arch], num_layers=o["layers"], hidden_dim=o["hidden-dim"],
-        num_heads=o["heads"], ff_dim=o["ff-dim"], emb_dim=o["emb-dim"],
-        query_max_len=o["query-max-len"], doc_max_len=o["doc-max-len"], dtype=o["dtype"],
-        pretrain_steps=o["steps"], pretrain_lr=o["lr"], batch_size=o["batch"],
-        warmup_fraction=o["warmup"],
-    )
+    arch, task_spec = str(o["arch"]), str(o["tasks"])
+    if not benchmark._has_cell(arch, task_spec):
+        raise UsageError(
+            f"--tasks {task_spec}: masked-token pre-training requires the transformer arch"
+        )
+    cell = _cell("pretrain", o, encoders=[arch])
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
@@ -259,7 +261,6 @@ def _cmd_pretrain(o) -> int:
     enc_cfg = dataclasses.replace(
         cell.encoder_config(arch, len(vocab)), share_towers=bool(o["share-towers"])
     )
-    task_spec = str(o["tasks"])
     with _metrics_file(o) as metrics_out:
         model = benchmark.pretrain_model(
             task_spec, enc_cfg, cell.pretrain_config(int(o["seed"])), store, metrics_out
@@ -274,11 +275,7 @@ def _cmd_pretrain(o) -> int:
 
 def _cmd_finetune(o) -> int:
     ratio = _parse_ratio(o)
-    cell = _cell(
-        finetune_steps=o["steps"], finetune_lr=o["lr"], batch_size=o["batch"],
-        warmup_fraction=o["warmup"], eval_every=o["eval-every"], patience=o["patience"],
-    )
-    train_cfg = cell.finetune_config(int(o["seed"]))
+    train_cfg = _cell("finetune", o).finetune_config(int(o["seed"]))
     prefix = str(o["out"])
     outputs = [prefix + ".json", prefix + ".bin"] + ([str(o["metrics"])] if o["metrics"] else [])
     _check_outputs(outputs, bool(o["force"]))
@@ -307,13 +304,9 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     if part_name not in ("train", "validation", "test"):
         raise UsageError("--split-part must be train/validation/test")
     ratio, ks = _parse_ratio(o), _parse_ks(o)
-    if dense:
-        cell = _cell(augment_limit=o["augment"])
-    else:
-        cell = _cell(
-            augment_limit=o["augment"], query_max_len=o["query-max-len"],
-            bm25_k1=o["bm25-k1"], bm25_b=o["bm25-b"],
-        )
+    command = "eval" if dense else "bm25-eval"
+    cell = _cell(command, o)
+    if not dense:
         system, query_max_len, label = cell.bm25_params(), cell.query_max_len, "bm25"
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
@@ -342,7 +335,7 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     inp = [str(o["corpus"]), str(o["vocab"]), str(o["qa"])]
     if dense:
         inp += _ckpt_files(o)
-    _write_manifest("eval" if dense else "bm25-eval", o, inp, outputs, time.time() - start)
+    _write_manifest(command, o, inp, outputs, time.time() - start)
     return EXIT_OK
 
 
@@ -411,36 +404,36 @@ def _cmd_experiment(o) -> int:
     return EXIT_OK
 
 
-# The default grid. A stage option that sets one of its fields takes that
-# field's value as its default; `_cell` sets the fields from the flags.
+# The default grid: each stage command recomputes one of its cells.
 _GRID = benchmark.ExperimentConfig()
 _SYNTH = synth.SynthConfig()
 
-_ENCODER_OPTIONS = {
-    "arch": _GRID.encoders[0],
-    "layers": _GRID.num_layers,
-    "hidden-dim": _GRID.hidden_dim,
-    "heads": _GRID.num_heads,
-    "ff-dim": _GRID.ff_dim,
-    "emb-dim": _GRID.emb_dim,
-    "query-max-len": _GRID.query_max_len,
-    "doc-max-len": _GRID.doc_max_len,
-    "share-towers": False,
-    "dtype": _GRID.dtype,
-}
-
-_TRAIN_OPTIONS = {
-    "steps": _GRID.pretrain_steps,
-    "batch": _GRID.batch_size,
-    "lr": _GRID.pretrain_lr,
-    "warmup": _GRID.warmup_fraction,
+# For each stage command, its options that set a grid field: flag -> field.
+# Such an option is declared here alone: it defaults to the field's value in
+# `_GRID`, and `_cell` sets the field from its flag.
+_TRAIN_FIELDS = {"batch": "batch_size", "warmup": "warmup_fraction"}
+_QUERY_LEN_FIELD = {"query-max-len": "query_max_len"}
+_AUGMENT_FIELD = {"augment": "augment_limit"}
+_FIELDS = {
+    "vocab": {"max-size": "vocab_max_size", "min-freq": "vocab_min_freq"},
+    "pretrain": {
+        "layers": "num_layers", "hidden-dim": "hidden_dim", "heads": "num_heads",
+        "ff-dim": "ff_dim", "emb-dim": "emb_dim", **_QUERY_LEN_FIELD,
+        "doc-max-len": "doc_max_len", "dtype": "dtype",
+        "steps": "pretrain_steps", "lr": "pretrain_lr", **_TRAIN_FIELDS,
+    },
+    "finetune": {
+        "steps": "finetune_steps", "lr": "finetune_lr", **_TRAIN_FIELDS,
+        "eval-every": "eval_every", "patience": "patience",
+    },
+    "eval": _AUGMENT_FIELD,
+    "bm25-eval": {**_AUGMENT_FIELD, "bm25-k1": "bm25_k1", "bm25-b": "bm25_b", **_QUERY_LEN_FIELD},
 }
 
 _SPLIT_EVAL_OPTIONS = {
     "ratio": "/".join(map(str, _GRID.ratios[0])),
     "k": ",".join(map(str, _GRID.ks)),
     "split-part": "test",
-    "augment": _GRID.augment_limit,
     "seed": _GRID.seeds[0],
 }
 
@@ -451,19 +444,15 @@ _EXPERIMENT_DEFAULTS = dataclasses.asdict(_GRID)
 _INPUTS = {"corpus": None, "vocab": None}
 _BENCHMARK_INPUTS = {**_INPUTS, "qa": None}
 
-# Every command's options as name -> default; None marks a required path.
-# --force is common to all.
+# Every command's options that set no grid field, as name -> default; None
+# marks a required path. --force is common to all.
 _COMMANDS = {
     "synth": (
         _cmd_synth,
         {"out": None, "qa": None, "articles": _SYNTH.n_articles, "topics": _SYNTH.n_topics,
          "qa-count": _SYNTH.n_qa, "seed": _SYNTH.seed},
     ),
-    "vocab": (
-        _cmd_vocab,
-        {"corpus": None, "out": None, "max-size": _GRID.vocab_max_size,
-         "min-freq": _GRID.vocab_min_freq},
-    ),
+    "vocab": (_cmd_vocab, {"corpus": None, "out": None}),
     "pretrain": (
         _cmd_pretrain,
         {
@@ -472,8 +461,8 @@ _COMMANDS = {
             "metrics": "",
             "tasks": _GRID.tasks[-1],  # the paper's pair mixture
             "seed": _GRID.seeds[0],
-            **_ENCODER_OPTIONS,
-            **_TRAIN_OPTIONS,
+            "arch": _GRID.encoders[0],
+            "share-towers": False,
         },
     ),
     "finetune": (
@@ -485,31 +474,18 @@ _COMMANDS = {
             "metrics": "",
             "ratio": _SPLIT_EVAL_OPTIONS["ratio"],
             "seed": _GRID.seeds[0],
-            **_TRAIN_OPTIONS,
-            "steps": _GRID.finetune_steps,
-            "lr": _GRID.finetune_lr,
-            "eval-every": _GRID.eval_every,
-            "patience": _GRID.patience,
         },
     ),
     "eval": (_cmd_eval, {**_BENCHMARK_INPUTS, "out": None, "ckpt": None, **_SPLIT_EVAL_OPTIONS}),
-    "bm25-eval": (
-        _cmd_bm25_eval,
-        {
-            **_BENCHMARK_INPUTS,
-            "out": None,
-            **_SPLIT_EVAL_OPTIONS,
-            "bm25-k1": _GRID.bm25_k1,
-            "bm25-b": _GRID.bm25_b,
-            "query-max-len": _GRID.query_max_len,
-        },
-    ),
+    "bm25-eval": (_cmd_bm25_eval, {**_BENCHMARK_INPUTS, "out": None, **_SPLIT_EVAL_OPTIONS}),
     "experiment": (_cmd_experiment, {"corpus": None, "qa": None, "out": None, "config": ""}),
 }
 
 
 def _options(command: str) -> Dict[str, object]:
-    return {**_COMMANDS[command][1], "force": False}
+    """The command's options as name -> default, its `_FIELDS` ones included."""
+    fields = {flag: getattr(_GRID, field) for flag, field in _FIELDS.get(command, {}).items()}
+    return {**_COMMANDS[command][1], **fields, "force": False}
 
 
 def _build_parser() -> _Parser:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -360,6 +361,16 @@ class TestExperimentCommand:
             ({"augment_limit": -4}, "augment_limit"),
             ({"bm25_k1": -1}, "k1 must be >= 0"),
             ({"bm25_b": 2}, "b must lie in [0, 1]"),
+            # Grids that would train nothing if accepted, so they fail fast where they are.
+            ({"vocab_min_freq": 0, "tasks": []}, "vocab_min_freq must be >= 1"),
+            ({"vocab_max_size": 3}, "vocab_max_size must be > 5"),
+            ({"seeds": [7, 7], "tasks": []}, "seeds names 7 more than once"),
+            ({"ratios": [[80, 20], [60, 40], [80, 20]], "tasks": []},
+             "ratios names [80, 20] more than once"),
+            ({"encoders": ["transformer", "transformer"], "tasks": []},
+             "encoders names 'transformer' more than once"),
+            ({"tasks": ["mlm", "none", "mlm"], "encoders": []}, "tasks names 'mlm' more than once"),
+            ({"ks": [10, 10], "tasks": []}, "ks names 10 more than once"),
         ])
     ])
     def test_bad_grid_rejected_before_work(self, workdir, tmp_path, grid, message, capsys):
@@ -468,20 +479,26 @@ class TestOnePipeline:
         ("finetune", "--batch", "batch_size", "1"),
         ("pretrain", "--warmup", "warmup_fraction", "1.5"),
         ("finetune", "--warmup", "warmup_fraction", "1.5"),
+        ("vocab", "--min-freq", "vocab_min_freq", "0"),
+        ("vocab", "--min-freq", "vocab_min_freq", "-5"),
+        ("vocab", "--max-size", "vocab_max_size", "3"),
     ])
     def test_stage_flag_and_grid_key_get_one_check(
         self, tmp_path, command, flag, key, value, capsys
     ):
         # A stage command's flag and the grid field it sets are checked once,
-        # by the grid: the same bad value gives the same message both ways.
+        # by the grid: the same bad value gives the same message both ways,
+        # before any input is read or output written.
         missing = str(tmp_path / "missing.jsonl")
-        argv = [command, "--corpus", missing, "--vocab", missing, "--out", str(tmp_path / "out"),
-                flag, value]
-        if command != "pretrain":
+        argv = [command, "--corpus", missing, "--out", str(tmp_path / "out"), flag, value]
+        if command != "vocab":
+            argv += ["--vocab", missing]
+        if command not in ("vocab", "pretrain"):
             argv += ["--qa", missing]
         if command in ("finetune", "eval"):
             argv += ["--ckpt", missing]
         assert run(*argv) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
         stage = capsys.readouterr().err.splitlines()[0]
         cfg_path = str(tmp_path / "grid.json")
         util.dump_json(cfg_path, {key: json.loads(value)})
@@ -492,6 +509,67 @@ class TestOnePipeline:
         grid = capsys.readouterr().err.splitlines()[0]
         assert stage.startswith("error: ")
         assert grid == f"error: --config {cfg_path}: " + stage[len("error: "):]
+
+    def test_field_table_holds_stage_options_of_grid_fields(self):
+        fields = {f.name for f in dataclasses.fields(benchmark.ExperimentConfig)}
+        for command, table in cli._FIELDS.items():
+            assert command in cli._COMMANDS
+            assert set(table.values()) <= fields, command
+            assert not set(table) & set(cli._COMMANDS[command][1]), command
+
+    @pytest.mark.parametrize("command, flag, field", [
+        (command, flag, field)
+        for command, table in cli._FIELDS.items() for flag, field in table.items()
+    ])
+    def test_field_flag_reaches_the_cell(self, tmp_path, monkeypatch, command, flag, field):
+        # Each `_FIELDS` flag, set off its default, sets its field, and only
+        # that, in the cell the command builds. The wrapped `_cell` stops the
+        # command there, before it reads any input.
+        default = getattr(cli._GRID, field)
+        if isinstance(default, str):
+            value = "float64"
+        elif isinstance(default, float):
+            value = default / 2
+        else:
+            value = default * 2 or 1
+        cells = []
+        build = cli._cell
+
+        def stop(*args, **kwargs):
+            cells.append(build(*args, **kwargs))
+            raise RuntimeError("stopped at the cell")
+
+        monkeypatch.setattr(cli, "_cell", stop)
+        missing = str(tmp_path / "missing")
+        required = [name for name, default in cli._options(command).items() if default is None]
+        argv = [command, f"--{flag}", str(value)]
+        for name in required:
+            argv += [f"--{name}", missing]
+        assert run(*argv) == EXIT_RUNTIME
+        assert len(cells) == 1
+        assert getattr(cells[0], field) == value
+        assert dataclasses.replace(cells[0], **{field: default}) == cli._GRID
+
+    @pytest.mark.parametrize("command", ["eval", "bm25-eval"])
+    def test_repeated_k_is_usage_error(self, tmp_path, command, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        argv = [command, "--corpus", missing, "--vocab", missing, "--qa", missing,
+                "--out", str(tmp_path / "out.json"), "--k", "1,10,10"]
+        if command == "eval":
+            argv += ["--ckpt", missing]
+        assert run(*argv) == EXIT_USAGE
+        assert "ks names 10 more than once" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pretrain_mlm_needs_the_transformer(self, workdir, tmp_path, capsys):
+        # Checked before the corpus is tokenized: the grid has no bow_mlp/mlm cell.
+        _, corpus, _, vocab = workdir
+        assert run(
+            "pretrain", "--corpus", corpus, "--vocab", vocab, "--out", str(tmp_path / "ckpt"),
+            "--arch", "bow_mlp", "--tasks", "mlm", "--steps", "1",
+        ) == EXIT_USAGE
+        assert "requires the transformer arch" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_commands_reproduce_experiment_cells(self, workdir, tmp_path):
         # pretrain -> finetune -> eval and bm25-eval, given the experiment's

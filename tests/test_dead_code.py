@@ -38,9 +38,9 @@ def test_every_top_level_definition_is_used_in_the_package():
 
 def test_every_cli_option_is_read():
     """Each option a command declares is read as `o["<name>"]` somewhere in
-    cli.py, so a flag nothing reads fails here as an unread function does."""
-    from twotower import cli
-
+    cli.py, or is a `_FIELDS` flag, which `cli._cell` reads (checked per flag
+    by test_cli.py's `test_field_flag_reaches_the_cell`), so a flag nothing
+    reads fails here as an unread function does."""
     tree = ast.parse((SOURCE_DIR / "cli.py").read_text())
     read = {
         node.slice.value
@@ -50,5 +50,6 @@ def test_every_cli_option_is_read():
         and node.value.id == "o"
         and isinstance(node.slice, ast.Constant)
     }
+    read |= {flag for fields in cli._FIELDS.values() for flag in fields}
     declared = {name for command in cli._COMMANDS for name in cli._options(command)}
     assert sorted(declared - read) == []
