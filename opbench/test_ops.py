@@ -72,7 +72,7 @@ class Inputs:
         cfg = CONFIG
         rng = subrng(0, "opbench", batch, length)
         self.params = encoders.init_params(cfg, subrng(0, "opbench"), cfg.doc_max_len)
-        dt = cfg.np_dtype()
+        dt = np.dtype(cfg.dtype)
         h, ff, nh = cfg.hidden_dim, cfg.ff_dim, cfg.num_heads
 
         def normal(*shape):
@@ -219,10 +219,10 @@ def test_tower(benchmark, op, direction, inputs):
     if direction == "forward":
         fn, args = encoders.encode, (params, CONFIG, batch)
     elif direction == "mlm":
-        params["mlm/bias"] = np.zeros(CONFIG.vocab_size, dtype=CONFIG.np_dtype())
+        params["mlm/bias"] = np.zeros(CONFIG.vocab_size, dtype=np.dtype(CONFIG.dtype))
         fn, args = tower_mlm, (params, batch)
     else:
-        grad_out = subrng(1, "opbench", size).normal(size=(size, CONFIG.emb_dim)).astype(CONFIG.np_dtype())
+        grad_out = subrng(1, "opbench", size).normal(size=(size, CONFIG.emb_dim)).astype(np.dtype(CONFIG.dtype))
         fn, args = tower_train, (params, batch, grad_out)
     benchmark.extra_info["peak_mb"] = peak_mb(fn, *args)
     benchmark(fn, *args)
@@ -236,7 +236,7 @@ def test_adam_step(benchmark, op, direction, inputs):
     grads = []
     for tower, shape in ((model.query, "32x16"), (model.doc, "32x48")):
         size, length = SHAPES[shape]
-        grad_out = subrng(1, "opbench", size).normal(size=(size, CONFIG.emb_dim)).astype(CONFIG.np_dtype())
+        grad_out = subrng(1, "opbench", size).normal(size=(size, CONFIG.emb_dim)).astype(np.dtype(CONFIG.dtype))
         grads.append(tower_train(tower, tower_batch(size, length), grad_out))
     grads = model.merge_grads(*grads)
     state = training.OptimizerState.for_params(model.params(), training.TrainRunConfig(total_steps=10**9))

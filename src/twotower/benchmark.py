@@ -130,7 +130,7 @@ def build_reqa(
     candidates: List[Candidate] = []
     lookup: Dict[Tuple[int, int], int] = {}
     for pid in referenced:
-        passage = store.passage(pid)
+        passage = store.passages[pid]
         passage_ids = passage_body(passage)
         for i, sentence in enumerate(passage.sentences):
             cid = len(candidates)
@@ -139,7 +139,7 @@ def build_reqa(
     examples: List[ReqaExample] = []
     dropped = 0
     for entry in entries:
-        passage = store.passage(entry.passage_id)
+        passage = store.passages[entry.passage_id]
         gold = None
         for i, sentence in enumerate(passage.sentences):
             if entry.answer in sentence.text:
@@ -463,7 +463,7 @@ def with_distractors(
     if limit <= 0:
         return out
     referenced = {e.passage_id for e in entries}
-    unreferenced = [store.passage(pid) for pid in sorted(store.passages) if pid not in referenced]
+    unreferenced = [store.passages[pid] for pid in sorted(store.passages) if pid not in referenced]
     pool = [(sentence, passage) for passage in unreferenced for sentence in passage.sentences]
     next_id = max((c.id for c in out), default=-1) + 1
     for n, i in enumerate(subrng(seed, "distractors").permutation(len(pool))[:limit]):

@@ -15,14 +15,15 @@ matches whole candidates, so it takes no doc length. `pretrain`, `finetune`,
 `eval` and `bm25-eval` each recompute one cell of the default grid with the
 stage functions of `benchmark` (`pretrain_model`, `finetune_model`,
 `with_distractors`, `evaluate_system`) that `experiment` runs for each cell.
-`eval` and `bm25-eval` draw their `--augment` distractors from the tokenized
-corpus with `--seed`, as `experiment` draws its `augment_limit` ones with its
-first seed. Stage defaults and checks come from the default grid: a `_FIELDS`
-option defaults to its field's value, and a stage command reads its
-vocabulary, encoder, training and BM25 settings from a copy of the grid with
-its `_FIELDS` flags set, through the checks `experiment` makes. `synth`'s
-defaults are `SynthConfig`'s. Every option is checked before any input is
-read: a bad value is a usage error.
+`eval` and `bm25-eval` share one handler, dense when the command takes --ckpt,
+and draw their `--augment` distractors from the tokenized corpus with
+`--seed`, as `experiment` draws its `augment_limit` ones with its first seed.
+Stage defaults and checks come from the default grid: a `_FIELDS` option
+defaults to its field's value, and a stage command reads its vocabulary,
+encoder, training and BM25 settings from a copy of the grid with its `_FIELDS`
+flags set, through the checks `experiment` makes. `synth`'s defaults are
+`SynthConfig`'s. Every option is checked before any input is read: a bad value
+is a usage error.
 Every run appends one manifest record (resolved config, input/output
 hashes, timing) to manifests.jsonl beside its primary output.
 Progress goes to stderr; machine-readable results go to files or stdout.
@@ -299,11 +300,12 @@ def _cmd_finetune(o) -> int:
     return EXIT_OK
 
 
-def _eval_common(o: Dict[str, object], dense: bool) -> int:
+def _cmd_eval(o) -> int:
     part_name = str(o["split-part"])
     if part_name not in ("train", "validation", "test"):
         raise UsageError("--split-part must be train/validation/test")
     ratio, ks = _parse_ratio(o), _parse_ks(o)
+    dense = "ckpt" in o
     command = "eval" if dense else "bm25-eval"
     cell = _cell(command, o)
     if not dense:
@@ -332,19 +334,9 @@ def _eval_common(o: Dict[str, object], dense: bool) -> int:
     }
     util.dump_json(outputs[0], payload)
     _log(f"{label} recalls: " + ", ".join(f"R@{k}={report.recalls[k]:.4f}" for k in ks))
-    inp = [str(o["corpus"]), str(o["vocab"]), str(o["qa"])]
-    if dense:
-        inp += _ckpt_files(o)
+    inp = [str(o["corpus"]), str(o["vocab"]), str(o["qa"])] + (_ckpt_files(o) if dense else [])
     _write_manifest(command, o, inp, outputs, time.time() - start)
     return EXIT_OK
-
-
-def _cmd_eval(o) -> int:
-    return _eval_common(o, dense=True)
-
-
-def _cmd_bm25_eval(o) -> int:
-    return _eval_common(o, dense=False)
 
 
 def render_report(report: dict) -> str:
@@ -477,7 +469,7 @@ _COMMANDS = {
         },
     ),
     "eval": (_cmd_eval, {**_BENCHMARK_INPUTS, "out": None, "ckpt": None, **_SPLIT_EVAL_OPTIONS}),
-    "bm25-eval": (_cmd_bm25_eval, {**_BENCHMARK_INPUTS, "out": None, **_SPLIT_EVAL_OPTIONS}),
+    "bm25-eval": (_cmd_eval, {**_BENCHMARK_INPUTS, "out": None, **_SPLIT_EVAL_OPTIONS}),
     "experiment": (_cmd_experiment, {"corpus": None, "qa": None, "out": None, "config": ""}),
 }
 
@@ -497,7 +489,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -520,10 +512,6 @@ def cmd_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return cmd_dispatch(argv)
 
 
 if __name__ == "__main__":

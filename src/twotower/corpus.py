@@ -1,7 +1,8 @@
 """Corpus model and tokenization.
 
 Articles are parsed from a JSONL stream into an immutable in-memory store of
-sections, passages, and sentences with resolved hyperlinks. A subword
+sections, passages, and sentences with resolved hyperlinks. A section is its
+list of passages: the reader requires its heading but keeps none. A subword
 vocabulary is induced from the text and used for greedy longest-match
 tokenization.
 """
@@ -41,30 +42,23 @@ class Passage:
     id: int
     sentences: List[Sentence]
     outgoing_links: List[int]
-    # Back-references filled at parsing.
+    # Back-reference filled at parsing.
     article_id: int = -1
-    section_index: int = -1
-
-
-@dataclass(slots=True)
-class Section:
-    heading: str
-    passages: List[Passage]
 
 
 @dataclass(slots=True)
 class Article:
     id: int
     title: str
-    sections: List[Section]
+    sections: List[List[Passage]]
 
     @property
-    def lead(self) -> Section:
+    def lead(self) -> List[Passage]:
         return self.sections[0]
 
     def passages(self) -> Iterable[Passage]:
         for section in self.sections:
-            yield from section.passages
+            yield from section
 
 
 class CorpusStore:
@@ -86,12 +80,6 @@ class CorpusStore:
                 # Cross-article links only: self-links carry no inter-page signal.
                 if target in self.articles and target != passage.article_id:
                     self.inbound.setdefault(target, []).append(passage.id)
-
-    def article(self, article_id: int) -> Article:
-        return self.articles[article_id]
-
-    def passage(self, passage_id: int) -> Passage:
-        return self.passages[passage_id]
 
     def sentences(self) -> Iterable[Sentence]:
         for passage in self.passages.values():
@@ -149,8 +137,8 @@ def parse_corpus(lines: Iterable[str]) -> CorpusStore:
                 raise CorpusError(f"line {lineno}: missing field {key!r}")
         if not isinstance(record["id"], int):
             raise CorpusError(f"line {lineno}: article id must be an integer")
-        sections: List[Section] = []
-        for sec_idx, sec in enumerate(record["sections"]):
+        sections: List[List[Passage]] = []
+        for sec in record["sections"]:
             if "heading" not in sec or "passages" not in sec:
                 raise CorpusError(f"line {lineno}: section missing heading/passages")
             passages: List[Passage] = []
@@ -166,12 +154,11 @@ def parse_corpus(lines: Iterable[str]) -> CorpusStore:
                         sentences=sentences,
                         outgoing_links=list(p.get("links", [])),
                         article_id=record["id"],
-                        section_index=len(sections),
                     )
                 )
                 next_passage_id += 1
             if passages:
-                sections.append(Section(heading=sec.get("heading", ""), passages=passages))
+                sections.append(passages)
         if not sections:
             raise CorpusError(f"line {lineno}: article {record['id']} has no usable sections")
         articles.append(Article(id=record["id"], title=record["title"], sections=sections))

@@ -178,16 +178,8 @@ class EncoderConfig:
             )
         if self.vocab_size < NUM_SPECIALS:
             raise EncoderError("vocab_size must cover the special tokens")
-
-    def np_dtype(self) -> np.dtype:
-        return np.dtype(self.dtype)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EncoderConfig":
-        return cls(**data)
+        if self.dtype not in ("float32", "float64"):
+            raise EncoderError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
@@ -204,7 +196,7 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.
 def init_params(config: EncoderConfig, rng: np.random.Generator, positions: int) -> Params:
     """Fresh tower parameters: truncated-normal weights, zero biases, unit
     LayerNorm gains; a transformer tower gets `positions` position rows."""
-    dt = config.np_dtype()
+    dt = np.dtype(config.dtype)
     h, k, v = config.hidden_dim, config.emb_dim, config.vocab_size
     params: Params = {"emb/token": _truncated_normal(rng, (v, h), 0.02, dt)}
     if config.arch == ARCH_BOW_MLP:
@@ -496,7 +488,6 @@ def _forward_body(
         return hidden, None
     cache = {
         "ids": ids,
-        "mask": mask,
         "at": at,
         "layers": layers,
         "final_cache": final_cache,
@@ -719,7 +710,7 @@ def _unprefixed(prefix: str, params: Params) -> Params:
 def save_checkpoint(prefix: str, model: TwoTower, meta: Optional[dict] = None) -> str:
     """Write the model's tensors under their `params()` names and return the
     fingerprint."""
-    full_meta = {"format": CHECKPOINT_FORMAT, "config": model.config.to_dict(), **(meta or {})}
+    full_meta = {"format": CHECKPOINT_FORMAT, "config": asdict(model.config), **(meta or {})}
     return util.save_tensors(prefix, model.params(), full_meta)
 
 
@@ -727,7 +718,7 @@ def load_checkpoint(prefix: str) -> Tuple[TwoTower, dict]:
     tensors, meta = util.load_tensors(prefix)
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise EncoderError(f"not a checkpoint: {prefix}")
-    config = EncoderConfig.from_dict(meta["config"])
+    config = EncoderConfig(**meta["config"])
     if config.share_towers:
         tower = _unprefixed("tower/", tensors)
         return TwoTower(config, tower, tower), meta

@@ -132,7 +132,7 @@ def gen_ict(
     doc_max_len: int,
 ) -> PretrainPair:
     """Draw a sentence uniformly; pair it with the rest of the passage."""
-    passage = store.passage(passage_id)
+    passage = store.passages[passage_id]
     n = len(passage.sentences)
     if n < 2:
         raise NotEnoughSentences(f"passage {passage.id} has {n} sentence(s)")
@@ -150,7 +150,7 @@ def gen_ict(
 
 def _lead_sentence(article: Article, rng: np.random.Generator) -> Tuple[Passage, int]:
     """A uniform lead-section sentence of the article, as (passage, index)."""
-    leads = [(p, i) for p in article.lead.passages for i in range(len(p.sentences))]
+    leads = [(p, i) for p in article.lead for i in range(len(p.sentences))]
     return leads[int(rng.integers(len(leads)))]
 
 
@@ -163,7 +163,7 @@ def gen_bfs(
 ) -> PretrainPair:
     """Pair a uniform lead-section sentence with a uniform other passage of
     the same article (the query's own passage is excluded)."""
-    article = store.article(article_id)
+    article = store.articles[article_id]
     q_passage, q_idx = _lead_sentence(article, rng)
     candidates = [p for p in article.passages() if p.id != q_passage.id]
     if not candidates:
@@ -189,8 +189,8 @@ def gen_wlp(
     inbound = store.inbound.get(target_id, [])
     if not inbound:
         raise NoInboundLink(f"article {target_id} has no inbound links")
-    q_passage, q_idx = _lead_sentence(store.article(target_id), rng)
-    doc_passage = store.passage(inbound[int(rng.integers(len(inbound)))])
+    q_passage, q_idx = _lead_sentence(store.articles[target_id], rng)
+    doc_passage = store.passages[inbound[int(rng.integers(len(inbound)))]]
     return PretrainPair(
         query=make_query_input(q_passage.sentences[q_idx].token_ids, query_max_len),
         doc=passage_doc(store, doc_passage, doc_max_len),

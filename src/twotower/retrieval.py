@@ -100,9 +100,7 @@ def build_dense_index(
 def _rank_with_ties(ids: np.ndarray, scores: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Top-k by (score desc, id asc) using partial selection, exact under ties."""
     n = scores.shape[0]
-    if k >= n:
-        order = np.lexsort((ids, -scores))
-        return ids[order], scores[order]
+    k = min(k, n)
     kth = np.partition(scores, n - k)[n - k]
     above = np.flatnonzero(scores > kth)
     above = above[np.lexsort((ids[above], -scores[above]))]

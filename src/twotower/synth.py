@@ -1,10 +1,13 @@
 """Deterministic synthetic corpus and QA generator for desk-scale runs.
 
 Articles are organized by topic: each topic owns a set of content words and
-each article emphasizes a few of them plus a unique entity name. Questions
-mention the entity and emphasized words that are absent from the gold
-passage, so lexical matching alone cannot resolve them; hyperlinks connect
-topically related articles.
+each article emphasizes a few of them plus a unique entity name. A question
+names two of its article's emphasized words that the gold passage lacks, the
+entity, and, with chance `ANSWER_WORD_PROB`, the first word of the answer;
+hyperlinks connect topically related articles. So the questions are not
+lexically hard: on the default corpus and split (80/20, seed 7), 80.5% of the
+200 test questions share a content word with their gold sentence and 93.5%
+with their gold passage, and BM25 reaches 93.5 recall@100.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ class SynthConfig:
                 f"need 1 <= topics <= articles and at least 2 articles, "
                 f"got {self.n_topics} topics and {self.n_articles} articles"
             )
+        if self.n_qa < 0:
+            raise ValueError(f"need a QA count >= 0, got {self.n_qa}")
 
 
 def _make_word(rng: np.random.Generator, taken: set) -> str:

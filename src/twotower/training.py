@@ -314,10 +314,10 @@ def mlm_pretrain(
         raise ValueError("masked-token pre-training requires the transformer arch")
     model = TwoTower.init(enc_cfg, train_cfg.seed)
     for tower in (model.query, model.doc):
-        tower["mlm/bias"] = np.zeros(enc_cfg.vocab_size, dtype=enc_cfg.np_dtype())
+        tower["mlm/bias"] = np.zeros(enc_cfg.vocab_size, dtype=enc_cfg.dtype)
     state = OptimizerState.for_params(model.params(), train_cfg)
 
-    passages = [store.passage(pid) for pid in sorted(store.passages)]
+    passages = [store.passages[pid] for pid in sorted(store.passages)]
     sentences = [s for p in passages for s in p.sentences if s.token_ids]
     if not sentences:
         raise ValueError("corpus has no tokenized sentences")

@@ -209,7 +209,7 @@ class TestAugment:
         _, candidates, _ = build_reqa(entries, store, vocab, Q_LEN)
         distractors = with_distractors(store, entries, candidates, 50, seed=1)[len(candidates):]
         assert len(distractors) == 50
-        referenced = {tuple(passage_body(store.passage(e.passage_id))) for e in entries}
+        referenced = {tuple(passage_body(store.passages[e.passage_id])) for e in entries}
         for candidate in distractors:
             assert tuple(candidate.passage_tokens) not in referenced
 

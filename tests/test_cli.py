@@ -6,11 +6,11 @@ import pytest
 
 from twotower import benchmark, cli, util
 from twotower.encoders import load_checkpoint
-from twotower.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, cmd_dispatch, render_report
+from twotower.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, render_report
 
 
 def run(*argv):
-    return cmd_dispatch(list(argv))
+    return main(list(argv))
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,16 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert f"{topics} topics" in err and f"{articles} articles" in err
         assert not out.exists()
+
+    def test_synth_qa_count_must_not_be_negative(self, tmp_path, capsys):
+        out, qa = tmp_path / "corpus.jsonl", tmp_path / "qa.jsonl"
+        argv = ["synth", "--out", str(out), "--qa", str(qa), "--articles", "4", "--topics", "2"]
+        assert run(*argv, "--qa-count", "-5") == EXIT_USAGE
+        assert "QA count >= 0, got -5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # Zero writes a corpus and an empty QA file.
+        assert run(*argv, "--qa-count", "0") == EXIT_OK
+        assert out.stat().st_size > 0 and qa.read_text() == ""
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +519,25 @@ class TestOnePipeline:
         grid = capsys.readouterr().err.splitlines()[0]
         assert stage.startswith("error: ")
         assert grid == f"error: --config {cfg_path}: " + stage[len("error: "):]
+
+    @pytest.mark.parametrize("dtype", ["foo", "int8", "float16"])
+    def test_dtype_the_encoder_cannot_run_is_usage_error(self, tmp_path, dtype, capsys):
+        # The inputs do not exist: a check made after reading them would exit 2.
+        missing = str(tmp_path / "missing.jsonl")
+        message = f"dtype must be float32 or float64, got {dtype!r}"
+        assert run(
+            "pretrain", "--corpus", missing, "--vocab", missing, "--out", str(tmp_path / "m"),
+            "--dtype", dtype,
+        ) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        cfg_path = str(tmp_path / "grid.json")
+        util.dump_json(cfg_path, {"dtype": dtype})
+        assert run(
+            "experiment", "--corpus", missing, "--qa", missing, "--config", cfg_path,
+            "--out", str(tmp_path / "exp"),
+        ) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
 
     def test_field_table_holds_stage_options_of_grid_fields(self):
         fields = {f.name for f in dataclasses.fields(benchmark.ExperimentConfig)}

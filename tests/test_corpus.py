@@ -60,7 +60,7 @@ class TestParseCorpus:
         }]
         store = parse_corpus(_lines(records))
         assert 1 in store.articles
-        assert store.passage(0).outgoing_links == []
+        assert store.passages[0].outgoing_links == []
 
 
 def _split_sentences_loop(text):

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -53,3 +55,24 @@ def test_every_cli_option_is_read():
     read |= {flag for fields in cli._FIELDS.values() for flag in fields}
     declared = {name for command in cli._COMMANDS for name in cli._options(command)}
     assert sorted(declared - read) == []
+
+
+def test_every_name_perfbench_traces_exists():
+    """perfbench traces the package functions and classes its `tracing.py`
+    lists in `EXPECTED`, as "module.name", and runs commands through
+    `cli.main`; a name that went missing would show only in perfbench's own
+    tests. The tuple is read from the source, not imported."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    expected = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "EXPECTED" for target in node.targets)
+    )
+    assert expected
+    for name in expected:
+        module, attr = name.split(".")
+        value = getattr(importlib.import_module(f"twotower.{module}"), attr, None)
+        assert inspect.isfunction(value) or inspect.isclass(value), name
+        assert value.__module__.startswith("twotower."), name
+    assert callable(cli.main)

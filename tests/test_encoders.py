@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,9 @@ class TestInitParams:
             tiny_config(vocab_size=2)
         with pytest.raises(EncoderError, match="num_layers"):
             tiny_config(num_layers=0)
+        for dtype in ("float16", "int8", "foo"):
+            with pytest.raises(EncoderError, match="float32 or float64"):
+                tiny_config(dtype=dtype)
 
 
 class TestBowMlp:
@@ -733,7 +737,7 @@ class TestCheckpoint:
         # A v1 manifest still carries the `ln_epsilon` config key; the format
         # check rejects it before the config is built.
         cfg = tiny_config(share_towers=True)
-        meta = {"format": "twotower-checkpoint-v1", "config": {**cfg.to_dict(), "ln_epsilon": 1e-12}}
+        meta = {"format": "twotower-checkpoint-v1", "config": {**asdict(cfg), "ln_epsilon": 1e-12}}
         prefix = str(tmp_path / "v1")
         util.save_tensors(prefix, {"tower/emb/token": np.zeros((24, 8))}, meta)
         with pytest.raises(EncoderError, match="not a checkpoint"):

@@ -31,7 +31,7 @@ def _from_lead_section(store, pair):
     return any(
         index < len(passage.sentences)
         and ([CLS_ID] + passage.sentences[index].token_ids)[:Q_LEN] == pair.query
-        for passage in store.article(article_id).lead.passages
+        for passage in store.articles[article_id].lead
     )
 
 
@@ -48,7 +48,7 @@ def micro(micro_store, small_toy):
 
 class TestIct:
     def test_two_sentence_passage_forced_complement(self, micro):
-        passage = micro.passage(0)  # "The stone shines. It sits in the river."
+        passage = micro.passages[0]  # "The stone shines. It sits in the river."
         pair = gen_ict(micro, 0, subrng(0, "ict"), Q_LEN, D_LEN)
         i = pair.source[2]
         other = passage.sentences[1 - i].token_ids
@@ -60,7 +60,7 @@ class TestIct:
             "id": 9, "title": "t",
             "sections": [{"heading": "", "passages": [{"text": "Only one sentence here."}]}],
         })])
-        single.passage(0).sentences[0].token_ids = [7, 8, 9]
+        single.passages[0].sentences[0].token_ids = [7, 8, 9]
         with pytest.raises(NotEnoughSentences):
             gen_ict(single, 0, subrng(0), Q_LEN, D_LEN)
 
@@ -79,13 +79,13 @@ class TestIct:
         assert np.all(np.abs(counts - 2000) <= 3 * sigma)
 
     def test_exclusion_detects_duplicate_sentences(self, micro):
-        passage = micro.passage(0)
+        passage = micro.passages[0]
         ids = passage.sentences[0].token_ids
         clone = parse_corpus([json.dumps({
             "id": 9, "title": "t",
             "sections": [{"heading": "", "passages": [{"text": "Twin one. Twin two."}]}],
         })])
-        twin = clone.passage(0)
+        twin = clone.passages[0]
         twin.sentences[0].token_ids = list(ids)
         twin.sentences[1].token_ids = list(ids)
         with pytest.raises(DegenerateIctPair):
@@ -94,9 +94,9 @@ class TestIct:
 
 class TestBfs:
     def test_forced_choice(self, micro):
-        article = micro.article(1)  # lead passage A, body passage B
+        article = micro.articles[1]  # lead passage A, body passage B
         pair = gen_bfs(micro, 1, subrng(0, "bfs"), Q_LEN, D_LEN)
-        assert pair.source[1] == article.sections[1].passages[0].id
+        assert pair.source[1] == article.sections[1][0].id
         assert _from_lead_section(micro, pair)
 
     def test_single_passage_article_rejected(self, micro):
@@ -118,8 +118,8 @@ class TestWlp:
         # Exactly passage 0 of article 1 links to article 2.
         pair = gen_wlp(micro, 2, subrng(0, "wlp"), Q_LEN, D_LEN)
         assert pair.source[1] == 0
-        assert micro.passage(0).article_id == 1
-        assert 2 in micro.passage(0).outgoing_links
+        assert micro.passages[0].article_id == 1
+        assert 2 in micro.passages[0].outgoing_links
 
     def test_no_inbound_links_rejected(self, micro):
         with pytest.raises(NoInboundLink):
@@ -252,7 +252,7 @@ class TestPairInvariants:
         store, pairs = sampled
         for pair in pairs:
             if pair.task == "wlp":
-                doc_passage = store.passage(pair.source[1])
+                doc_passage = store.passages[pair.source[1]]
                 assert doc_passage.article_id != pair.source[0]
                 assert pair.source[0] in doc_passage.outgoing_links
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -362,7 +363,7 @@ class TestPretrain:
 
     def test_shared_towers_stay_shared(self, toy_setup):
         store, _, _, base_cfg = toy_setup
-        enc_cfg = EncoderConfig(**{**base_cfg.to_dict(), "share_towers": True})
+        enc_cfg = EncoderConfig(**{**asdict(base_cfg), "share_towers": True})
         cfg = TrainRunConfig(batch_size=8, total_steps=3, seed=3)
         stream = sample_mixture(
             store, PRETRAIN_TASKS, 24, subrng(3, "pairs"),
@@ -383,7 +384,7 @@ class TestMlmPretrain:
 
     def test_requires_transformer(self, toy_setup):
         store, _, _, base_cfg = toy_setup
-        enc_cfg = EncoderConfig(**{**base_cfg.to_dict(), "arch": "bow_mlp"})
+        enc_cfg = EncoderConfig(**{**asdict(base_cfg), "arch": "bow_mlp"})
         with pytest.raises(ValueError, match="transformer"):
             mlm_pretrain(TrainRunConfig(batch_size=8, total_steps=1), enc_cfg, store)
 
