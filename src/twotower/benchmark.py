@@ -12,8 +12,8 @@ same cell the same way: `pretrain_model` (none, mlm or a pair mixture),
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -39,7 +39,7 @@ from .pairs import (
     sample_mixture,
 )
 from .training import TrainRunConfig, finetune, mlm_pretrain, pretrain
-from .util import canonical_json, sha256_bytes, subrng
+from .util import canonical_json, fork_map, fork_workers, sha256_bytes, subrng
 
 TASK_NONE = "none"
 TASK_MLM = "mlm"
@@ -577,39 +577,6 @@ def _minor_faults() -> Optional[int]:
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-# The variables that set OpenBLAS's thread count, in the order it reads them;
-# with none a positive integer, it runs one thread per usable CPU in every
-# process.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _worker_budget() -> int:
-    """How many processes can run BLAS at once without sharing a CPU: the
-    usable CPUs over the BLAS threads of one process, at least 1. Without a
-    BLAS thread variable each process's BLAS already fills every CPU, and a
-    platform that keeps no affinity mask counts as one CPU; both keep the
-    grid in one process."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return max(1, cpus // int(value))
-    return 1
-
-
-# The grid of a forked worker, inherited from the parent at fork.
-_WORKER_GRID: Optional[_Grid] = None
-
-
-def _init_worker(grid: _Grid) -> None:
-    global _WORKER_GRID
-    _WORKER_GRID = grid
-
-
-def _run_worker_unit(unit: Unit) -> Tuple[List[dict], dict]:
-    return run_unit(_WORKER_GRID, unit)
-
-
 def run_experiment(
     store: CorpusStore,
     entries: Sequence[QaEntry],
@@ -621,12 +588,14 @@ def run_experiment(
     return the full report as a JSON-serializable dict.
 
     The grid runs as units (see `run_unit`): for each seed, one per
-    (encoder, task) cell, then one for its BM25 cells. The units run in
-    worker processes, at most one per unit and one per usable CPU over the
-    BLAS threads of a process (see `_worker_budget`): with
+    (encoder, task) cell, then one for its BM25 cells. The units run through
+    `util.fork_map`, in worker processes, at most one per unit and one per
+    usable CPU over the BLAS threads of a process: with
     OPENBLAS_NUM_THREADS=1 that is one worker per usable CPU, while by
     default OpenBLAS runs a thread per CPU in each process and the units
     run one after another in this process, as they do under `taskset -c 0`.
+    A unit's index and query encodes follow the same rule: in a worker they
+    run serially, and a grid of one unit, run here, encodes in workers.
     Each worker adds about one unit's working set to the memory the command
     takes. Workers are forked after the corpus, candidates and splits are
     built, so a worker receives only unit labels and returns only cells and
@@ -651,18 +620,8 @@ def run_experiment(
         if cfg.include_bm25:
             units.append((seed, _BM25, TASK_NONE))
 
-    workers = min(len(units), _worker_budget())
-    if workers <= 1:
-        results = [run_unit(grid, unit) for unit in units]
-    else:
-        # Imported here: at module level its modules add about 0.9 MB to the
-        # peak RSS of every command, the stage commands that never fork too.
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers, _init_worker, (grid,)) as pool:
-            results = list(pool.imap(_run_worker_unit, units, chunksize=1))
-            pool.close()
-            pool.join()
+    workers = fork_workers(len(units))
+    results = fork_map(functools.partial(run_unit, grid), units)
     cells = [cell for unit_cells, _ in results for cell in unit_cells]
     if stats is not None:
         stats.update(workers=workers, units=[timings for _, timings in results])

@@ -104,7 +104,8 @@ _ERF_BLOCK = 1 << 15
 # call that keeps no CDF, allocated once. Allocated per call, they landed
 # between the encoder's large arrays wherever the heap had room, and moved the
 # `experiment` command's peak RSS by up to 22 MB from one input to the next.
-# The package runs on one thread, so one set serves every call.
+# The package runs one thread a process, so one set serves every call of a
+# process; a worker that `util.fork_map` forks gets its own copy of the set.
 _ERF_SCRATCH = np.empty((4, _ERF_BLOCK))
 
 

@@ -7,7 +7,10 @@ candidate id. The dense ranker encodes candidates and queries
 alike. A one-row tail joins the batch before it, and every batch is padded to
 the longest sequence of the pool, so a row's embedding does not depend on the
 batch it falls in: an index that validation built for a checkpoint can rank
-that checkpoint's test questions.
+that checkpoint's test questions. The batches run through `util.fork_map`,
+so a pool is encoded in one worker process per usable CPU when BLAS runs one
+thread a process, serially otherwise and inside an `experiment` grid worker,
+with the same bits either way. A non-finite embedding is an `EncoderError`.
 """
 
 from __future__ import annotations
@@ -19,12 +22,15 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .corpus import PAD_ID
-from .encoders import EncoderConfig, Params, TwoTower, encode
+from .encoders import EncoderConfig, EncoderError, Params, TwoTower, encode
+from .util import fork_map
 
 # Rows per forward-only encode: at 32 rows of 48 tokens the FFN activation,
 # 32 x 48 x 256 float32 values, is 1.5 MB and fits a 2 MB L2 cache, and the
 # encoder's temporaries stay small enough for glibc to reuse instead of
-# returning them to the OS and faulting them in again every batch. With
+# returning them to the OS and faulting them in again every batch. A batch is
+# also the unit of work `_encode_all` hands a forked worker: a 2.3k-row pool
+# is 72 batches, enough to keep two workers busy to the end. With
 # `_encode_all`'s padding any batch size gives the same embeddings bit for bit
 # as long as no batch is one row of several: BLAS multiplies a lone row on its
 # matrix-vector path, which rounds differently, so `_batches` merges a one-row
@@ -71,15 +77,22 @@ def _batches(n: int) -> List[slice]:
 
 
 def _encode_all(params: Params, config: EncoderConfig, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Embeddings [n, k] of every sequence, encoded in `_batches`. Each batch
-    is padded to the longest of all the sequences: the masked softmax sums a
-    row's keys in an order that depends on the padded width, so a narrower
-    batch would move the bits of its rows."""
+    """Embeddings [n, k] of every sequence, encoded in `_batches` by
+    `fork_map`, stacked in batch order. Each batch is padded to the longest of
+    all the sequences: the masked softmax sums a row's keys in an order that
+    depends on the padded width, so a narrower batch would move the bits of
+    its rows. A row that is not finite, from a corrupt or diverged
+    checkpoint, is an `EncoderError`: the top-k cannot rank it."""
     width = max(len(seq) for seq in seqs)
-    return np.vstack([
-        encode(params, config, [list(seq) + [PAD_ID] * (width - len(seq)) for seq in seqs[part]])
-        for part in _batches(len(seqs))
-    ])
+
+    def encode_batch(part: slice) -> np.ndarray:
+        return encode(params, config, [list(seq) + [PAD_ID] * (width - len(seq)) for seq in seqs[part]])
+
+    embeddings = np.vstack(fork_map(encode_batch, _batches(len(seqs))))
+    bad = int(np.count_nonzero(~np.isfinite(embeddings).all(axis=1)))
+    if bad:
+        raise EncoderError(f"{bad} of {len(seqs)} embeddings are not finite")
+    return embeddings
 
 
 def build_dense_index(

@@ -1,4 +1,5 @@
-"""Shared plumbing: seed derivation, hashing, atomic writes, tensor files."""
+"""Shared plumbing: seed derivation, hashing, atomic writes, tensor files,
+and the fork pool that runs independent work on every usable CPU."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -129,3 +130,76 @@ def load_tensors(prefix: str) -> Tuple[Dict[str, np.ndarray], dict]:
         tensors[entry["name"]] = arr.copy()
     return tensors, manifest["meta"]
 
+
+# The variables that set OpenBLAS's thread count, in the order it reads them;
+# with none a positive integer, it runs one thread per usable CPU in every
+# process.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_budget() -> int:
+    """How many processes can run BLAS at once without sharing a CPU: the
+    usable CPUs over the BLAS threads of one process, at least 1. Without a
+    BLAS thread variable each process's BLAS already fills every CPU, and a
+    platform that keeps no affinity mask counts as one CPU; both keep the
+    work in one process."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, cpus // int(value))
+    return 1
+
+
+def fork_workers(n: int) -> int:
+    """The worker processes `fork_map` runs n items in: at most one per item
+    and `_worker_budget()` in all, and 1, this process, inside a pool worker,
+    which may not start processes of its own."""
+    workers = min(n, _worker_budget())
+    if workers > 1:
+        # Imported here: at module level its modules add about 0.9 MB to the
+        # peak RSS of every command, those that never fork too.
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return workers
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+# The function of a `fork_map` worker, set in the worker as it starts.
+_WORKER_FN: Optional[Callable] = None
+
+
+def _set_worker_fn(fn: Callable) -> None:
+    global _WORKER_FN
+    _WORKER_FN = fn
+
+
+def _call_worker_fn(item):
+    return _WORKER_FN(item)
+
+
+def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+    """`[fn(item) for item in items]`, run in `fork_workers(len(items))`
+    processes: in this one when that is 1, else in workers forked from it (an
+    ordered `imap`, one item at a time). A worker inherits `fn` and whatever
+    it reads from this process at the fork, so `fn` may be a closure and only
+    the items and results are pickled. Results come back in item order, so
+    they never depend on the worker count or on which item finished first. An
+    exception `fn` raises is raised here with its type and message, and no
+    worker outlives the call."""
+    items = list(items)
+    workers = fork_workers(len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    import multiprocessing
+
+    # Fork, not spawn: a spawned worker would need `fn` and its data pickled.
+    with multiprocessing.get_context("fork").Pool(workers, _set_worker_fn, (fn,)) as pool:
+        results = list(pool.imap(_call_worker_fn, items, chunksize=1))
+        pool.close()
+        pool.join()
+    return results

@@ -24,6 +24,7 @@ from twotower.corpus import CLS_ID, SEP_ID, parse_corpus, tokenize_corpus
 from twotower.pairs import passage_body
 from twotower.retrieval import RankedList
 from twotower.synth import SynthConfig
+from twotower import util
 from twotower.util import subrng
 
 from conftest import build_toy
@@ -315,7 +316,7 @@ class TestExperiment:
         # process, so the grid runs in it: one worker.
         from twotower import benchmark, retrieval, training
 
-        monkeypatch.setattr(benchmark, "_worker_budget", lambda: 1)
+        monkeypatch.setattr(util, "_worker_budget", lambda: 1)
 
         # Both finetunes select a checkpoint between the first and the last.
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=120, seed=13))
@@ -369,7 +370,7 @@ class TestExperiment:
         store, entries, cfg = self._two_seed_grid()
         reports, stats = [], []
         for workers in (1, 2):
-            monkeypatch.setattr(benchmark, "_worker_budget", lambda: workers)
+            monkeypatch.setattr(util, "_worker_budget", lambda: workers)
             stats.append({})
             report = run_experiment(store, entries, cfg, log=lambda msg: None, stats=stats[-1])
             reports.append(json.dumps(report, sort_keys=True))
@@ -400,7 +401,7 @@ class TestExperiment:
         monkeypatch.setattr(benchmark, "pretrain_model", failing)
         errors = []
         for workers in (1, 2):
-            monkeypatch.setattr(benchmark, "_worker_budget", lambda: workers)
+            monkeypatch.setattr(util, "_worker_budget", lambda: workers)
             with pytest.raises(Exception) as info:
                 run_experiment(store, entries, cfg, log=lambda msg: None)
             errors.append((type(info.value), str(info.value)))
@@ -418,19 +419,17 @@ class TestExperiment:
         ({"OPENBLAS_NUM_THREADS": "two"}, 1),
     ])
     def test_worker_budget_is_cpus_over_blas_threads(self, monkeypatch, env, budget):
-        from twotower import benchmark
-
-        monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        for var in benchmark._BLAS_THREAD_VARS:
+        monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for var in util._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert benchmark._worker_budget() == budget
+        assert util._worker_budget() == budget
         # One usable CPU (taskset -c 0), or none known, runs in one process.
-        monkeypatch.setattr(benchmark.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert benchmark._worker_budget() == 1
-        monkeypatch.delattr(benchmark.os, "sched_getaffinity", raising=False)
-        assert benchmark._worker_budget() == 1
+        monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert util._worker_budget() == 1
+        monkeypatch.delattr(util.os, "sched_getaffinity", raising=False)
+        assert util._worker_budget() == 1
 
     def test_unit_faults_are_none_without_getrusage(self, monkeypatch):
         from twotower import benchmark

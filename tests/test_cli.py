@@ -2,10 +2,11 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from twotower import benchmark, cli, util
-from twotower.encoders import load_checkpoint
+from twotower.encoders import load_checkpoint, save_checkpoint
 from twotower.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, render_report
 
 
@@ -188,6 +189,20 @@ class TestTrainEvalCommands:
         payload = util.load_json(report)
         recalls = [payload["recalls"][k] for k in ("1", "5", "10", "50", "100")]
         assert recalls == sorted(recalls)
+
+    def test_eval_of_a_non_finite_checkpoint_fails_without_output(self, workdir, trained, tmp_path, capsys):
+        _, corpus, qa, vocab = workdir
+        model, _ = load_checkpoint(trained[1])
+        model.doc["out/b"][0] = np.nan
+        ckpt = str(tmp_path / "nan")
+        save_checkpoint(ckpt, model)
+        report = tmp_path / "report.json"
+        assert run(
+            "eval", "--corpus", corpus, "--vocab", vocab, "--qa", qa,
+            "--ckpt", ckpt, "--out", str(report), "--ratio", "60/40", "--seed", "5",
+        ) == EXIT_RUNTIME
+        assert "embeddings are not finite" in capsys.readouterr().err
+        assert not report.exists() and not (tmp_path / "manifests.jsonl").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--arch", "nope"], "unknown arch"),
@@ -414,7 +429,7 @@ class TestExperimentCommand:
             "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", str(out_dir),
         ) == EXIT_OK
         record = json.loads(open(out_dir / "manifests.jsonl").readline())
-        assert record["workers"] == min(2, benchmark._worker_budget())
+        assert record["workers"] == min(2, util._worker_budget())
         dense, bm25 = record["units"]
         assert (dense["seed"], dense["encoder"], dense["task"]) == (7, "transformer", "none")
         assert (bm25["seed"], bm25["encoder"], bm25["task"]) == (7, "bm25", "none")

@@ -2,13 +2,11 @@ import io
 import json
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twotower.corpus import (
-    CLS_ID,
     NUM_SPECIALS,
     PAD_ID,
     SPECIAL_TOKENS,

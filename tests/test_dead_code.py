@@ -8,6 +8,7 @@ import twotower
 from twotower import cli
 
 SOURCE_DIR = Path(twotower.__file__).parent
+TESTS_DIR = Path(__file__).parent
 
 # Package definitions kept for the tests alone: none, as test oracles and
 # fixtures live under tests/.
@@ -36,6 +37,24 @@ def test_every_top_level_definition_is_used_in_the_package():
         and f"{module}.{node.name}" not in TEST_ONLY
     ]
     assert unused == []
+
+
+def test_every_test_import_is_read():
+    """Each name a file under tests/ imports is read in that file: an
+    import nothing reads hides which package names the tests still use."""
+    unread = []
+    for path in sorted(TESTS_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        ]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unread == []
 
 
 def test_every_cli_option_is_read():

@@ -3,12 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from twotower.corpus import CLS_ID, MASK_ID, NUM_SPECIALS, SEP_ID, tokenize_corpus
-from twotower.corpus import build_vocab, parse_corpus
+from twotower.corpus import CLS_ID, MASK_ID, SEP_ID, parse_corpus, tokenize_corpus
 from twotower.pairs import (
     PRETRAIN_TASKS,
     DegenerateIctPair,
-    MlmExample,
     NoInboundLink,
     NotEnoughPassages,
     NotEnoughSentences,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twotower import retrieval
+from twotower import retrieval, util
 from twotower.encoders import EncoderConfig, EncoderError, TwoTower, encode
 from twotower.retrieval import (
     BM25Params,
@@ -207,8 +207,10 @@ class TestEncodeBatches:
             sizes.append(len(batch))
             return encode(params, config, batch)
 
+        # The spy counts in this process, so the batches are encoded in it.
         with mock.patch.object(retrieval, "encode", spy), \
-                mock.patch.object(retrieval, "ENCODE_BATCH", encode_batch):
+                mock.patch.object(retrieval, "ENCODE_BATCH", encode_batch), \
+                mock.patch.object(util, "_worker_budget", lambda: 1):
             return run(), sizes
 
     @pytest.mark.parametrize("n", range(1, 101))
@@ -234,6 +236,28 @@ class TestEncodeBatches:
         assert [r.ids[0] for r in ranked] == [
             dense_topk(index, row, 1).ids[0] for row in encode(model.query, self.CONFIG, seqs[:n])
         ]
+
+    # 2 and 33 rows are one batch, 65 two and 100 four: up to three workers.
+    @pytest.mark.parametrize("n", [2, 33, 65, 100])
+    def test_workers_keep_embedding_bits(self, pool, n):
+        model, seqs = pool
+        encoded = []
+        for workers in (1, 2, 3):
+            with mock.patch.object(util, "_worker_budget", lambda: workers):
+                encoded.append(retrieval._encode_all(model.doc, self.CONFIG, seqs[:n]))
+        assert encoded[0].shape == (n, self.CONFIG.emb_dim)
+        assert encoded[0].tobytes() == encoded[1].tobytes() == encoded[2].tobytes()
+
+    def test_non_finite_embeddings_are_an_error_that_counts_them(self, pool):
+        # A NaN token row spreads through attention to every row holding the
+        # token, and to no other row.
+        model, seqs = pool
+        params = {**model.doc, "emb/token": model.doc["emb/token"].copy()}
+        params["emb/token"][7] = np.nan
+        holding = sum(7 in seq for seq in seqs[:40])
+        assert 0 < holding < 40
+        with pytest.raises(EncoderError, match=f"^{holding} of 40 embeddings are not finite$"):
+            retrieval._encode_all(params, self.CONFIG, seqs[:40])
 
 
 class TestBM25:
