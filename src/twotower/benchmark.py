@@ -39,7 +39,7 @@ from .pairs import (
     sample_mixture,
 )
 from .training import TrainRunConfig, finetune, mlm_pretrain, pretrain
-from .util import canonical_json, fork_map, fork_workers, sha256_bytes, subrng
+from .util import canonical_json, fork_map, sha256_bytes, subrng
 
 TASK_NONE = "none"
 TASK_MLM = "mlm"
@@ -594,8 +594,8 @@ def run_experiment(
     OPENBLAS_NUM_THREADS=1 that is one worker per usable CPU, while by
     default OpenBLAS runs a thread per CPU in each process and the units
     run one after another in this process, as they do under `taskset -c 0`.
-    A unit's index and query encodes follow the same rule: in a worker they
-    run serially, and a grid of one unit, run here, encodes in workers.
+    A unit's index and query encodes run serially in a worker; a grid of one
+    unit, run here, encodes as `retrieval._encode_all` says.
     Each worker adds about one unit's working set to the memory the command
     takes. Workers are forked after the corpus, candidates and splits are
     built, so a worker receives only unit labels and returns only cells and
@@ -620,8 +620,7 @@ def run_experiment(
         if cfg.include_bm25:
             units.append((seed, _BM25, TASK_NONE))
 
-    workers = fork_workers(len(units))
-    results = fork_map(functools.partial(run_unit, grid), units)
+    results, workers = fork_map(functools.partial(run_unit, grid), units)
     cells = [cell for unit_cells, _ in results for cell in unit_cells]
     if stats is not None:
         stats.update(workers=workers, units=[timings for _, timings in results])

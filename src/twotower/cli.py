@@ -302,11 +302,12 @@ def _cmd_finetune(o) -> int:
 
 def _cmd_eval(o) -> int:
     """Write the recall@k of one split part's questions over the candidate
-    pool, plus --augment distractors, to --out. eval encodes the pool and the
-    questions in worker processes by experiment's rule: one per usable CPU
-    with OPENBLAS_NUM_THREADS=1, one process in all with the BLAS thread
-    variables unset or under `taskset -c 0`; the embeddings are the same
-    either way. A non-finite embedding is an error, and nothing is written."""
+    pool, plus --augment distractors, to --out. With --ckpt, a pool or
+    question set that takes over 0.1 s to encode is encoded in worker
+    processes by experiment's rule: one per usable CPU with
+    OPENBLAS_NUM_THREADS=1, one process in all with the BLAS thread variables
+    unset or under `taskset -c 0`; the embeddings are the same either way,
+    and a non-finite one is an error that writes nothing."""
     part_name = str(o["split-part"])
     if part_name not in ("train", "validation", "test"):
         raise UsageError("--split-part must be train/validation/test")
@@ -374,7 +375,7 @@ def _cmd_experiment(o) -> int:
     """Run the grid of --config (the default grid without it) and write
     report.json and report.txt to --out. The grid's (seed, encoder, task)
     units run in worker processes, one per usable CPU over the BLAS threads
-    of a process, as eval encodes its batches: one per CPU with
+    of a process, as eval encodes a large pool: one per CPU with
     OPENBLAS_NUM_THREADS=1, and one process in all with the BLAS thread
     variables unset or under `taskset -c 0`. A worker encodes its unit's
     pools serially. Each worker adds about one unit's working set to the

@@ -151,11 +151,11 @@ def _worker_budget() -> int:
     return 1
 
 
-def fork_workers(n: int) -> int:
-    """The worker processes `fork_map` runs n items in: at most one per item
-    and `_worker_budget()` in all, and 1, this process, inside a pool worker,
-    which may not start processes of its own."""
-    workers = min(n, _worker_budget())
+def _fork_workers(n: int, per_worker: int) -> int:
+    """The worker processes `fork_map` runs n items in: as many as get
+    per_worker items each, at most `_worker_budget()`, and 1, this process,
+    inside a pool worker, which may not start processes of its own."""
+    workers = min(n // per_worker, _worker_budget())
     if workers > 1:
         # Imported here: at module level its modules add about 0.9 MB to the
         # peak RSS of every command, those that never fork too.
@@ -182,19 +182,20 @@ def _call_worker_fn(item):
     return _WORKER_FN(item)
 
 
-def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-    """`[fn(item) for item in items]`, run in `fork_workers(len(items))`
-    processes: in this one when that is 1, else in workers forked from it (an
-    ordered `imap`, one item at a time). A worker inherits `fn` and whatever
-    it reads from this process at the fork, so `fn` may be a closure and only
-    the items and results are pickled. Results come back in item order, so
-    they never depend on the worker count or on which item finished first. An
-    exception `fn` raises is raised here with its type and message, and no
-    worker outlives the call."""
+def fork_map(fn: Callable[[T], R], items: Sequence[T], per_worker: int = 1) -> Tuple[List[R], int]:
+    """`[fn(item) for item in items]` and the number of processes it ran in:
+    this one when `_fork_workers(len(items), per_worker)` is at most 1, else
+    that many workers forked from it (an ordered `imap`, one item at a time).
+    per_worker, at least 1, is the fewest items a worker must get to pay for
+    its fork. A worker inherits `fn` and whatever it reads from this process
+    at the fork, so `fn` may be a closure and only the items and results are
+    pickled. Results come back in item order, so they never depend on the
+    worker count or on which item finished first. An exception `fn` raises is
+    raised here with its type and message, and no worker outlives the call."""
     items = list(items)
-    workers = fork_workers(len(items))
+    workers = _fork_workers(len(items), per_worker)
     if workers <= 1:
-        return [fn(item) for item in items]
+        return [fn(item) for item in items], 1
     import multiprocessing
 
     # Fork, not spawn: a spawned worker would need `fn` and its data pickled.
@@ -202,4 +203,4 @@ def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         results = list(pool.imap(_call_worker_fn, items, chunksize=1))
         pool.close()
         pool.join()
-    return results
+    return results, workers

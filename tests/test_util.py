@@ -3,10 +3,9 @@ import os
 
 import pytest
 
-from twotower import util
+from twotower import retrieval, util
 from twotower.benchmark import ExperimentConfig, run_experiment
 from twotower.encoders import EncoderConfig, TwoTower
-from twotower.retrieval import _encode_all
 from twotower.synth import SynthConfig
 
 from conftest import build_toy
@@ -23,16 +22,27 @@ class TestForkMap:
     def test_results_come_back_in_item_order(self, budget, workers):
         budget(workers)
         offset = 10  # read by the closure, which workers inherit at the fork
-        results = util.fork_map(lambda item: (item + offset, os.getpid()), range(7))
+        results, used = util.fork_map(lambda item: (item + offset, os.getpid()), range(7))
         assert [value for value, _ in results] == list(range(10, 17))
+        assert used == workers
         pids = {pid for _, pid in results}
         assert (os.getpid() in pids) == (workers == 1)
         assert len(pids) <= workers
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("n, per_worker, workers", [
+        (7, 1, 3), (7, 2, 3), (7, 3, 2), (7, 4, 1), (7, 8, 1), (2, 1, 2), (1, 1, 1),
+    ])
+    def test_each_worker_gets_per_worker_items(self, budget, n, per_worker, workers):
+        budget(3)
+        results, used = util.fork_map(lambda item: item * 2, range(n), per_worker)
+        assert results == [item * 2 for item in range(n)]
+        assert used == workers
+        assert multiprocessing.active_children() == []
+
     def test_no_items_give_no_results(self, budget):
         budget(2)
-        assert util.fork_map(lambda item: item, []) == []
+        assert util.fork_map(lambda item: item, []) == ([], 1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_exception_in_a_worker_is_raised_here(self, budget, workers):
@@ -52,11 +62,13 @@ class TestForkMap:
         budget(2)
 
         def nested(item):
-            assert util.fork_workers(3) == 1
+            assert util._fork_workers(3, 1) == 1
             return os.getpid(), util.fork_map(lambda _: os.getpid(), range(3))
 
-        for pid, inner in util.fork_map(nested, range(2)):
-            assert pid != os.getpid() and inner == [pid] * 3
+        results, used = util.fork_map(nested, range(2))
+        assert used == 2
+        for pid, inner in results:
+            assert pid != os.getpid() and inner == ([pid] * 3, 1)
         assert multiprocessing.active_children() == []
 
 
@@ -78,14 +90,16 @@ class TestNoFork:
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert util.fork_workers(8) == 1
+        assert util._fork_workers(8, 1) == 1
 
-    def test_encode_batches(self, serial):
+    def test_encode_batches(self, serial, monkeypatch):
+        # With a worker's share of a nanosecond, only the budget keeps it serial.
+        monkeypatch.setattr(retrieval, "FORK_MIN_S", 1e-9)
         config = EncoderConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16, emb_dim=4,
                                vocab_size=30, doc_max_len=6)
         model = TwoTower.init(config, 3)
         seqs = [[2 + i % 20, 7, 9] for i in range(100)]
-        assert _encode_all(model.doc, config, seqs).shape == (100, 4)
+        assert retrieval._encode_all(model.doc, config, seqs).shape == (100, 4)
 
     def test_grid_units(self, serial):
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=60, seed=13))
