@@ -594,8 +594,9 @@ def run_experiment(
     OPENBLAS_NUM_THREADS=1 that is one worker per usable CPU, while by
     default OpenBLAS runs a thread per CPU in each process and the units
     run one after another in this process, as they do under `taskset -c 0`.
-    A unit's index and query encodes run serially in a worker; a grid of one
-    unit, run here, encodes as `retrieval._encode_all` says.
+    Threads for encodes, forks for grid units: a unit's index and query
+    encodes run serially in a worker, and a grid of one unit, run here,
+    encodes on threads as `retrieval._encode_all` says.
     Each worker adds about one unit's working set to the memory the command
     takes. Workers are forked after the corpus, candidates and splits are
     built, so a worker receives only unit labels and returns only cells and

@@ -302,10 +302,10 @@ def _cmd_finetune(o) -> int:
 
 def _cmd_eval(o) -> int:
     """Write the recall@k of one split part's questions over the candidate
-    pool, plus --augment distractors, to --out. With --ckpt, a pool or
-    question set that takes over 0.1 s to encode is encoded in worker
-    processes by experiment's rule: one per usable CPU with
-    OPENBLAS_NUM_THREADS=1, one process in all with the BLAS thread variables
+    pool, plus --augment distractors, to --out. With --ckpt, the pool and
+    the questions are encoded on threads of this process by experiment's
+    rule (threads for encodes, forks for grid units): one per usable CPU with
+    OPENBLAS_NUM_THREADS=1, one thread in all with the BLAS thread variables
     unset or under `taskset -c 0`; the embeddings are the same either way,
     and a non-finite one is an error that writes nothing."""
     part_name = str(o["split-part"])
@@ -373,13 +373,13 @@ def render_report(report: dict) -> str:
 
 def _cmd_experiment(o) -> int:
     """Run the grid of --config (the default grid without it) and write
-    report.json and report.txt to --out. The grid's (seed, encoder, task)
-    units run in worker processes, one per usable CPU over the BLAS threads
-    of a process, as eval encodes a large pool: one per CPU with
-    OPENBLAS_NUM_THREADS=1, and one process in all with the BLAS thread
-    variables unset or under `taskset -c 0`. A worker encodes its unit's
-    pools serially. Each worker adds about one unit's working set to the
-    command's memory.
+    report.json and report.txt to --out. Threads for encodes, forks for
+    grid units: the grid's (seed, encoder, task) units run in worker
+    processes, one per usable CPU over the BLAS threads of a process, as
+    many as eval's encode threads: one per CPU with OPENBLAS_NUM_THREADS=1,
+    and one process in all with the BLAS thread variables unset or under
+    `taskset -c 0`. A worker encodes its unit's pools serially. Each worker
+    adds about one unit's working set to the command's memory.
     The manifest record adds the worker count and each unit's timings and
     minor page faults."""
     out_dir = str(o["out"])

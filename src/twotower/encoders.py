@@ -34,6 +34,7 @@ the larger length when the towers are shared.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -101,12 +102,13 @@ _ERF_Q = (
 # buffers stay in a core's L2 cache across the block's two dozen passes.
 _ERF_BLOCK = 1 << 15
 # The erf's three float64 blocks and a fourth for the CDF block of a `_gelu`
-# call that keeps no CDF, allocated once. Allocated per call, they landed
-# between the encoder's large arrays wherever the heap had room, and moved the
-# `experiment` command's peak RSS by up to 22 MB from one input to the next.
-# The package runs one thread a process, so one set serves every call of a
-# process; a worker that `util.fork_map` forks gets its own copy of the set.
-_ERF_SCRATCH = np.empty((4, _ERF_BLOCK))
+# call that keeps no CDF, allocated once per thread, on its first `_gelu`.
+# Allocated per call, they landed between the encoder's large arrays wherever
+# the heap had room, and moved the `experiment` command's peak RSS by up to
+# 22 MB from one input to the next. `retrieval._encode_all` encodes on
+# several threads at once, and two threads sharing one set overwrite each
+# other's blocks, so each thread keeps its own.
+_ERF_SCRATCH = threading.local()
 
 
 class EncoderError(ValueError):
@@ -371,17 +373,20 @@ def _gelu(u: np.ndarray, cdf: Optional[np.ndarray] = None) -> None:
     u's shape and dtype, when it is given.
 
     The CDF is 0.5 * (1 + erf(u / sqrt(2))) in the dtype of u, taken one
-    `_ERF_BLOCK` at a time, with the erf of `_erf` in float64 in
-    `_ERF_SCRATCH`, so without `cdf` no array of u's size is allocated. For
-    float32 u it is the result with SciPy's `special.erf`, bit for bit: the
-    erf matched on all 2**32 float32 bit patterns, and tests/test_encoders.py
-    sweeps about 2M of them. A NaN stays NaN with its own sign and payload,
-    where SciPy returns the default NaN. For float64 u the CDF is within
-    4.5e-16 of the SciPy result.
+    `_ERF_BLOCK` at a time, with the erf of `_erf` in float64 in the calling
+    thread's `_ERF_SCRATCH`, so without `cdf` no array of u's size is
+    allocated, and threads may run it at once. For float32 u it is the
+    result with SciPy's `special.erf`, bit for bit: the erf matched on all
+    2**32 float32 bit patterns, and tests/test_encoders.py sweeps about 2M of
+    them. A NaN stays NaN with its own sign and payload, where SciPy returns
+    the default NaN. For float64 u the CDF is within 4.5e-16 of the SciPy
+    result.
     """
     flat = u.reshape(-1)
     cdf_flat = None if cdf is None else cdf.reshape(-1)
-    x, z, out, spare = _ERF_SCRATCH
+    if not hasattr(_ERF_SCRATCH, "blocks"):
+        _ERF_SCRATCH.blocks = np.empty((4, _ERF_BLOCK))
+    x, z, out, spare = _ERF_SCRATCH.blocks
     spare = spare.view(u.dtype)
     for start in range(0, flat.size, _ERF_BLOCK):
         block = flat[start : start + _ERF_BLOCK]

@@ -7,17 +7,16 @@ candidate id. The dense ranker encodes candidates and queries
 alike. A one-row tail joins the batch before it, and every batch is padded to
 the longest sequence of the pool, so a row's embedding does not depend on the
 batch it falls in: an index that validation built for a checkpoint can rank
-that checkpoint's test questions. The batches after the first run through
-`util.fork_map`, so a pool is encoded in one worker process per usable CPU
-when BLAS runs one thread a process and each worker gets `FORK_MIN_S` of
-encoding, serially otherwise and inside an `experiment` grid worker, with the
-same bits either way. A non-finite embedding is an `EncoderError`.
+that checkpoint's test questions. The batches run on one thread of this
+process per usable CPU when BLAS runs one thread a caller: threads for
+encodes, forks for grid units. They run serially otherwise and inside an
+`experiment` grid worker, with the same bits either way. A non-finite
+embedding is an `EncoderError`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -25,27 +24,18 @@ import numpy as np
 
 from .corpus import PAD_ID
 from .encoders import EncoderConfig, EncoderError, Params, TwoTower, encode
-from .util import fork_map
+from .util import worker_count
 
 # Rows per forward-only encode: at 32 rows of 48 tokens the FFN activation,
 # 32 x 48 x 256 float32 values, is 1.5 MB and fits a 2 MB L2 cache, and the
 # encoder's temporaries stay small enough for glibc to reuse instead of
 # returning them to the OS and faulting them in again every batch. A batch is
-# also the unit of work `_encode_all` hands a forked worker. With
+# also the unit of work `_encode_all` hands a thread. With
 # `_encode_all`'s padding any batch size gives the same embeddings bit for bit
 # as long as no batch is one row of several: BLAS multiplies a lone row on its
 # matrix-vector path, which rounds differently, so `_batches` merges a one-row
 # tail into the batch before it.
 ENCODE_BATCH = 32
-
-# The fewest seconds of serial encoding a forked worker must get, as timed on
-# a pool's first batch. A fork pool took 15-30 ms to start and join (2-core
-# x86, default shapes), so two workers lost to one process below about 60 ms
-# of encoding: the 40 validation questions of `finetune` (6 ms), a
-# 500-question pool (48 ms) and any bag-of-words pool (a 1.8k-row pool encodes
-# in 15 ms) stay in this process, while a 1.8k-row transformer index (0.57 s)
-# is split.
-FORK_MIN_S = 0.05
 
 
 @dataclass
@@ -87,24 +77,29 @@ def _batches(n: int) -> List[slice]:
 
 
 def _encode_all(params: Params, config: EncoderConfig, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Embeddings [n, k] of every sequence, encoded in `_batches` and stacked
-    in batch order: the first here, timed, and the rest by `fork_map`, on as
-    many workers as get `FORK_MIN_S` of them each at that pace. Each batch is
-    padded to the longest of all the sequences: the masked softmax sums a
-    row's keys in an order that depends on the padded width, so a narrower
-    batch would move the bits of its rows. A row that is not finite, from a
-    corrupt or diverged checkpoint, is an `EncoderError`: the top-k cannot
-    rank it."""
+    """Embeddings [n, k] of every sequence, encoded in `_batches` on
+    `worker_count` threads of this process and stacked in batch order; numpy
+    releases the GIL in BLAS and ufunc loops. Each batch is padded to the
+    longest of all the sequences: the masked softmax sums a row's keys in an
+    order that depends on the padded width, so a narrower batch would move
+    the bits of its rows. A row that is not finite, from a corrupt or
+    diverged checkpoint, is an `EncoderError`: the top-k cannot rank it."""
     width = max(len(seq) for seq in seqs)
 
     def encode_batch(part: slice) -> np.ndarray:
         return encode(params, config, [list(seq) + [PAD_ID] * (width - len(seq)) for seq in seqs[part]])
 
-    first, *rest = _batches(len(seqs))
-    start = time.perf_counter()
-    parts = [encode_batch(first)]
-    per_worker = math.ceil(FORK_MIN_S / max(time.perf_counter() - start, 1e-9))
-    parts += fork_map(encode_batch, rest, per_worker)[0]
+    batches = _batches(len(seqs))
+    threads = worker_count(len(batches))
+    if threads > 1:
+        # Imported here: with its `logging` import it adds 8-10 ms to the
+        # start-up of every command, those that never start a thread too.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(encode_batch, batches))
+    else:
+        parts = [encode_batch(part) for part in batches]
     embeddings = np.vstack(parts)
     bad = int(np.count_nonzero(~np.isfinite(embeddings).all(axis=1)))
     if bad:

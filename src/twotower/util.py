@@ -1,5 +1,6 @@
 """Shared plumbing: seed derivation, hashing, atomic writes, tensor files,
-and the fork pool that runs independent work on every usable CPU."""
+and the worker budget that spreads work over every usable CPU: threads for
+encodes (`retrieval`), forks for grid units (`fork_map`)."""
 
 from __future__ import annotations
 
@@ -138,11 +139,11 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 
 
 def _worker_budget() -> int:
-    """How many processes can run BLAS at once without sharing a CPU: the
-    usable CPUs over the BLAS threads of one process, at least 1. Without a
-    BLAS thread variable each process's BLAS already fills every CPU, and a
-    platform that keeps no affinity mask counts as one CPU; both keep the
-    work in one process."""
+    """How many processes or threads can run BLAS at once without sharing a
+    CPU: the usable CPUs over the BLAS threads of one caller, at least 1.
+    Without a BLAS thread variable each caller's BLAS already fills every
+    CPU, and a platform that keeps no affinity mask counts as one CPU; both
+    keep the work serial."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     for var in _BLAS_THREAD_VARS:
         value = os.environ.get(var, "")
@@ -151,25 +152,11 @@ def _worker_budget() -> int:
     return 1
 
 
-def _fork_workers(n: int, per_worker: int) -> int:
-    """The worker processes `fork_map` runs n items in: as many as get
-    per_worker items each, at most `_worker_budget()`, and 1, this process,
-    inside a pool worker, which may not start processes of its own."""
-    workers = min(n // per_worker, _worker_budget())
-    if workers > 1:
-        # Imported here: at module level its modules add about 0.9 MB to the
-        # peak RSS of every command, those that never fork too.
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            return 1
-    return workers
-
-
 T = TypeVar("T")
 R = TypeVar("R")
 
-# The function of a `fork_map` worker, set in the worker as it starts.
+# The function of a `fork_map` worker, set in the worker as it starts, so
+# None in any other process.
 _WORKER_FN: Optional[Callable] = None
 
 
@@ -182,20 +169,30 @@ def _call_worker_fn(item):
     return _WORKER_FN(item)
 
 
-def fork_map(fn: Callable[[T], R], items: Sequence[T], per_worker: int = 1) -> Tuple[List[R], int]:
+def worker_count(n: int) -> int:
+    """How many workers, forked processes or threads, run n items: at most
+    one an item and `_worker_budget()`, and 1 inside a `fork_map` worker,
+    whose siblings already use the budget."""
+    return 1 if _WORKER_FN is not None else min(n, _worker_budget())
+
+
+def fork_map(fn: Callable[[T], R], items: Sequence[T]) -> Tuple[List[R], int]:
     """`[fn(item) for item in items]` and the number of processes it ran in:
-    this one when `_fork_workers(len(items), per_worker)` is at most 1, else
-    that many workers forked from it (an ordered `imap`, one item at a time).
-    per_worker, at least 1, is the fewest items a worker must get to pay for
-    its fork. A worker inherits `fn` and whatever it reads from this process
-    at the fork, so `fn` may be a closure and only the items and results are
-    pickled. Results come back in item order, so they never depend on the
-    worker count or on which item finished first. An exception `fn` raises is
-    raised here with its type and message, and no worker outlives the call."""
+    this one when `worker_count(len(items))` is at most 1, else that many
+    workers forked from it (an ordered `imap`, one item at a time). A worker
+    inherits `fn` and whatever it reads from this process at the fork, so
+    `fn` may be a closure and only the items and results are pickled.
+    Results come back in item order, so they never depend on the worker count
+    or on which item finished first. An exception `fn` raises is raised here
+    with its type and message, and no worker outlives the call. The
+    `experiment` grid runs its units here; a pool's encode batches run on
+    threads instead (`retrieval._encode_all`), as a fork costs 15-30 ms."""
     items = list(items)
-    workers = _fork_workers(len(items), per_worker)
+    workers = worker_count(len(items))
     if workers <= 1:
         return [fn(item) for item in items], 1
+    # Imported here: at module level its modules add about 0.9 MB to the peak
+    # RSS of every command, those that never fork too.
     import multiprocessing
 
     # Fork, not spawn: a spawned worker would need `fn` and its data pickled.

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from scipy.special import erf
 
 import twotower
-from twotower import encoders, util
+from twotower import encoders, retrieval, util
 from twotower.corpus import NUM_SPECIALS, PAD_ID
 from twotower.encoders import (
     ARCH_BOW_MLP,
@@ -390,6 +392,55 @@ class TestGeluCdf:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bm25.json").exists()
+
+
+class TestThreads:
+    """Threads may run `_gelu` and `encode` at once, as `retrieval._encode_all`
+    does: each thread keeps its own erf scratch blocks, so two threads give
+    the serial bytes."""
+
+    @staticmethod
+    def _at_once(fn, args):
+        """[fn(arg) for arg in args], each on a thread of its own, all released
+        together; a thread that hangs fails the test within a minute."""
+        barrier = threading.Barrier(len(args), timeout=60)
+
+        def run(arg):
+            barrier.wait()
+            return fn(arg)
+
+        with ThreadPoolExecutor(len(args)) as pool:
+            return list(pool.map(run, args, timeout=60))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_two_threads_gelu_give_the_serial_bits(self, dtype):
+        # Several erf blocks a row, and most elements past |u / sqrt(2)| = 1,
+        # where the erf takes its tail branch.
+        rows = subrng(12, "threads").normal(0.0, 3.0, (2, 6 * _ERF_BLOCK + 5)).astype(dtype)
+        assert (np.abs(rows) > math.sqrt(2.0)).mean() > 0.5
+        serial = rows.copy()
+        for row in serial:
+            _gelu(row)
+        for _ in range(3):
+            threaded = rows.copy()
+            self._at_once(_gelu, list(threaded))
+            assert threaded.tobytes() == serial.tobytes()
+
+    def test_two_threads_encoding_one_pool_give_the_serial_bits(self, monkeypatch):
+        # A batch's FFN input spans 12 erf blocks; a larger `ffn/w1` than the
+        # initial one takes most of it past the erf's first branch.
+        cfg = tiny_config(num_layers=1, hidden_dim=32, ff_dim=256, emb_dim=16, vocab_size=50,
+                          query_max_len=48, doc_max_len=48, dtype="float32")
+        doc = TwoTower.init(cfg, 14).doc
+        params = {**doc, "layer0/ffn/w1": doc["layer0/ffn/w1"] * 30}
+        rng = subrng(14, "pool")
+        seqs = [rng.integers(2, 50, size=48).tolist() for _ in range(64)]
+        # Each caller encodes its batches serially, so two threads encode at once.
+        monkeypatch.setattr(util, "_worker_budget", lambda: 1)
+        serial = retrieval._encode_all(params, cfg, seqs).tobytes()
+        for _ in range(3):
+            threaded = self._at_once(lambda _: retrieval._encode_all(params, cfg, seqs), [0, 1])
+            assert [emb.tobytes() for emb in threaded] == [serial, serial]
 
 
 class TestEncodeKeepsNoActivations:

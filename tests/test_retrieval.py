@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -238,52 +240,33 @@ class TestEncodeBatches:
         ]
 
     @staticmethod
-    def _workers(run):
-        """run()'s result and the worker count of each `fork_map` call it made."""
+    def _threads(run):
+        """run()'s result and the thread count of each thread pool it started."""
         used = []
 
-        def spy(fn, items, per_worker):
-            results, workers = util.fork_map(fn, items, per_worker)
-            used.append(workers)
-            return results, workers
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                used.append(max_workers)
+                super().__init__(max_workers)
 
-        with mock.patch.object(retrieval, "fork_map", spy):
+        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Spy):
             return run(), used
 
-    # 2 and 33 rows are one batch, 65 two, 100 four and 160 five; the first is
-    # encoded here, so with a worker's share of a nanosecond the rest take up
-    # to three workers.
+    # 2 and 33 rows are one batch, 65 two, 100 four and 160 five, so a budget
+    # of up to three threads starts as many as there are batches.
     @pytest.mark.parametrize("n", [2, 33, 65, 100, 160])
     def test_workers_keep_embedding_bits(self, pool, n):
         model, seqs = pool
         seqs = (seqs * 2)[:n]
         encoded = []
-        for workers in (1, 2, 3):
-            with mock.patch.object(util, "_worker_budget", lambda: workers), \
-                    mock.patch.object(retrieval, "FORK_MIN_S", 1e-9):
-                emb, used = self._workers(lambda: retrieval._encode_all(model.doc, self.CONFIG, seqs))
-            assert used == [max(1, min(workers, len(retrieval._batches(n)) - 1))]
+        for budget in (1, 2, 3):
+            with mock.patch.object(util, "_worker_budget", lambda: budget):
+                emb, used = self._threads(lambda: retrieval._encode_all(model.doc, self.CONFIG, seqs))
+            threads = min(budget, len(retrieval._batches(n)))
+            assert used == ([] if threads == 1 else [threads])
             encoded.append(emb)
         assert encoded[0].shape == (n, self.CONFIG.emb_dim)
         assert encoded[0].tobytes() == encoded[1].tobytes() == encoded[2].tobytes()
-
-    # At a first batch timed at 20 ms, a worker must get 3 of the other batches.
-    @pytest.mark.parametrize("n, workers", [(100, 1), (160, 1), (224, 2), (320, 3)])
-    def test_each_worker_gets_fork_min_s_of_batches(self, pool, n, workers):
-        model, seqs = pool
-        clock = iter([10.0, 10.02])
-        with mock.patch.object(util, "_worker_budget", lambda: 3), \
-                mock.patch.object(retrieval.time, "perf_counter", lambda: next(clock)):
-            emb, used = self._workers(lambda: retrieval._encode_all(model.doc, self.CONFIG, (seqs * 4)[:n]))
-        assert retrieval.FORK_MIN_S == 0.05
-        assert used == [workers]
-        assert emb.shape == (n, self.CONFIG.emb_dim)
-
-    def test_a_pool_quick_to_encode_stays_in_this_process(self, pool):
-        model, seqs = pool
-        with mock.patch.object(util, "_worker_budget", lambda: 3):
-            _, used = self._workers(lambda: retrieval._encode_all(model.doc, self.CONFIG, seqs))
-        assert used == [1]
 
     def test_non_finite_embeddings_are_an_error_that_counts_them(self, pool):
         # A NaN token row spreads through attention to every row holding the

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -30,14 +31,12 @@ class TestForkMap:
         assert len(pids) <= workers
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("n, per_worker, workers", [
-        (7, 1, 3), (7, 2, 3), (7, 3, 2), (7, 4, 1), (7, 8, 1), (2, 1, 2), (1, 1, 1),
-    ])
-    def test_each_worker_gets_per_worker_items(self, budget, n, per_worker, workers):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_at_most_one_worker_an_item(self, budget, n):
         budget(3)
-        results, used = util.fork_map(lambda item: item * 2, range(n), per_worker)
+        results, used = util.fork_map(lambda item: item * 2, range(n))
         assert results == [item * 2 for item in range(n)]
-        assert used == workers
+        assert used == n
         assert multiprocessing.active_children() == []
 
     def test_no_items_give_no_results(self, budget):
@@ -62,7 +61,7 @@ class TestForkMap:
         budget(2)
 
         def nested(item):
-            assert util._fork_workers(3, 1) == 1
+            assert util.worker_count(3) == 1
             return os.getpid(), util.fork_map(lambda _: os.getpid(), range(3))
 
         results, used = util.fork_map(nested, range(2))
@@ -73,28 +72,29 @@ class TestForkMap:
 
 
 class TestNoFork:
-    """One usable CPU, or unset BLAS thread variables, fork nothing at either
-    call site: the grid's units and a pool's encode batches."""
+    """One usable CPU, unset BLAS thread variables, or a call inside a grid
+    worker start neither a process nor a thread at either call site: the
+    grid's units and a pool's encode batches."""
 
-    @pytest.fixture(params=["one cpu", "no blas variable"])
+    @pytest.fixture(params=["one cpu", "no blas variable", "grid worker"])
     def serial(self, request, monkeypatch):
         for var in util._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        if request.param == "one cpu":
+        cpus = {0} if request.param == "one cpu" else {0, 1, 2, 3}
+        monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        if request.param != "no blas variable":
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-            monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        else:
-            monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        if request.param == "grid worker":
+            monkeypatch.setattr(util, "_WORKER_FN", lambda item: item)
 
-        def no_fork():
-            raise AssertionError("forked")
+        def started(*args):
+            raise AssertionError("started a process or a thread")
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert util._fork_workers(8, 1) == 1
+        monkeypatch.setattr(os, "fork", started)
+        monkeypatch.setattr(threading.Thread, "start", started)
+        assert util.worker_count(8) == 1
 
-    def test_encode_batches(self, serial, monkeypatch):
-        # With a worker's share of a nanosecond, only the budget keeps it serial.
-        monkeypatch.setattr(retrieval, "FORK_MIN_S", 1e-9)
+    def test_encode_batches(self, serial):
         config = EncoderConfig(num_layers=1, hidden_dim=8, num_heads=2, ff_dim=16, emb_dim=4,
                                vocab_size=30, doc_max_len=6)
         model = TwoTower.init(config, 3)
