@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -278,6 +279,31 @@ class TestEncodeBatches:
         assert 0 < holding < 40
         with pytest.raises(EncoderError, match=f"^{holding} of 40 embeddings are not finite$"):
             retrieval._encode_all(params, self.CONFIG, seqs[:40])
+
+    def test_non_finite_embeddings_on_threads_are_the_same_error(self, pool):
+        # 100 rows are four batches, each on a thread of its own; the count
+        # covers every batch, not the first to finish.
+        model, seqs = pool
+        params = {**model.doc, "emb/token": model.doc["emb/token"].copy()}
+        params["emb/token"][7] = np.nan
+        holding = sum(7 in seq for seq in seqs)
+        assert 0 < holding < 100
+
+        def run():
+            with pytest.raises(EncoderError, match=f"^{holding} of 100 embeddings are not finite$"):
+                retrieval._encode_all(params, self.CONFIG, seqs)
+
+        with mock.patch.object(util, "_worker_budget", lambda: 4):
+            _, used = self._threads(run)
+        assert used == [4]
+
+    def test_no_thread_outlives_the_encode(self, pool):
+        model, seqs = pool
+        before = threading.enumerate()
+        with mock.patch.object(util, "_worker_budget", lambda: 3):
+            _, used = self._threads(lambda: retrieval._encode_all(model.doc, self.CONFIG, seqs))
+        assert used == [3]
+        assert threading.enumerate() == before
 
 
 class TestBM25:

@@ -31,12 +31,14 @@ class TestForkMap:
         assert len(pids) <= workers
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_at_most_one_worker_an_item(self, budget, n):
-        budget(3)
+    @pytest.mark.parametrize("n, workers, used_workers", [
+        (7, 3, 3), (7, 2, 2), (7, 1, 1), (2, 3, 2), (1, 3, 1),
+    ])
+    def test_at_most_one_worker_an_item(self, budget, n, workers, used_workers):
+        budget(workers)
         results, used = util.fork_map(lambda item: item * 2, range(n))
         assert results == [item * 2 for item in range(n)]
-        assert used == n
+        assert used == used_workers
         assert multiprocessing.active_children() == []
 
     def test_no_items_give_no_results(self, budget):
@@ -69,6 +71,20 @@ class TestForkMap:
         for pid, inner in results:
             assert pid != os.getpid() and inner == ([pid] * 3, 1)
         assert multiprocessing.active_children() == []
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("n, workers, count", [
+        (0, 3, 0), (1, 3, 1), (2, 3, 2), (8, 3, 3), (8, 1, 1),
+    ])
+    def test_one_worker_an_item_within_the_budget(self, budget, n, workers, count):
+        budget(workers)
+        assert util.worker_count(n) == count
+
+    def test_inside_a_grid_worker_is_one(self, budget, monkeypatch):
+        budget(3)
+        monkeypatch.setattr(util, "_WORKER_FN", lambda item: item)
+        assert util.worker_count(8) == 1
 
 
 class TestNoFork:
