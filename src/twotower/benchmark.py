@@ -590,10 +590,9 @@ def run_experiment(
     The grid runs as units (see `run_unit`): for each seed, one per
     (encoder, task) cell, then one for its BM25 cells. The units run through
     `util.fork_map`, in worker processes, at most one per unit and one per
-    usable CPU over the BLAS threads of a process: with
-    OPENBLAS_NUM_THREADS=1 that is one worker per usable CPU, while by
-    default OpenBLAS runs a thread per CPU in each process and the units
-    run one after another in this process, as they do under `taskset -c 0`.
+    usable CPU over the BLAS threads of a process (`util._worker_budget`):
+    one per CPU with OPENBLAS_NUM_THREADS=1, and none by default or under
+    `taskset -c 0`, where the units run one after another in this process.
     Threads for encodes, forks for grid units: a unit's index and query
     encodes run serially in a worker, and a grid of one unit, run here,
     encodes on threads as `retrieval._encode_all` says.

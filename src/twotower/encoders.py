@@ -102,12 +102,10 @@ _ERF_Q = (
 # buffers stay in a core's L2 cache across the block's two dozen passes.
 _ERF_BLOCK = 1 << 15
 # The erf's three float64 blocks and a fourth for the CDF block of a `_gelu`
-# call that keeps no CDF, allocated once per thread, on its first `_gelu`.
-# Allocated per call, they landed between the encoder's large arrays wherever
-# the heap had room, and moved the `experiment` command's peak RSS by up to
-# 22 MB from one input to the next. `retrieval._encode_all` encodes on
-# several threads at once, and two threads sharing one set overwrite each
-# other's blocks, so each thread keeps its own.
+# call that keeps no CDF: one set per thread, as `retrieval._encode_all` runs
+# threads at once, allocated on the thread's first `_gelu`. Allocated per
+# call, they landed between the encoder's large arrays wherever the heap had
+# room, and moved `experiment`'s peak RSS by up to 22 MB between inputs.
 _ERF_SCRATCH = threading.local()
 
 
@@ -374,13 +372,12 @@ def _gelu(u: np.ndarray, cdf: Optional[np.ndarray] = None) -> None:
 
     The CDF is 0.5 * (1 + erf(u / sqrt(2))) in the dtype of u, taken one
     `_ERF_BLOCK` at a time, with the erf of `_erf` in float64 in the calling
-    thread's `_ERF_SCRATCH`, so without `cdf` no array of u's size is
-    allocated, and threads may run it at once. For float32 u it is the
-    result with SciPy's `special.erf`, bit for bit: the erf matched on all
-    2**32 float32 bit patterns, and tests/test_encoders.py sweeps about 2M of
-    them. A NaN stays NaN with its own sign and payload, where SciPy returns
-    the default NaN. For float64 u the CDF is within 4.5e-16 of the SciPy
-    result.
+    thread's `_ERF_SCRATCH`, so threads may run it at once and without `cdf`
+    no array of u's size is allocated. For float32 u it is the result with
+    SciPy's `special.erf`, bit for bit: the erf matched on all 2**32 float32
+    bit patterns, and tests/test_encoders.py sweeps about 2M of them. A NaN
+    stays NaN with its own sign and payload, where SciPy returns the default
+    NaN. For float64 u the CDF is within 4.5e-16 of the SciPy result.
     """
     flat = u.reshape(-1)
     cdf_flat = None if cdf is None else cdf.reshape(-1)

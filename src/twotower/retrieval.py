@@ -7,16 +7,18 @@ candidate id. The dense ranker encodes candidates and queries
 alike. A one-row tail joins the batch before it, and every batch is padded to
 the longest sequence of the pool, so a row's embedding does not depend on the
 batch it falls in: an index that validation built for a checkpoint can rank
-that checkpoint's test questions. The batches run on one thread of this
-process per usable CPU when BLAS runs one thread a caller: threads for
-encodes, forks for grid units. They run serially otherwise and inside an
-`experiment` grid worker, with the same bits either way. A non-finite
-embedding is an `EncoderError`.
+that checkpoint's test questions. The batches run on threads of this
+process, one per usable CPU when BLAS runs one thread a caller, and serially
+otherwise and inside an `experiment` grid worker, with the same bits either
+way: threads for encodes, forks for grid units. A non-finite embedding is an
+`EncoderError`.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -77,29 +79,35 @@ def _batches(n: int) -> List[slice]:
 
 
 def _encode_all(params: Params, config: EncoderConfig, seqs: Sequence[Sequence[int]]) -> np.ndarray:
-    """Embeddings [n, k] of every sequence, encoded in `_batches` on
-    `worker_count` threads of this process and stacked in batch order; numpy
-    releases the GIL in BLAS and ufunc loops. Each batch is padded to the
-    longest of all the sequences: the masked softmax sums a row's keys in an
-    order that depends on the padded width, so a narrower batch would move
-    the bits of its rows. A row that is not finite, from a corrupt or
-    diverged checkpoint, is an `EncoderError`: the top-k cannot rank it."""
+    """Embeddings [n, k] of every sequence, encoded in `_batches` on the
+    calling thread and the `worker_count - 1` it starts (numpy releases the
+    GIL in BLAS and ufunc loops) and stacked in batch order. Each batch is
+    padded to the longest of all the sequences: the masked softmax sums a
+    row's keys in an order that depends on the padded width, so a narrower
+    batch would move the bits of its rows. A non-finite row, from a corrupt
+    or diverged checkpoint, is an `EncoderError`: the top-k cannot rank it."""
     width = max(len(seq) for seq in seqs)
-
-    def encode_batch(part: slice) -> np.ndarray:
-        return encode(params, config, [list(seq) + [PAD_ID] * (width - len(seq)) for seq in seqs[part]])
-
     batches = _batches(len(seqs))
-    threads = worker_count(len(batches))
-    if threads > 1:
-        # Imported here: with its `logging` import it adds 8-10 ms to the
-        # start-up of every command, those that never start a thread too.
-        from concurrent.futures import ThreadPoolExecutor
+    parts, errors = [None] * len(batches), []
+    todo = iter(range(len(batches)))  # its `next` holds the GIL: one thread gets each index
 
-        with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(encode_batch, batches))
-    else:
-        parts = [encode_batch(part) for part in batches]
+    def work():
+        try:
+            for i in todo:
+                rows = [list(seq) + [PAD_ID] * (width - len(seq)) for seq in seqs[batches[i]]]
+                parts[i] = encode(params, config, rows)
+        except BaseException as exc:  # an error or a Ctrl-C: no thread starts another batch
+            errors.append(exc)
+            deque(todo, maxlen=0)
+
+    helpers = [threading.Thread(target=work) for _ in range(worker_count(len(batches)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     embeddings = np.vstack(parts)
     bad = int(np.count_nonzero(~np.isfinite(embeddings).all(axis=1)))
     if bad:
@@ -168,10 +176,7 @@ class InvertedIndex:
             if cid in seen:
                 raise ValueError(f"duplicate candidate id {cid}")
             seen.add(cid)
-            tf: Dict[int, int] = {}
-            for token in tokens:
-                tf[token] = tf.get(token, 0) + 1
-            for token, count in tf.items():
+            for token, count in Counter(tokens).items():
                 positions.setdefault(token, []).append(pos)
                 counts.setdefault(token, []).append(count)
         self.ids = np.array([cid for cid, _ in candidates], dtype=np.int64)

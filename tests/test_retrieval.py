@@ -1,7 +1,7 @@
-import concurrent.futures
 import math
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from unittest import mock
 
 import numpy as np
@@ -242,16 +242,17 @@ class TestEncodeBatches:
 
     @staticmethod
     def _threads(run):
-        """run()'s result and the thread count of each thread pool it started."""
-        used = []
+        """run()'s result and the threads it encoded on: the calling thread
+        and each thread it started."""
+        started = []
+        start = threading.Thread.start
 
-        class Spy(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                used.append(max_workers)
-                super().__init__(max_workers)
+        def spy(thread):
+            started.append(thread)
+            start(thread)
 
-        with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Spy):
-            return run(), used
+        with mock.patch.object(threading.Thread, "start", spy):
+            return run(), 1 + len(started)
 
     # 2 and 33 rows are one batch, 65 two, 100 four and 160 five, so a budget
     # of up to three threads starts as many as there are batches.
@@ -264,7 +265,7 @@ class TestEncodeBatches:
             with mock.patch.object(util, "_worker_budget", lambda: budget):
                 emb, used = self._threads(lambda: retrieval._encode_all(model.doc, self.CONFIG, seqs))
             threads = min(budget, len(retrieval._batches(n)))
-            assert used == ([] if threads == 1 else [threads])
+            assert used == threads
             encoded.append(emb)
         assert encoded[0].shape == (n, self.CONFIG.emb_dim)
         assert encoded[0].tobytes() == encoded[1].tobytes() == encoded[2].tobytes()
@@ -281,8 +282,9 @@ class TestEncodeBatches:
             retrieval._encode_all(params, self.CONFIG, seqs[:40])
 
     def test_non_finite_embeddings_on_threads_are_the_same_error(self, pool):
-        # 100 rows are four batches, each on a thread of its own; the count
-        # covers every batch, not the first to finish.
+        # 100 rows are four batches, each on a thread of its own, the calling
+        # thread's among them; the count covers every batch, not the first to
+        # finish.
         model, seqs = pool
         params = {**model.doc, "emb/token": model.doc["emb/token"].copy()}
         params["emb/token"][7] = np.nan
@@ -295,15 +297,71 @@ class TestEncodeBatches:
 
         with mock.patch.object(util, "_worker_budget", lambda: 4):
             _, used = self._threads(run)
-        assert used == [4]
+        assert used == 4
 
     def test_no_thread_outlives_the_encode(self, pool):
         model, seqs = pool
         before = threading.enumerate()
         with mock.patch.object(util, "_worker_budget", lambda: 3):
             _, used = self._threads(lambda: retrieval._encode_all(model.doc, self.CONFIG, seqs))
-        assert used == [3]
+        assert used == 3
         assert threading.enumerate() == before
+
+    def test_the_calling_thread_encodes_beside_the_one_it_starts(self, pool):
+        model, seqs = pool
+        on_main = []
+
+        def slow(params, config, batch):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            time.sleep(0.01)
+            return encode(params, config, batch)
+
+        # 100 rows are four batches of 10 ms each, so both threads get some.
+        with mock.patch.object(retrieval, "encode", slow), \
+                mock.patch.object(util, "_worker_budget", lambda: 2):
+            _, used = self._threads(lambda: retrieval._encode_all(model.doc, self.CONFIG, seqs))
+        assert used == 2
+        assert len(on_main) == 4 and 0 < on_main.count(True) < 4
+
+    def test_an_error_on_a_started_thread_is_raised_by_the_caller(self, pool):
+        model, seqs = pool
+
+        def fail_off_main(params, config, batch):
+            if threading.current_thread() is not threading.main_thread():
+                raise EncoderError("a batch failed")
+            time.sleep(0.01)
+            return encode(params, config, batch)
+
+        with mock.patch.object(retrieval, "encode", fail_off_main), \
+                mock.patch.object(util, "_worker_budget", lambda: 3):
+            with pytest.raises(EncoderError, match="^a batch failed$"):
+                retrieval._encode_all(model.doc, self.CONFIG, seqs)
+
+    def test_an_interrupt_drops_the_batches_no_thread_started(self, pool):
+        # 20 batches on two threads. A SIGINT, as Ctrl-C sends, reaches the
+        # calling thread in its second batch; the other thread then finishes
+        # the batch it is in and starts no other.
+        model, _ = pool
+        started = []
+
+        def slow(params, config, batch):
+            on_main = threading.current_thread() is threading.main_thread()
+            started.append(on_main)
+            if on_main and started.count(True) == 2:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.02)
+            return np.zeros((len(batch), self.CONFIG.emb_dim), np.float32)
+
+        with mock.patch.object(retrieval, "encode", slow), \
+                mock.patch.object(util, "_worker_budget", lambda: 2):
+            previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+            try:
+                with pytest.raises(KeyboardInterrupt):
+                    retrieval._encode_all(model.doc, self.CONFIG, [[5, 6, 7]] * 640)
+            finally:
+                signal.signal(signal.SIGINT, previous)
+        assert started.count(True) == 2
+        assert 1 <= started.count(False) < 10
 
 
 class TestBM25:
