@@ -7,7 +7,7 @@ One cell of the recall table runs four stage functions, which the CLI
 commands call too, so a chain of commands and `run_experiment` compute the
 same cell the same way: `pretrain_model` (none, mlm or a pair mixture),
 `finetune_model`, `with_distractors` (the open-domain candidate pool) and
-`evaluate_system` (a `TwoTower` or BM25 over one candidate pool).
+`evaluate_system` (a `TwoTower`, or BM25 for None, over one candidate pool).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -234,13 +234,10 @@ def evaluate(
     """recall@k = fraction of queries whose gold id is in the top k."""
     if len(ranked) != len(gold_ids):
         raise ValueError("one ranked list per query is required")
-    positions = []
-    for rlist, gold in zip(ranked, gold_ids):
-        try:
-            positions.append(rlist.ids.index(gold))
-        except ValueError:
-            positions.append(len(rlist.ids) + max(ks))
-    recalls = {k: sum(1 for p in positions if p < k) / len(positions) for k in ks}
+    recalls = {
+        k: sum(gold in rlist.ids[:k] for rlist, gold in zip(ranked, gold_ids)) / len(gold_ids)
+        for k in ks
+    }
     return EvalReport(recalls=recalls, n_candidates=n_candidates, n_queries=len(gold_ids))
 
 
@@ -268,15 +265,10 @@ class ExperimentConfig:
     batch_size: int = 32
     pretrain_lr: float = 1e-3
     finetune_lr: float = 5e-4
-    warmup_fraction: float = 0.1
     eval_every: int = 50
     patience: int = 5
     # vocabulary
     vocab_max_size: int = 8192
-    vocab_min_freq: int = 1
-    # bm25
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
 
     def __post_init__(self):
         # The whole grid is checked before any work; the vocabulary size is
@@ -292,15 +284,12 @@ class ExperimentConfig:
             raise ValueError(f"augment_limit must be >= 0, got {self.augment_limit}")
         if self.vocab_max_size <= NUM_SPECIALS:
             raise ValueError(f"vocab_max_size must be > {NUM_SPECIALS}, got {self.vocab_max_size}")
-        if self.vocab_min_freq < 1:
-            raise ValueError(f"vocab_min_freq must be >= 1, got {self.vocab_min_freq}")
         for task in self.tasks:
             parse_task_spec(task)
         for arch in self.encoders:
             self.encoder_config(arch, NUM_SPECIALS)
         self.pretrain_config(self.seeds[0])
         self.finetune_config(self.seeds[0])
-        self.bm25_params()
         if not self.include_bm25 and not any(
             _has_cell(arch, task) for arch in self.encoders for task in self.tasks
         ):
@@ -326,7 +315,6 @@ class ExperimentConfig:
             total_steps=self.pretrain_steps,
             seed=seed,
             lr_peak=self.pretrain_lr,
-            warmup_fraction=self.warmup_fraction,
         )
 
     def finetune_config(self, seed: int) -> TrainRunConfig:
@@ -335,13 +323,9 @@ class ExperimentConfig:
             total_steps=self.finetune_steps,
             seed=seed,
             lr_peak=self.finetune_lr,
-            warmup_fraction=self.warmup_fraction,
             eval_every=self.eval_every,
             patience=self.patience,
         )
-
-    def bm25_params(self) -> retrieval.BM25Params:
-        return retrieval.BM25Params(k1=self.bm25_k1, b=self.bm25_b)
 
 
 def _has_cell(arch: str, task: str) -> bool:
@@ -473,25 +457,26 @@ def with_distractors(
 
 
 def evaluate_system(
-    system: Union[TwoTower, retrieval.BM25Params],
+    model: Optional[TwoTower],
     pool: Sequence[Candidate],
     part: Sequence[ReqaExample],
     ks: Sequence[int],
     index: Optional[retrieval.DenseIndex] = None,
 ) -> EvalReport:
     """recall@k of the part's questions over the candidate pool, ranked by the
-    dense model or by BM25 with the given parameters. A dense model ranks
-    against `index`, its index of `dense_candidates(pool, doc_max_len)`, or
-    against one built here when that is None."""
+    dense model, or by BM25 over whole candidates when `model` is None. A
+    dense model ranks against `index`, its index of
+    `dense_candidates(pool, doc_max_len)`, or against one built here when
+    that is None."""
     queries = [ex.question_tokens for ex in part]
-    if isinstance(system, TwoTower):
+    if model is not None:
         if index is None:
-            docs = dense_candidates(pool, system.config.doc_max_len)
-            index = retrieval.build_dense_index(system, [cid for cid, _ in docs], [seq for _, seq in docs])
-        ranked = retrieval.rank_dense(system, index, queries, max(ks))
+            docs = dense_candidates(pool, model.config.doc_max_len)
+            index = retrieval.build_dense_index(model, [cid for cid, _ in docs], [seq for _, seq in docs])
+        ranked = retrieval.rank_dense(model, index, queries, max(ks))
     else:
         index = retrieval.InvertedIndex([(c.id, c.sentence_tokens + c.passage_tokens) for c in pool])
-        ranked = [retrieval.bm25_topk(index, q, max(ks), system) for q in queries]
+        ranked = [retrieval.bm25_topk(index, q, max(ks)) for q in queries]
     return evaluate(ranked, [ex.gold_id for ex in part], ks, n_candidates=len(pool))
 
 
@@ -519,21 +504,24 @@ def run_unit(grid: _Grid, unit: Unit) -> Tuple[List[dict], dict]:
     """The cells of one unit, and its timings: a dense unit is one pretrain,
     then a finetune and the test evals of each split; a BM25 unit is the test
     evals of each split. The timings hold the unit's label, the seconds of
-    its pretrain (None for BM25), of each finetune and of each eval, and the
-    minor page faults the process took meanwhile (None where the platform
-    does not count them)."""
+    its pretrain (None for BM25), of each finetune and of each eval, each
+    finetune's validation checks as [step, recall@10] and the step it
+    selected, the earliest check of the highest recall, and the minor page
+    faults the process took meanwhile (None where the platform does not
+    count them)."""
     seed, encoder, task = unit
     cfg = grid.cfg
     faults = _minor_faults()
-    timings = {"seed": seed, "encoder": encoder, "task": task,
-               "pretrain_s": None, "finetune_s": [], "eval_s": []}
+    timings = {"seed": seed, "encoder": encoder, "task": task, "pretrain_s": None,
+               "finetune_s": [], "val_checks": [], "selected_step": [], "eval_s": []}
     cells: List[dict] = []
 
-    # `index` is a dense system's index of the un-augmented pool.
-    def add_cells(split: Split, system, index=None) -> None:
+    # `model` is None for BM25; `index` is a dense model's index of the
+    # un-augmented pool.
+    def add_cells(split: Split, model: Optional[TwoTower], index=None) -> None:
         for augmented, pool in grid.pools:
             start = time.perf_counter()
-            report = evaluate_system(system, pool, split.test, cfg.ks, None if augmented else index)
+            report = evaluate_system(model, pool, split.test, cfg.ks, None if augmented else index)
             timings["eval_s"].append(time.perf_counter() - start)
             labels = (split.ratio_label, encoder, task, seed, augmented)
             payload = canonical_json({"config": asdict(cfg), "cell": labels})
@@ -553,7 +541,7 @@ def run_unit(grid: _Grid, unit: Unit) -> Tuple[List[dict], dict]:
 
     if encoder == _BM25:
         for split in grid.splits[seed]:
-            add_cells(split, cfg.bm25_params())
+            add_cells(split, None)
     else:
         if task != TASK_NONE:
             grid.log(f"pretrain[{seed}] {encoder}/{task}: {cfg.pretrain_steps} steps")
@@ -564,8 +552,13 @@ def run_unit(grid: _Grid, unit: Unit) -> Tuple[List[dict], dict]:
         for split in grid.splits[seed]:
             grid.log(f"finetune[{seed}] {encoder}/{task} @ {split.ratio_label}")
             start = time.perf_counter()
-            best, _, index = finetune_model(pretrained, cfg.finetune_config(seed), split, grid.pools[0][1])
+            best, history, index = finetune_model(
+                pretrained, cfg.finetune_config(seed), split, grid.pools[0][1]
+            )
             timings["finetune_s"].append(time.perf_counter() - start)
+            checks = [[h["step"], h["val_recall"]] for h in history if "val_recall" in h]
+            timings["val_checks"].append(checks)
+            timings["selected_step"].append(max(checks, key=lambda check: check[1])[0])
             add_cells(split, best, index)
     timings["minflt"] = None if faults is None else _minor_faults() - faults
     return cells, timings
@@ -603,7 +596,7 @@ def run_experiment(
     which unit finished first. A unit's exception is raised here. `stats`,
     when given, receives the worker count and each unit's timings, in unit
     order."""
-    vocab = build_vocab(store, cfg.vocab_max_size, cfg.vocab_min_freq)
+    vocab = build_vocab(store, cfg.vocab_max_size)
     tokenize_corpus(store, vocab)
     examples, candidates, dropped = build_reqa(entries, store, vocab, cfg.query_max_len)
     log(f"benchmark: {len(examples)} examples, {len(candidates)} candidates, {dropped} dropped")

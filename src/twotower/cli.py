@@ -20,7 +20,7 @@ and draw their `--augment` distractors from the tokenized corpus with
 `--seed`, as `experiment` draws its `augment_limit` ones with its first seed.
 Stage defaults and checks come from the default grid: a `_FIELDS` option
 defaults to its field's value, and a stage command reads its vocabulary,
-encoder, training and BM25 settings from a copy of the grid with its `_FIELDS`
+encoder and training settings from a copy of the grid with its `_FIELDS`
 flags set, through the checks `experiment` makes. `synth`'s defaults are
 `SynthConfig`'s. Every option is checked before any input is read: a bad value
 is a usage error.
@@ -228,7 +228,7 @@ def _cmd_vocab(o) -> int:
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     store = _load_corpus(str(o["corpus"]))
-    vocab = build_vocab(store, cell.vocab_max_size, cell.vocab_min_freq)
+    vocab = build_vocab(store, cell.vocab_max_size)
     buffer = io.StringIO()
     vocab.save(buffer)
     util.atomic_write_text(outputs[0], buffer.getvalue())
@@ -315,21 +315,20 @@ def _cmd_eval(o) -> int:
     dense = "ckpt" in o
     command = "eval" if dense else "bm25-eval"
     cell = _cell(command, o)
-    if not dense:
-        system, query_max_len, label = cell.bm25_params(), cell.query_max_len, "bm25"
     outputs = [str(o["out"])]
     _check_outputs(outputs, bool(o["force"]))
     start = time.time()
     store, vocab = _load_tokenized(o)
+    model, query_max_len, label = None, cell.query_max_len, "bm25"
     if dense:
-        system, _ = load_checkpoint(str(o["ckpt"]))
-        query_max_len = system.config.query_max_len
-        label = f"dense:{system.config.arch}"
+        model, _ = load_checkpoint(str(o["ckpt"]))
+        query_max_len = model.config.query_max_len
+        label = f"dense:{model.config.arch}"
     entries, examples, candidates, dropped = _build_benchmark(o, store, vocab, query_max_len)
     seed = int(o["seed"])
     split = benchmark.make_split(examples, ratio, seed)
     pool = benchmark.with_distractors(store, entries, candidates, cell.augment_limit, seed)
-    report = benchmark.evaluate_system(system, pool, getattr(split, part_name), ks)
+    report = benchmark.evaluate_system(model, pool, getattr(split, part_name), ks)
     payload = {
         "system": label,
         "ratio": str(o["ratio"]),
@@ -412,11 +411,11 @@ _SYNTH = synth.SynthConfig()
 # For each stage command, its options that set a grid field: flag -> field.
 # Such an option is declared here alone: it defaults to the field's value in
 # `_GRID`, and `_cell` sets the field from its flag.
-_TRAIN_FIELDS = {"batch": "batch_size", "warmup": "warmup_fraction"}
+_TRAIN_FIELDS = {"batch": "batch_size"}
 _QUERY_LEN_FIELD = {"query-max-len": "query_max_len"}
 _AUGMENT_FIELD = {"augment": "augment_limit"}
 _FIELDS = {
-    "vocab": {"max-size": "vocab_max_size", "min-freq": "vocab_min_freq"},
+    "vocab": {"max-size": "vocab_max_size"},
     "pretrain": {
         "layers": "num_layers", "hidden-dim": "hidden_dim", "heads": "num_heads",
         "ff-dim": "ff_dim", "emb-dim": "emb_dim", **_QUERY_LEN_FIELD,
@@ -428,7 +427,7 @@ _FIELDS = {
         "eval-every": "eval_every", "patience": "patience",
     },
     "eval": _AUGMENT_FIELD,
-    "bm25-eval": {**_AUGMENT_FIELD, "bm25-k1": "bm25_k1", "bm25-b": "bm25_b", **_QUERY_LEN_FIELD},
+    "bm25-eval": {**_AUGMENT_FIELD, **_QUERY_LEN_FIELD},
 }
 
 _SPLIT_EVAL_OPTIONS = {

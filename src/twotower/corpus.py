@@ -203,9 +203,10 @@ class Vocabulary:
         return cls([line.rstrip("\n") for line in lines if line.rstrip("\n")])
 
 
-def build_vocab(store: CorpusStore, max_size: int, min_freq: int = 1) -> Vocabulary:
+def build_vocab(store: CorpusStore, max_size: int) -> Vocabulary:
     """Induce a vocabulary: specials, seen characters (initial + continuation),
-    then the most frequent whole words and word prefixes (length >= 2).
+    then the most frequent whole words and word prefixes (length >= 2), any
+    seen once included, up to `max_size` tokens.
 
     Deterministic for a fixed corpus and parameters; candidate ties are broken
     lexicographically.
@@ -240,7 +241,7 @@ def build_vocab(store: CorpusStore, max_size: int, min_freq: int = 1) -> Vocabul
             prefix_counts[prefix] = prefix_counts.get(prefix, 0) + count
     present = set(tokens)
     candidates = sorted(
-        ((c, t) for t, c in prefix_counts.items() if c >= min_freq and t not in present),
+        ((c, t) for t, c in prefix_counts.items() if t not in present),
         key=lambda item: (-item[0], item[1]),
     )
     for _, token in candidates:

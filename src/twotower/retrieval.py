@@ -39,6 +39,11 @@ from .util import worker_count
 # tail into the batch before it.
 ENCODE_BATCH = 32
 
+# Okapi BM25's term-frequency saturation and length normalisation, at the
+# usual values: the paper's BM-25 baseline is fixed, not tuned.
+BM25_K1 = 1.2
+BM25_B = 0.75
+
 
 @dataclass
 class RankedList:
@@ -55,18 +60,6 @@ class DenseIndex:
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-
-
-@dataclass
-class BM25Params:
-    k1: float = 1.2
-    b: float = 0.75
-
-    def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError("k1 must be >= 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must lie in [0, 1]")
 
 
 def _batches(n: int) -> List[slice]:
@@ -189,8 +182,9 @@ class InvertedIndex:
         }
 
 
-def bm25_topk(index: InvertedIndex, query_tokens, k: int, p: BM25Params) -> RankedList:
-    """Okapi BM25 with the +1 idf variant; query terms are deduplicated.
+def bm25_topk(index: InvertedIndex, query_tokens, k: int) -> RankedList:
+    """Okapi BM25 with the +1 idf variant, at `BM25_K1` and `BM25_B`; query
+    terms are deduplicated.
 
     Each term's postings add into one score vector over the pool, in
     ascending token order. A candidate no term touches scores 0.0, below
@@ -204,7 +198,7 @@ def bm25_topk(index: InvertedIndex, query_tokens, k: int, p: BM25Params) -> Rank
             continue
         pos, tf = index.postings[token]
         idf = math.log(1.0 + (index.N - len(pos) + 0.5) / (len(pos) + 0.5))
-        norm = p.k1 * (1.0 - p.b + p.b * index.doc_lengths[pos] / index.avg_doc_length)
-        scores[pos] += idf * tf * (p.k1 + 1.0) / (tf + norm)
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * index.doc_lengths[pos] / index.avg_doc_length)
+        scores[pos] += idf * tf * (BM25_K1 + 1.0) / (tf + norm)
     top_ids, top_scores = _rank_with_ties(index.ids, scores, k)
     return RankedList(ids=[int(i) for i in top_ids], scores=[float(s) for s in top_scores])

@@ -39,6 +39,8 @@ from .util import subrng
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# The share of a run's steps over which the learning rate climbs to its peak.
+WARMUP_FRACTION = 0.1
 
 
 @dataclass
@@ -57,7 +59,6 @@ class TrainRunConfig:
     eval_every: int = 20
     patience: int = 5
     lr_peak: float = 1e-3
-    warmup_fraction: float = 0.1
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -70,8 +71,6 @@ class TrainRunConfig:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not self.lr_peak > 0:
             raise ValueError(f"lr_peak must be > 0, got {self.lr_peak}")
-        if not 0 <= self.warmup_fraction <= 1:
-            raise ValueError(f"warmup_fraction must be in [0, 1], got {self.warmup_fraction}")
 
 
 def in_batch_softmax_loss(q_embs: np.ndarray, d_embs: np.ndarray) -> LossOutput:
@@ -130,11 +129,11 @@ class OptimizerState:
         )
 
     def learning_rate(self, step: Optional[int] = None) -> float:
-        """Piecewise-linear schedule: 0 -> lr_peak over the warmup window,
-        then linear decay to 0 at total_steps."""
+        """Piecewise-linear schedule: 0 -> lr_peak over the first
+        `WARMUP_FRACTION` of total_steps, then linear decay to 0 at total_steps."""
         t = self.step if step is None else step
         lr_peak, total = self.cfg.lr_peak, self.cfg.total_steps
-        warm = self.cfg.warmup_fraction * total
+        warm = WARMUP_FRACTION * total
         if t <= warm:
             return lr_peak * (t / warm) if warm > 0 else lr_peak
         if t >= total:

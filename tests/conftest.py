@@ -22,7 +22,7 @@ def corpus_lines(records):
 def small_toy():
     """A reduced synthetic corpus shared by module tests (fast to build)."""
     store, entries = build_toy(SynthConfig(n_articles=40, n_topics=10, n_qa=80, seed=13))
-    vocab = build_vocab(store, 8192, 1)
+    vocab = build_vocab(store, 8192)
     tokenize_corpus(store, vocab)
     return store, entries, vocab
 

@@ -230,6 +230,25 @@ class TestEvaluate:
         assert report.recalls[5] == 0.5
         assert report.recalls[10] == 1.0
 
+    def test_gold_missing_from_the_list_counts_at_no_k(self):
+        # Lists shorter than the largest k: an absent gold misses at every k.
+        ranked = [RankedList([3, 1], [2.0, 1.0]), RankedList([4, 9], [2.0, 1.0])]
+        report = evaluate(ranked, [5, 9], ks=(1, 2, 100))
+        assert report.recalls == {1: 0.0, 2: 0.5, 100: 0.5}
+
+    def test_recalls_match_the_gold_rank_oracle(self):
+        # Oracle: the gold's 0-based rank, an absent gold ranked past every k.
+        rng = subrng(42)
+        ks = (1, 5, 10, 50)
+        ranked, golds = [], []
+        for _ in range(200):
+            n = int(rng.integers(1, 60))
+            ranked.append(RankedList([int(i) for i in rng.permutation(80)[:n]], [0.0] * n))
+            golds.append(int(rng.integers(80)))
+        ranks = [r.ids.index(g) if g in r.ids else len(r.ids) + max(ks) for r, g in zip(ranked, golds)]
+        expected = {k: sum(1 for rank in ranks if rank < k) / len(ranks) for k in ks}
+        assert evaluate(ranked, golds, ks).recalls == expected
+
     def test_monotone_in_k(self):
         rng = subrng(40)
         ranked = []
@@ -337,7 +356,7 @@ class TestExperiment:
                 if not reuse:
                     evaluate = benchmark.evaluate_system
                     m.setattr(benchmark, "evaluate_system",
-                              lambda system, pool, part, ks, index=None: evaluate(system, pool, part, ks))
+                              lambda model, pool, part, ks, index=None: evaluate(model, pool, part, ks))
                 report = run_experiment(store, entries, cfg, log=lambda msg: None)
             return report, built, len(checks)
 
@@ -440,6 +459,40 @@ class TestExperiment:
         stats = {}
         run_experiment(store, entries, cfg, log=lambda msg: None, stats=stats)
         assert [unit["minflt"] for unit in stats["units"]] == [None]
+
+    def test_unit_timings_keep_validation_checks_and_selected_step(self, monkeypatch):
+        # The selected step is the earliest check of the highest recall, as
+        # `training.finetune` keeps a later checkpoint only on a strict gain.
+        from twotower import benchmark
+
+        finetune_model = benchmark.finetune_model
+        history = [
+            {"step": 0, "loss": None, "acc": None, "val_recall": 0.25},
+            {"step": 1, "loss": 1.0, "acc": 0.5},
+            {"step": 2, "loss": 0.9, "acc": 0.5, "val_recall": 0.5},
+            {"step": 3, "loss": 0.8, "acc": 0.5},
+            {"step": 4, "loss": 0.7, "acc": 0.5, "val_recall": 0.5},
+        ]
+
+        def fixed_history(*args):
+            best, _, index = finetune_model(*args)
+            return best, history, index
+
+        monkeypatch.setattr(benchmark, "finetune_model", fixed_history)
+        monkeypatch.setattr(util, "_worker_budget", lambda: 1)
+        store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=60, seed=13))
+        cfg = ExperimentConfig(
+            ratios=[[60, 40], [80, 20]], encoders=["transformer"], tasks=["none"], seeds=[5],
+            pretrain_steps=0, finetune_steps=4, batch_size=4, eval_every=2, num_layers=1,
+            hidden_dim=16, num_heads=2, ff_dim=32, emb_dim=8, vocab_max_size=4096,
+        )
+        stats = {}
+        report = run_experiment(store, entries, cfg, log=lambda msg: None, stats=stats)
+        dense, bm25 = stats["units"]
+        assert dense["val_checks"] == [[[0, 0.25], [2, 0.5], [4, 0.5]]] * 2
+        assert dense["selected_step"] == [2, 2]
+        assert bm25["val_checks"] == bm25["selected_step"] == []
+        assert "val_checks" not in json.dumps(report)
 
     def test_bm25_cell_and_augmented_rows(self):
         store, entries = build_toy(SynthConfig(n_articles=30, n_topics=6, n_qa=60, seed=13))

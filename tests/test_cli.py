@@ -227,8 +227,6 @@ class TestTrainEvalCommands:
         ("bm25-eval", "--augment", "-1", "augment_limit must be >= 0, got -1"),
         ("bm25-eval", "--query-max-len", "0", "max lengths must be >= 2, got query 0 and doc 48"),
         ("bm25-eval", "--query-max-len", "1", "max lengths must be >= 2, got query 1 and doc 48"),
-        ("bm25-eval", "--bm25-k1", "-1", "k1 must be >= 0"),
-        ("bm25-eval", "--bm25-b", "2", "b must lie in [0, 1]"),
     ])
     def test_bad_k_or_ratio_rejected_before_loading(
         self, tmp_path, command, flag, value, message, capsys
@@ -245,21 +243,32 @@ class TestTrainEvalCommands:
         ("pretrain", "--batch", "1", "batch_size"),
         ("pretrain", "--steps", "-1", "total_steps"),
         ("pretrain", "--lr", "-1", "lr_peak"),
-        ("pretrain", "--warmup", "7", "warmup_fraction"),
         ("finetune", "--batch", "1", "batch_size"),
         ("finetune", "--eval-every", "0", "eval_every"),
         ("finetune", "--patience", "-1", "patience"),
-        ("finetune", "--warmup", "-0.5", "warmup_fraction"),
+    ] + [
+        # Settings that are constants now: their old flags are unknown options.
+        (command, flag, value, f"unrecognized arguments: {flag} {value}")
+        for command, flag, value in [
+            ("pretrain", "--warmup", "0.1"), ("finetune", "--warmup", "0.1"),
+            ("vocab", "--min-freq", "1"), ("bm25-eval", "--bm25-k1", "1.2"),
+            ("bm25-eval", "--bm25-b", "0.75"),
+        ]
     ])
     def test_bad_training_setting_rejected_before_loading(
         self, tmp_path, command, flag, value, message, capsys
     ):
         missing = str(tmp_path / "missing.jsonl")
-        argv = [command, "--corpus", missing, "--vocab", missing, "--out", str(tmp_path / "m"), flag, value]
+        argv = [command, "--corpus", missing, "--out", str(tmp_path / "m"), flag, value]
+        if command != "vocab":
+            argv += ["--vocab", missing]
+        if command in ("finetune", "bm25-eval"):
+            argv += ["--qa", missing]
         if command == "finetune":
-            argv += ["--qa", missing, "--ckpt", missing]
+            argv += ["--ckpt", missing]
         assert run(*argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tasks", ["none", "ict+nope", "ict+ict"])
     def test_pretrain_bad_tasks_rejected_before_loading(self, tmp_path, tasks, capsys):
@@ -375,7 +384,6 @@ class TestExperimentCommand:
             ({"patience": -1}, "patience"),
             ({"pretrain_lr": 0.0}, "lr_peak"),
             ({"finetune_lr": -1e-3}, "lr_peak"),
-            ({"warmup_fraction": 1.5}, "warmup_fraction"),
             ({"batch_size": "8"}, "'batch_size'"),
             ({"seeds": 7}, "'seeds'"),
             ({"tasks": [5]}, "'tasks'"),
@@ -384,10 +392,11 @@ class TestExperimentCommand:
             ({"include_bm25": 1}, "'include_bm25'"),
             ({"pretrain_lr": "0.1"}, "'pretrain_lr'"),
             ({"augment_limit": -4}, "augment_limit"),
-            ({"bm25_k1": -1}, "k1 must be >= 0"),
-            ({"bm25_b": 2}, "b must lie in [0, 1]"),
+            # Settings that are constants now, even at their old defaults.
+            ({"warmup_fraction": 0.1}, "keys that are not grid fields: ['warmup_fraction']"),
+            ({"vocab_min_freq": 1}, "keys that are not grid fields: ['vocab_min_freq']"),
+            ({"bm25_k1": 1.2, "bm25_b": 0.75}, "keys that are not grid fields: ['bm25_b', 'bm25_k1']"),
             # Grids that would train nothing if accepted, so they fail fast where they are.
-            ({"vocab_min_freq": 0, "tasks": []}, "vocab_min_freq must be >= 1"),
             ({"vocab_max_size": 3}, "vocab_max_size must be > 5"),
             ({"seeds": [7, 7], "tasks": []}, "seeds names 7 more than once"),
             ({"ratios": [[80, 20], [60, 40], [80, 20]], "tasks": []},
@@ -440,6 +449,23 @@ class TestExperimentCommand:
             assert all(s >= 0 for s in unit["finetune_s"] + unit["eval_s"])
             assert isinstance(unit["minflt"], int) and unit["minflt"] >= 0
 
+    def test_manifest_records_each_finetune_checks_and_selected_step(self, workdir, tmp_path):
+        _, corpus, qa, _ = workdir
+        cfg_path = self._config(tmp_path)
+        out_dir = tmp_path / "run"
+        assert run(
+            "experiment", "--corpus", corpus, "--qa", qa, "--config", cfg_path, "--out", str(out_dir),
+        ) == EXIT_OK
+        dense, bm25 = json.loads(open(out_dir / "manifests.jsonl").readline())["units"]
+        # 4 finetune steps, validation every 2: checks at steps 0, 2 and 4.
+        (checks,) = dense["val_checks"]
+        assert [step for step, _ in checks] == [0, 2, 4]
+        assert all(0.0 <= recall <= 1.0 for _, recall in checks)
+        best = max(recall for _, recall in checks)
+        assert dense["selected_step"] == [next(step for step, recall in checks if recall == best)]
+        assert bm25["val_checks"] == bm25["selected_step"] == []
+        assert "val_checks" not in (out_dir / "report.json").read_text()
+
     def test_report_rendering(self, workdir, tmp_path, capsys):
         _, corpus, qa, _ = workdir
         cfg_path = self._config(tmp_path)
@@ -468,24 +494,21 @@ class TestOnePipeline:
             "augment": grid.augment_limit,
         }
         expected = {
-            "vocab": {"max-size": grid.vocab_max_size, "min-freq": grid.vocab_min_freq},
+            "vocab": {"max-size": grid.vocab_max_size},
             "pretrain": {
                 "arch": grid.encoders[0], "layers": grid.num_layers, "hidden-dim": grid.hidden_dim,
                 "heads": grid.num_heads, "ff-dim": grid.ff_dim, "emb-dim": grid.emb_dim,
                 "query-max-len": grid.query_max_len, "doc-max-len": grid.doc_max_len,
                 "dtype": grid.dtype, "steps": grid.pretrain_steps, "batch": grid.batch_size,
-                "lr": grid.pretrain_lr, "warmup": grid.warmup_fraction, "seed": grid.seeds[0],
+                "lr": grid.pretrain_lr, "seed": grid.seeds[0],
             },
             "finetune": {
                 "steps": grid.finetune_steps, "batch": grid.batch_size, "lr": grid.finetune_lr,
-                "warmup": grid.warmup_fraction, "eval-every": grid.eval_every,
-                "patience": grid.patience, "ratio": split_eval["ratio"], "seed": grid.seeds[0],
+                "eval-every": grid.eval_every, "patience": grid.patience,
+                "ratio": split_eval["ratio"], "seed": grid.seeds[0],
             },
             "eval": split_eval,
-            "bm25-eval": {
-                **split_eval, "bm25-k1": grid.bm25_k1, "bm25-b": grid.bm25_b,
-                "query-max-len": grid.query_max_len,
-            },
+            "bm25-eval": {**split_eval, "query-max-len": grid.query_max_len},
         }
         for command, values in expected.items():
             options = cli._options(command)
@@ -498,14 +521,8 @@ class TestOnePipeline:
         ("bm25-eval", "--query-max-len", "query_max_len", "1"),
         ("pretrain", "--query-max-len", "query_max_len", "1"),
         ("pretrain", "--doc-max-len", "doc_max_len", "2"),
-        ("bm25-eval", "--bm25-k1", "bm25_k1", "-0.5"),
-        ("bm25-eval", "--bm25-b", "bm25_b", "1.5"),
         ("pretrain", "--batch", "batch_size", "1"),
         ("finetune", "--batch", "batch_size", "1"),
-        ("pretrain", "--warmup", "warmup_fraction", "1.5"),
-        ("finetune", "--warmup", "warmup_fraction", "1.5"),
-        ("vocab", "--min-freq", "vocab_min_freq", "0"),
-        ("vocab", "--min-freq", "vocab_min_freq", "-5"),
         ("vocab", "--max-size", "vocab_max_size", "3"),
     ])
     def test_stage_flag_and_grid_key_get_one_check(

@@ -165,14 +165,17 @@ class TestBuildVocab:
 
     def test_deterministic(self, small_toy):
         store, _, _ = small_toy
-        v1 = build_vocab(store, 4096, 1)
-        v2 = build_vocab(store, 4096, 1)
+        v1 = build_vocab(store, 4096)
+        v2 = build_vocab(store, 4096)
         assert v1.token_to_id == v2.token_to_id
 
-    def test_min_freq_filters_candidates(self):
-        vocab = build_vocab(self._store("aa aa ab"), max_size=100, min_freq=2)
-        assert "aa" in vocab
-        assert "ab" not in vocab
+    def test_prefix_seen_once_fills_after_more_frequent_ones(self):
+        # No frequency cut: "ab", seen once, is a token, after "aa", seen twice.
+        vocab = build_vocab(self._store("aa aa ab"), max_size=100)
+        assert vocab.token_to_id["aa"] < vocab.token_to_id["ab"]
+        # The capacity cuts the least frequent prefix first.
+        small = build_vocab(self._store("aa aa ab"), max_size=vocab.token_to_id["ab"])
+        assert "aa" in small and "ab" not in small
 
     def test_save_load_roundtrip(self, small_toy):
         _, _, vocab = small_toy
@@ -221,7 +224,7 @@ class TestTokenize:
         # A small vocabulary splits most words into several pieces; the
         # unseen characters make some words a single UNK.
         store, _, _ = small_toy
-        vocab = build_vocab(store, 120, 1)
+        vocab = build_vocab(store, 120)
         texts = [s.text for s in store.sentences()] + ["qq zqz", "Alpha alpha ALPHA"]
         for text in texts:
             expected = [i for word in normalize_text(text).split() for i in _tokenize_word(word, vocab)]

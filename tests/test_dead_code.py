@@ -1,14 +1,20 @@
 import ast
-import importlib
+import importlib.util
 import inspect
+import json
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import twotower
 from twotower import cli
 
 SOURCE_DIR = Path(twotower.__file__).parent
 TESTS_DIR = Path(__file__).parent
+ROOT = TESTS_DIR.parent
+BENCHMARK_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 # Package definitions kept for the tests alone: none, as test oracles and
 # fixtures live under tests/.
@@ -81,7 +87,7 @@ def test_every_name_perfbench_traces_exists():
     lists in `EXPECTED`, as "module.name", and runs commands through
     `cli.main`; a name that went missing would show only in perfbench's own
     tests. The tuple is read from the source, not imported."""
-    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     expected = next(
         ast.literal_eval(node.value)
         for node in tree.body
@@ -95,3 +101,37 @@ def test_every_name_perfbench_traces_exists():
         assert inspect.isfunction(value) or inspect.isclass(value), name
         assert value.__module__.startswith("twotower."), name
     assert callable(cli.main)
+
+
+@pytest.fixture(scope="module")
+def perfbench_run():
+    """perfbench/run.py, loaded by its file path. It puts its own directory
+    on sys.path to import its `tracing` sibling; both are undone after."""
+    path = list(sys.path)
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        sys.path[:] = path
+        for name in (spec.name, "tracing"):
+            sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+@pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+def test_every_perfbench_command_parses(perfbench_run, workload, tiny, tmp_path):
+    """Each command of a declared perfbench workload parses with the CLI's
+    own parser, and its grid file holds only `ExperimentConfig` fields of
+    the right types, so a flag or grid field the benchmark sets cannot be
+    removed with the tier-1 tests still passing."""
+    plan = perfbench_run.WORKLOADS[workload].plan(1, tiny)
+    parser = cli._build_parser()
+    for step in plan.setup + [plan.timed]:
+        assert parser.parse_args(step.argv).command == step.name
+    for name, text in plan.files.items():
+        (tmp_path / name).write_text(text)
+    if "grid.json" in plan.files:
+        cli._load_grid(str(tmp_path / "grid.json"))

@@ -30,7 +30,7 @@ GOLDEN = {
     "eval-ict-shared.json": "0071ff5faee2537e6193408fdcce0d71681abe50a7aebd2721eaf031112c1cfd",
     "eval-bow.json": "e9d9197856b823bd3cf83c774bfe18ae87548444c13c523ac57b0b1ac8985ba7",
     "bm25.json": "2d0fa00947147b4e8050015a70cc375a7ccaeff4880cdc692d437b670e8bc2b1",
-    "report.json": "73e75b0042b50715a6edc972178cb885287ede1156af05232b92b567e8b114a6",
+    "report.json": "cb8940f40944a2174c777793d08be52eb55c61bc25e879ef02b8d265b035158d",
     "report.txt": "f87f314ee7d51fa25e1145a691a5e7eafc4a6a46912767b7c85b5350b0045c15",
 }
 

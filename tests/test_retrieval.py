@@ -13,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 from twotower import retrieval, util
 from twotower.encoders import EncoderConfig, EncoderError, TwoTower, encode
 from twotower.retrieval import (
-    BM25Params,
+    BM25_B,
+    BM25_K1,
     DenseIndex,
     InvertedIndex,
     bm25_topk,
@@ -30,7 +31,7 @@ def full_sort_oracle(ids, scores, k):
     return [ids[i] for i in order[:k]]
 
 
-def bm25_score(query_tokens, candidate_id, docs, p):
+def bm25_score(query_tokens, candidate_id, docs):
     """Oracle: Okapi BM25 with the +1 idf variant and deduplicated query
     terms, computed from the raw (id, tokens) list, one candidate at a time."""
     n = len(docs)
@@ -41,10 +42,10 @@ def bm25_score(query_tokens, candidate_id, docs, p):
         tf = doc.count(token)
         if tf == 0:
             continue
-        length_norm = p.k1 * (1.0 - p.b + p.b * len(doc) / avg_doc_length)
+        length_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * len(doc) / avg_doc_length)
         df = sum(1 for _, tokens in docs if token in tokens)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        total += idf * tf * (p.k1 + 1.0) / (tf + length_norm)
+        total += idf * tf * (BM25_K1 + 1.0) / (tf + length_norm)
     return total
 
 
@@ -370,36 +371,35 @@ class TestBM25:
         # idf(a) = ln(1 + (2 - 1 + 0.5)/(1 + 0.5)) = ln 2
         # score(d1) = ln2 * (1 * 2.2) / (1 + 1.2 * (1 - 0.75 + 0.75 * 2/2)) = ln 2
         docs = [(0, [10, 11]), (1, [11, 11])]
-        ranked = bm25_topk(InvertedIndex(docs), [10], 1, BM25Params())
+        assert (BM25_K1, BM25_B) == (1.2, 0.75)
+        ranked = bm25_topk(InvertedIndex(docs), [10], 1)
         assert ranked.ids == [0]
         assert ranked.scores[0] == pytest.approx(math.log(2.0), abs=1e-12)
-        assert bm25_score([10], 0, docs, BM25Params()) == ranked.scores[0]
+        assert bm25_score([10], 0, docs) == ranked.scores[0]
 
     def test_zero_overlap_scores_zero(self):
         index = InvertedIndex([(0, [10, 11]), (1, [11, 11])])
-        assert bm25_topk(index, [99], 2, BM25Params()).scores == [0.0, 0.0]
+        assert bm25_topk(index, [99], 2).scores == [0.0, 0.0]
 
     def test_query_terms_deduplicated(self):
         index = InvertedIndex([(0, [10, 11]), (1, [11, 11])])
-        p = BM25Params()
-        single = bm25_topk(index, [10, 11], 2, p)
-        repeated = bm25_topk(index, [11, 10, 10, 11, 10], 2, p)
+        single = bm25_topk(index, [10, 11], 2)
+        repeated = bm25_topk(index, [11, 10, 10, 11, 10], 2)
         assert single == repeated
 
     def test_non_negative_scores(self):
         rng = subrng(35)
         docs = [(i, [int(t) for t in rng.integers(5, 40, size=rng.integers(3, 20))]) for i in range(80)]
         index = InvertedIndex(docs)
-        p = BM25Params()
         for _ in range(40):
             query = [int(t) for t in rng.integers(5, 40, size=5)]
-            assert all(s >= 0.0 for s in bm25_topk(index, query, len(docs), p).scores)
+            assert all(s >= 0.0 for s in bm25_topk(index, query, len(docs)).scores)
 
     def test_single_token_single_doc(self):
         docs = [(i, [20 + i]) for i in range(5)]
         docs[3] = (3, [7])
         index = InvertedIndex(docs)
-        ranked = bm25_topk(index, [7], 3, BM25Params())
+        ranked = bm25_topk(index, [7], 3)
         assert ranked.ids[0] == 3
 
     def test_topk_matches_exhaustive_oracle(self):
@@ -409,12 +409,11 @@ class TestBM25:
             for i in range(500)
         ]
         index = InvertedIndex(docs)
-        p = BM25Params()
         for _ in range(100):
             query = [int(t) for t in rng.integers(5, 70, size=rng.integers(1, 6))]
             k = int(rng.integers(1, 30))
-            ranked = bm25_topk(index, query, k, p)
-            scores = [bm25_score(query, cid, docs, p) for cid, _ in docs]
+            ranked = bm25_topk(index, query, k)
+            scores = [bm25_score(query, cid, docs) for cid, _ in docs]
             assert ranked.ids == full_sort_oracle([cid for cid, _ in docs], scores, k)
 
     @settings(max_examples=200, deadline=None)
@@ -430,23 +429,21 @@ class TestBM25:
         docs = [(cid, data.draw(st.sampled_from(distinct))) for cid in ids]
         query = data.draw(st.lists(st.integers(0, 5), max_size=6))
         k = data.draw(st.integers(1, n + 3))
-        p = BM25Params(k1=data.draw(st.sampled_from([0.0, 1.2, 2.0])),
-                       b=data.draw(st.sampled_from([0.0, 0.75, 1.0])))
-        ranked = bm25_topk(InvertedIndex(docs), query, k, p)
-        scores = [bm25_score(query, cid, docs, p) for cid in ids]
+        ranked = bm25_topk(InvertedIndex(docs), query, k)
+        scores = [bm25_score(query, cid, docs) for cid in ids]
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
         assert ranked.ids == [ids[i] for i in order]
         assert ranked.scores == [scores[i] for i in order]
 
     def test_empty_query_fills_by_id(self):
         index = InvertedIndex([(3, [10]), (1, [11]), (2, [12])])
-        ranked = bm25_topk(index, [], 2, BM25Params())
+        ranked = bm25_topk(index, [], 2)
         assert ranked.ids == [1, 2]
         assert ranked.scores == [0.0, 0.0]
 
     def test_k_beyond_n_flagged(self):
         index = InvertedIndex([(0, [10]), (1, [11])])
-        ranked = bm25_topk(index, [10], 5, BM25Params())
+        ranked = bm25_topk(index, [10], 5)
         assert ranked.ids == [0, 1]
 
     def test_invariants_of_index(self):
@@ -465,9 +462,3 @@ class TestBM25:
     def test_duplicate_candidate_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate candidate id 3"):
             InvertedIndex([(3, [10]), (1, [11]), (3, [12])])
-
-    def test_params_validated(self):
-        with pytest.raises(ValueError):
-            BM25Params(k1=-0.1)
-        with pytest.raises(ValueError):
-            BM25Params(b=1.5)

@@ -12,6 +12,7 @@ from twotower.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
+    WARMUP_FRACTION,
     OptimizerState,
     TrainRunConfig,
     _mlm_step,
@@ -138,14 +139,14 @@ class TestFullSoftmaxLoss:
 
 
 class TestAdam:
-    def _state(self, params, total_steps, warmup, lr=0.1):
-        cfg = TrainRunConfig(
-            batch_size=2, total_steps=total_steps, lr_peak=lr, warmup_fraction=warmup
-        )
+    def _state(self, params, total_steps, lr=0.1):
+        cfg = TrainRunConfig(batch_size=2, total_steps=total_steps, lr_peak=lr)
         return OptimizerState.for_params(params, cfg)
 
     def test_schedule_knots(self):
-        state = self._state({"p": np.zeros(1)}, total_steps=100, warmup=0.1, lr=0.5)
+        # The first tenth of the steps warm up.
+        assert WARMUP_FRACTION == 0.1
+        state = self._state({"p": np.zeros(1)}, total_steps=100, lr=0.5)
         assert state.learning_rate(10) == pytest.approx(0.5)
         assert state.learning_rate(100) == 0.0
         assert state.learning_rate(5) == pytest.approx(0.25)
@@ -153,17 +154,17 @@ class TestAdam:
         assert state.learning_rate(200) == 0.0
 
     def test_schedule_piecewise_linear_and_peaked(self):
-        state = self._state({"p": np.zeros(1)}, total_steps=50, warmup=0.2, lr=1.0)
-        values = [state.learning_rate(t) for t in range(51)]
+        state = self._state({"p": np.zeros(1)}, total_steps=100, lr=1.0)
+        values = [state.learning_rate(t) for t in range(101)]
         assert max(values) == values[10]
         for t in range(1, 10):
             assert values[t + 1] - values[t] == pytest.approx(values[1] - values[0], abs=1e-12)
-        for t in range(11, 50):
+        for t in range(11, 100):
             assert values[t + 1] - values[t] == pytest.approx(values[11] - values[10], abs=1e-12)
 
     def test_two_hand_computed_steps(self):
         # Straight-line evaluation of the Adam recurrences for one scalar.
-        lr_peak, total, warmup = 0.1, 4, 0.25
+        lr_peak, total = 0.1, 10
         b1, b2, eps = 0.9, 0.999, 1e-8
         p = 1.0
         g1, g2 = 0.5, -0.25
@@ -177,7 +178,7 @@ class TestAdam:
         p -= lr2 * (m / (1 - b1**2)) / (math.sqrt(v / (1 - b2**2)) + eps)
 
         params = {"w": np.array([1.0])}
-        cfg = TrainRunConfig(batch_size=2, total_steps=total, lr_peak=lr_peak, warmup_fraction=warmup)
+        cfg = TrainRunConfig(batch_size=2, total_steps=total, lr_peak=lr_peak)
         state = OptimizerState.for_params(params, cfg)
         adam_step(params, {"w": np.array([g1])}, state)
         adam_step(params, {"w": np.array([g2])}, state)
@@ -185,7 +186,7 @@ class TestAdam:
 
     def test_past_schedule_end_is_noop(self):
         params = {"w": np.array([1.0])}
-        cfg = TrainRunConfig(batch_size=2, total_steps=2, lr_peak=0.1, warmup_fraction=0.5)
+        cfg = TrainRunConfig(batch_size=2, total_steps=2, lr_peak=0.1)
         state = OptimizerState.for_params(params, cfg)
         for _ in range(2):
             adam_step(params, {"w": np.array([0.5])}, state)
